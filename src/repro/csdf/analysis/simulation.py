@@ -14,29 +14,31 @@ the spatial mapper:
   delivers one OFDM symbol every 4 us;
 * **bounded buffers** — edges with a finite ``capacity`` exert back-pressure.
 
-The result object records every firing, per-edge maximum buffer occupancy,
-iteration completion times, the steady-state period estimate and deadlock
-information.
+The result object holds the start and finish time of every completed firing
+as one flat list per actor, per-edge maximum buffer occupancy, iteration
+completion times, the steady-state period estimate and deadlock information.
 """
 
 from __future__ import annotations
 
 import heapq
+from bisect import insort
 from dataclasses import dataclass, field
+from functools import cached_property
+from math import inf
 from typing import Callable, NamedTuple
 
 from repro.csdf.graph import CSDFGraph
 from repro.csdf.repetition import repetition_vector
 from repro.exceptions import DeadlockError
-from repro.kpn.process import ProcessKind  # noqa: F401  (re-exported for convenience in tests)
 
 
 class FiringRecord(NamedTuple):
     """One completed firing of an actor.
 
-    A ``NamedTuple`` rather than a dataclass: the simulator creates one
-    record per firing on the mapper's admission hot path, and tuple
-    construction is several times cheaper than a frozen-dataclass ``__init__``.
+    The simulator keeps no per-firing records: it logs start and finish
+    times in flat per-actor lists.  Records are derived from those lists on
+    demand by :attr:`SimulationResult.firings` for readers that want them.
     """
 
     actor: str
@@ -53,7 +55,13 @@ class SimulationResult:
     graph_name: str
     iterations_requested: int
     repetitions: dict[str, int]
-    firings: dict[str, list[FiringRecord]]
+    #: Phase count per actor: firing ``i`` of actor ``a`` runs phase
+    #: ``i % phase_counts[a]``.
+    phase_counts: dict[str, int]
+    #: Start and finish time of every completed firing, per actor in firing
+    #: order (both lists of one actor have the same length).
+    start_times_ns: dict[str, list[float]]
+    finish_times_ns: dict[str, list[float]]
     max_occupancy: dict[str, int]
     iteration_finish_times_ns: list[float] = field(default_factory=list)
     deadlocked: bool = False
@@ -73,6 +81,17 @@ class SimulationResult:
     def completed_iterations(self) -> int:
         """Number of full graph iterations that completed."""
         return len(self.iteration_finish_times_ns)
+
+    @cached_property
+    def firings(self) -> dict[str, list[FiringRecord]]:
+        """Every completed firing as a record, per actor in firing order."""
+        return {
+            name: [
+                FiringRecord(name, index, index % self.phase_counts[name], start, finish)
+                for index, (start, finish) in enumerate(zip(starts, self.finish_times_ns[name]))
+            ]
+            for name, starts in self.start_times_ns.items()
+        }
 
     def firings_of(self, actor: str) -> list[FiringRecord]:
         """All firings of the given actor, in order."""
@@ -103,17 +122,15 @@ class SimulationResult:
 
     def iteration_latency_ns(self, source: str, sink: str, iteration: int) -> float:
         """Latency of one iteration from the source's first start to the sink's last finish."""
-        source_rep = self.repetitions[source]
-        sink_rep = self.repetitions[sink]
-        source_firings = self.firings_of(source)
-        sink_firings = self.firings_of(sink)
-        first = iteration * source_rep
-        last = (iteration + 1) * sink_rep - 1
-        if first >= len(source_firings) or last >= len(sink_firings):
+        source_starts = self.start_times_ns.get(source, [])
+        sink_finishes = self.finish_times_ns.get(sink, [])
+        first = iteration * self.repetitions[source]
+        last = (iteration + 1) * self.repetitions[sink] - 1
+        if first >= len(source_starts) or last >= len(sink_finishes):
             raise DeadlockError(
                 f"iteration {iteration} did not complete for actors {source!r}/{sink!r}"
             )
-        return sink_firings[last].finish_ns - source_firings[first].start_ns
+        return sink_finishes[last] - source_starts[first]
 
 
 class SelfTimedSimulator:
@@ -185,9 +202,10 @@ class SelfTimedSimulator:
     def run(self) -> SimulationResult:
         """Execute the graph and return the simulation result.
 
-        The loop works on integer-indexed actors/edges with per-phase rate
-        tables precomputed once, so the inner readiness checks are plain list
-        lookups.  The scan discipline is identical to a naive fixpoint over
+        The loop works on integer-indexed actors/edges with one precomputed
+        ``(duration, needs, consumes, produces, caps)`` tuple per actor and
+        phase, so the readiness checks are plain list lookups.  The scan
+        discipline is identical to a naive fixpoint over
         ``graph.actor_names`` (same order, same tie-breaking), so results are
         bit-identical to the straightforward implementation.
         """
@@ -196,6 +214,7 @@ class SelfTimedSimulator:
         names = list(graph.actor_names)
         actor_count = len(names)
         actor_range = range(actor_count)
+        actor_index = {name: a for a, name in enumerate(names)}
         reps = [repetitions[name] for name in names]
         target = [repetitions[name] * self._iterations for name in names]
 
@@ -206,99 +225,77 @@ class SelfTimedSimulator:
 
         period = self._source_period_ns
         periodic = [period is not None and name in self._periodic_actors for name in names]
+        periodic_indices = [a for a in actor_range if periodic[a]]
 
-        # Per actor and phase: input needs (edge, threshold, consumed), output
-        # productions (edge, produced), capacity checks (edge, produced, cap)
-        # and firing durations.
+        # Per actor and phase: firing duration, input thresholds (edge,
+        # needed), input consumptions (edge, consumed), output productions
+        # (edge, produced) and capacity checks (edge, produced, cap).
         phase_counts: list[int] = []
-        in_needs: list[list[tuple[tuple[int, float, int], ...]]] = []
-        out_rates: list[list[tuple[tuple[int, int], ...]]] = []
-        out_caps: list[list[tuple[tuple[int, int, float], ...]]] = []
-        durations: list[list[float]] = []
-        for name in names:
-            actor = graph.actor(name)
-            inputs = graph.input_edges(name)
-            outputs = graph.output_edges(name)
-            phase_counts.append(actor.phases)
-            per_in, per_out, per_cap, per_dur = [], [], [], []
-            for p in range(actor.phases):
-                per_in.append(
-                    tuple(
-                        (edge_index[e.name], e.consumption_rates.at(p), int(e.consumption_rates.at(p)))
-                        for e in inputs
-                    )
-                )
-                per_out.append(
-                    tuple((edge_index[e.name], int(e.production_rates.at(p))) for e in outputs)
-                )
-                per_cap.append(
-                    tuple(
-                        (edge_index[e.name], int(e.production_rates.at(p)), e.capacity)
-                        for e in outputs
-                        if e.capacity is not None
-                    )
-                )
-                per_dur.append(actor.execution_time_ns(p))
-            in_needs.append(per_in)
-            out_rates.append(per_out)
-            out_caps.append(per_cap)
-            durations.append(per_dur)
-
-        phase = [0] * actor_count
-        fired = [0] * actor_count
-        busy = [False] * actor_count
-        firings: list[list[FiringRecord]] = [[] for _ in actor_range]
-        remaining = sum(target)
-
+        table: list[list[tuple]] = []
         # A *start* consumes tokens and reserves output space but produces
         # nothing, so on a graph without bounded buffers a start can never
         # enable another actor: after a finish event only the finished actor,
         # the consumers of its output edges and (because time advanced) the
-        # periodic sources can newly become ready.  Restricting the readiness
-        # scan to that precomputed set — in actor order, like the full scan —
-        # yields the exact same start sequence at a fraction of the cost.
-        #
-        # Bounded buffers add back-pressure: a start frees space on its
-        # *bounded* input edges, which can newly enable their producers.
+        # periodic sources can newly become ready — ``affected[a]``, in actor
+        # order.  Bounded buffers add back-pressure: a start frees space on
+        # its *bounded* input edges, which can newly enable their producers.
         # That wake-up relation is the only extra enablement a bounded graph
-        # has, so the affected-set discipline extends to bounded graphs by
-        # seeding the same initial set and, whenever an actor starts, adding
-        # the producers of its bounded input edges to the candidates of the
-        # running scan.  Candidates are visited in actor order per pass until
-        # a pass starts nothing — the identical order and quiescence rule as
-        # the naive full fixpoint, so results stay bit-identical while the
-        # scan only ever touches actors whose readiness can have changed.
-        bounded = any(edge.capacity is not None for edge in edges)
-        actor_index = {name: a for a, name in enumerate(names)}
-        periodic_indices = [a for a in actor_range if periodic[a]]
+        # has; ``wakes[a]`` splits it into the producers after ``a`` in actor
+        # order (still visited by the running pass) and those at or before
+        # it (visited by the next pass), or is ``None`` without any.
         affected: list[tuple[int, ...]] = []
-        bounded_producers: list[tuple[int, ...]] = []
-        for name in names:
-            enabled = {actor_index[name]}
-            for edge in graph.output_edges(name):
-                enabled.add(actor_index[edge.target])
-            enabled.update(periodic_indices)
-            affected.append(tuple(sorted(enabled)))
-            bounded_producers.append(
-                tuple(
-                    sorted(
-                        {
-                            actor_index[edge.source]
-                            for edge in graph.input_edges(name)
-                            if edge.capacity is not None
-                        }
+        wakes: list[tuple[tuple[int, ...], tuple[int, ...]] | None] = []
+        # Per actor, its input and output edges in graph order as
+        # (edge, per-phase rates, capacity, other end).
+        inputs: list[list[tuple]] = [[] for _ in actor_range]
+        outputs: list[list[tuple]] = [[] for _ in actor_range]
+        for e, edge in enumerate(edges):
+            producer, consumer = actor_index[edge.source], actor_index[edge.target]
+            inputs[consumer].append((e, edge.consumption_rates.values, edge.capacity, producer))
+            outputs[producer].append((e, edge.production_rates.values, edge.capacity, consumer))
+        for a, name in enumerate(names):
+            times = graph.actor(name).execution_times_ns.values
+            phase_counts.append(len(times))
+            rows = []
+            for p, duration in enumerate(times):
+                needs = tuple([(e, rates[p % len(rates)]) for e, rates, _, _ in inputs[a]])
+                produced = [(e, int(rates[p % len(rates)]), cap) for e, rates, cap, _ in outputs[a]]
+                rows.append(
+                    (
+                        duration,
+                        needs,
+                        tuple([(e, int(needed)) for e, needed in needs]),
+                        tuple([(e, count) for e, count, _ in produced]),
+                        tuple([entry for entry in produced if entry[2] is not None]),
                     )
                 )
+            table.append(rows)
+            affected.append(tuple(sorted({a, *periodic_indices, *(b for *_, b in outputs[a])})))
+            producers = sorted({b for _, _, cap, b in inputs[a] if cap is not None})
+            wakes.append(
+                (tuple(b for b in producers if b > a), tuple(b for b in producers if b <= a))
+                if producers
+                else None
             )
 
-        # (finish_time, sequence, actor, phase_index, start_time)
-        pending: list[tuple[float, int, int, int, float]] = []
+        # Per actor: its firing count, the table row of its next (while it
+        # runs: its in-flight) firing's phase, the earliest time it may start
+        # (``inf`` while it runs or once it is done, ``k * period`` for a
+        # periodic actor in iteration ``k``, else 0) and the flat start and
+        # finish logs.  An actor has at most one firing in flight, so the
+        # heap holds only ``(finish, sequence, actor)``.
+        fired = [0] * actor_count
+        current = [rows[0] for rows in table]
+        earliest = [0.0] * actor_count
+        starts: list[list[float]] = [[] for _ in actor_range]
+        finishes: list[list[float]] = [[] for _ in actor_range]
+
+        pending: list[tuple[float, int, int]] = []
         heappush, heappop = heapq.heappush, heapq.heappop
         sequence = 0
         now = 0.0
         deadlocked = False
         deadlock_time: float | None = None
-        events = 0
         aborted = False
         abort_reason: str | None = None
 
@@ -311,152 +308,130 @@ class SelfTimedSimulator:
         cycle_exit = self._cycle_exit
         track_iterations = monitor is not None or cycle_exit
         online_completed = 0
-        seen_states: set[tuple] | None = set() if cycle_exit else None
+        seen_states: set[tuple] = set()
+        crossed_boundary = False
 
-        def try_start(a: int) -> bool:
-            """Start actor ``a`` if it is ready; returns whether it started."""
-            nonlocal sequence
-            if busy[a] or fired[a] >= target[a]:
-                return False
-            if periodic[a] and now + 1e-12 < (fired[a] // reps[a]) * period:
-                return False
-            p = phase[a]
-            for e, threshold, _consumed in in_needs[a][p]:
-                if tokens[e] + 1e-9 < threshold:
-                    return False
-            for e, produced, cap in out_caps[a][p]:
-                if tokens[e] + produced > cap + 1e-9:
-                    return False
-            # Start the firing: consume inputs now; space for the tokens
-            # produced by this firing is reserved at the start (that is what
-            # the capacity check admits), so the occupancy statistics must
-            # account for it here — otherwise the reported maxima would not
-            # be sufficient buffer capacities.
-            for e, _threshold, consumed in in_needs[a][p]:
-                tokens[e] -= consumed
-            for e, produced in out_rates[a][p]:
-                projected = tokens[e] + produced
-                if projected > max_occupancy[e]:
-                    max_occupancy[e] = projected
-            busy[a] = True
-            sequence += 1
-            heappush(pending, (now + durations[a][p], sequence, a, p, now))
-            return True
+        # The initial admission at t = 0 considers every actor, a finish
+        # event its affected set, a periodic release the periodic sources.
+        candidates: tuple[int, ...] | list[int] | range = actor_range
+        while True:
+            # Readiness fixpoint: each pass visits its candidates in actor
+            # order, exactly like the naive full scan; actors outside the
+            # candidate set cannot start (their readiness is unchanged since
+            # the last quiescent scan), so skipping them cannot change the
+            # start sequence.  A producer woken ahead of the cursor is
+            # inserted into the running pass (the list iterator then reaches
+            # it in order); one at or behind the cursor waits for the next
+            # pass.  Duplicates are visited back to back, the second visit a
+            # no-op.
+            todo = list(candidates)
+            horizon = now + 1e-12
+            while todo:
+                behind: tuple[int, ...] = ()
+                for a in todo:
+                    if horizon < earliest[a]:
+                        continue
+                    duration, needs, consumes, produces, caps = current[a]
+                    for e, needed in needs:
+                        if tokens[e] + 1e-9 < needed:
+                            break
+                    else:
+                        for e, produced, cap in caps:
+                            if tokens[e] + produced > cap + 1e-9:
+                                break
+                        else:
+                            # Start: consume inputs now and reserve space for
+                            # the outputs, so the occupancy maxima count the
+                            # reservation (a finish can never exceed it: the
+                            # actor is its edges' only producer).
+                            for e, consumed in consumes:
+                                tokens[e] -= consumed
+                            for e, produced in produces:
+                                projected = tokens[e] + produced
+                                if projected > max_occupancy[e]:
+                                    max_occupancy[e] = projected
+                            earliest[a] = inf
+                            starts[a].append(now)
+                            sequence += 1
+                            heappush(pending, (now + duration, sequence, a))
+                            if wakes[a] is not None:
+                                ahead, back = wakes[a]
+                                for b in ahead:
+                                    insort(todo, b)
+                                behind += back
+                todo = sorted(behind) if behind else None
 
-        candidate = [False] * actor_count
-        marked: list[int] = []
-
-        def scan_candidates(initial) -> None:
-            """Fixpoint readiness scan over the affected candidates (bounded graphs).
-
-            Candidates are visited in actor order per pass, exactly like the
-            naive scan over every actor; actors outside the candidate set
-            cannot start (their readiness is unchanged since the last
-            quiescent scan), so skipping them cannot change the start
-            sequence.  A start wakes the producers of the started actor's
-            bounded input edges — the only actors whose readiness a start
-            can improve.
-            """
-            for b in initial:
-                if not candidate[b]:
-                    candidate[b] = True
-                    marked.append(b)
-            started_any = True
-            while started_any:
-                started_any = False
-                for a in actor_range:
-                    if candidate[a] and try_start(a):
-                        started_any = True
-                        for b in bounded_producers[a]:
-                            if not candidate[b]:
-                                candidate[b] = True
-                                marked.append(b)
-            for b in marked:
-                candidate[b] = False
-            marked.clear()
-
-        # Initial admission at t = 0 considers every actor.
-        if bounded:
-            scan_candidates(actor_range)
-        else:
-            for a in actor_range:
-                try_start(a)
-
-        while remaining:
-            if pending:
-                finish_time, _, a, finished_phase, start_time = heappop(pending)
-                now = finish_time
-                events += 1
-                for e, produced in out_rates[a][finished_phase]:
-                    tokens[e] += produced
-                    if tokens[e] > max_occupancy[e]:
-                        max_occupancy[e] = tokens[e]
-                firings[a].append(
-                    FiringRecord(names[a], fired[a], finished_phase, start_time, finish_time)
-                )
-                fired[a] += 1
-                phase[a] = (finished_phase + 1) % phase_counts[a]
-                busy[a] = False
-                remaining -= 1
+            if crossed_boundary and fired != target:
                 crossed_boundary = False
-                if track_iterations and fired[a] % reps[a] == 0:
+                state = self._relative_state(
+                    fired, reps, phase_counts, online_completed, tokens, pending, now,
+                    [(fired[a] // reps[a]) * period for a in periodic_indices],
+                )
+                if state in seen_states:
+                    aborted = True
+                    abort_reason = "cycle"
+                    break
+                seen_states.add(state)
+
+            if pending:
+                now, _, a = heappop(pending)
+                for e, produced in current[a][3]:
+                    tokens[e] += produced
+                finishes[a].append(now)
+                count = fired[a] = fired[a] + 1
+                current[a] = table[a][count % phase_counts[a]]
+                if count < target[a]:
+                    earliest[a] = (count // reps[a]) * period if periodic[a] else 0.0
+                if track_iterations and count % reps[a] == 0:
                     completed_now = min(fired[b] // reps[b] for b in actor_range)
                     while online_completed < completed_now:
                         k = online_completed
                         online_completed += 1
-                        crossed_boundary = True
+                        crossed_boundary = cycle_exit
                         if monitor is not None and monitor(k, now) is False:
                             aborted = True
                             abort_reason = "monitor"
                             break
-                if aborted:
-                    break
-                if bounded:
-                    scan_candidates(affected[a])
-                else:
-                    for b in affected[a]:
-                        try_start(b)
-                if crossed_boundary and cycle_exit and remaining:
-                    state = self._relative_state(
-                        phase, fired, reps, online_completed, tokens,
-                        pending, now, periodic_indices, period,
-                    )
-                    if state in seen_states:
-                        aborted = True
-                        abort_reason = "cycle"
+                    if aborted:
                         break
-                    seen_states.add(state)
+                candidates = affected[a]
                 continue
-            # Nothing running and nothing can start.  Either every remaining
-            # actor is a periodic source waiting for its next release, or the
-            # graph is deadlocked.
-            next_release = self._next_source_release(names, fired, reps, target)
-            if next_release is not None and next_release > now:
-                now = next_release
-                if bounded:
-                    scan_candidates(periodic_indices)
-                else:
-                    for b in periodic_indices:
-                        try_start(b)
+
+            # Nothing running and nothing can start: either every actor is
+            # done, or every remaining one is a periodic source waiting for
+            # its next release, or the graph is deadlocked.  (Nothing runs,
+            # so ``inf`` means done.)
+            if fired == target:
+                break
+            releases = [earliest[a] for a in periodic_indices if earliest[a] != inf]
+            if releases and min(releases) > now:
+                now = min(releases)
+                candidates = periodic_indices
                 continue
             deadlocked = True
             deadlock_time = now
             break
 
-        firings_by_name = {names[a]: firings[a] for a in actor_range}
-        occupancy_by_name = {edge.name: max_occupancy[i] for i, edge in enumerate(edges)}
-        iteration_finishes = self._iteration_finish_times(firings_by_name, repetitions)
+        # A firing still in flight when the run stopped did not complete.
+        for a in actor_range:
+            del starts[a][len(finishes[a]):]
+        completed = min([self._iterations] + [len(finishes[a]) // reps[a] for a in actor_range])
+        iteration_finishes = [
+            max(finishes[a][(k + 1) * reps[a] - 1] for a in actor_range) for k in range(completed)
+        ]
         return SimulationResult(
             graph_name=graph.name,
             iterations_requested=self._iterations,
             repetitions=dict(repetitions),
-            firings=firings_by_name,
-            max_occupancy=occupancy_by_name,
+            phase_counts=dict(zip(names, phase_counts)),
+            start_times_ns=dict(zip(names, starts)),
+            finish_times_ns=dict(zip(names, finishes)),
+            max_occupancy={edge.name: max_occupancy[i] for i, edge in enumerate(edges)},
             iteration_finish_times_ns=iteration_finishes,
             deadlocked=deadlocked,
             deadlock_time_ns=deadlock_time,
             end_time_ns=now,
-            simulated_events=events,
+            simulated_events=sum(map(len, finishes)),
             aborted=aborted,
             abort_reason=abort_reason,
         )
@@ -464,15 +439,14 @@ class SelfTimedSimulator:
     # ------------------------------------------------------------------ #
     @staticmethod
     def _relative_state(
-        phase: list[int],
         fired: list[int],
         reps: list[int],
+        phase_counts: list[int],
         completed: int,
         tokens: list[int],
-        pending: list[tuple[float, int, int, int, float]],
+        pending: list[tuple[float, int, int]],
         now: float,
-        periodic_indices: list[int],
-        period: float | None,
+        releases: list[float],
     ) -> tuple:
         """The simulator's complete state at an iteration boundary, made
         time- and iteration-shift invariant.
@@ -486,63 +460,15 @@ class SelfTimedSimulator:
         continue identically, shifted in time — which is what licenses the
         cycle early-exit.
         """
-        in_flight = tuple(
-            (entry[0] - now, entry[2], entry[3])
-            for entry in sorted(pending, key=lambda entry: (entry[0], entry[1]))
-        )
-        releases = (
-            tuple((fired[a] // reps[a]) * period - now for a in periodic_indices)
-            if period is not None
-            else ()
-        )
+        phase = [count % phases for count, phases in zip(fired, phase_counts)]
+        in_flight = tuple((finish - now, a, phase[a]) for finish, _, a in sorted(pending))
         return (
             tuple(phase),
             tuple(fired[a] - completed * reps[a] for a in range(len(fired))),
             tuple(tokens),
             in_flight,
-            releases,
+            tuple(release - now for release in releases),
         )
-
-    # ------------------------------------------------------------------ #
-    def _next_source_release(
-        self,
-        names: list[str],
-        fired: list[int],
-        reps: list[int],
-        target: list[int],
-    ) -> float | None:
-        """Earliest future release time of any periodic source, or ``None``."""
-        if self._source_period_ns is None:
-            return None
-        releases = []
-        for a, name in enumerate(names):
-            if name not in self._periodic_actors:
-                continue
-            if fired[a] >= target[a]:
-                continue
-            iteration_index = fired[a] // reps[a]
-            releases.append(iteration_index * self._source_period_ns)
-        if not releases:
-            return None
-        return min(releases)
-
-    def _iteration_finish_times(
-        self,
-        firings: dict[str, list[FiringRecord]],
-        repetitions: dict[str, int],
-    ) -> list[float]:
-        """Completion time of each fully finished graph iteration."""
-        completed = self._iterations
-        for actor_name, records in firings.items():
-            completed = min(completed, len(records) // repetitions[actor_name])
-        finishes: list[float] = []
-        for k in range(completed):
-            finish = 0.0
-            for actor_name, records in firings.items():
-                last = (k + 1) * repetitions[actor_name] - 1
-                finish = max(finish, records[last].finish_ns)
-            finishes.append(finish)
-        return finishes
 
 
 def simulate(

@@ -1195,7 +1195,10 @@ class WorkloadEngine:
         if drain_mode not in ("batched", "immediate"):
             raise ValueError(f"unknown drain mode {drain_mode!r}")
         self.manager = manager
-        self.queue = queue or AdmissionQueue(manager, park_rejections=park_rejections)
+        # ``is None``, not ``or``: a fresh caller queue is empty and thus falsy.
+        if queue is None:
+            queue = AdmissionQueue(manager, park_rejections=park_rejections)
+        self.queue = queue
         self.executor = executor or SerialRegionExecutor()
         self.drain_mode = drain_mode
         self.governor = governor

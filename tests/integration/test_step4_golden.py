@@ -1,0 +1,62 @@
+"""Golden regression: the step-4 reports of the nine cold-mapped receivers.
+
+``tests/data/step4_golden.json`` holds, for each receiver that a cold map
+on the idle Figure-2 MPSoC covers (the seven HiperLAN/2 modes, the DRM
+receiver and the image pipeline), the mapping status and the step-4
+``FeasibilityReport``: achieved period and latency as ``float.hex`` strings,
+and the buffer capacity of every mapped-graph edge.  It is pinned for both
+``minimize_buffers=False`` (sufficient capacities) and ``True`` (minimised
+capacities).  Each ALS gets a loose 1 s latency bound so that step 4 runs
+its latency analysis too.  Any change to the simulator or the analyses that
+moves one of these numbers by one bit fails here.
+"""
+
+import dataclasses
+import json
+from pathlib import Path
+
+import pytest
+
+from repro import MapperConfig
+from repro.spatialmapper.mapper import SpatialMapper
+from repro.workloads import hiperlan2, receivers
+
+GOLDEN = json.loads((Path(__file__).parent.parent / "data" / "step4_golden.json").read_text())
+
+
+def _receivers():
+    apps = {
+        f"hiperlan2_{mode}": (
+            hiperlan2.build_receiver_als(mode),
+            hiperlan2.build_implementation_library(mode),
+        )
+        for mode in hiperlan2.HIPERLAN2_MODES
+    }
+    apps["drm"] = (receivers.build_drm_receiver_als(), receivers.build_drm_library())
+    apps["image"] = (receivers.build_image_pipeline_als(), receivers.build_image_library())
+    return apps
+
+
+def _hex(value):
+    return None if value is None else float(value).hex()
+
+
+@pytest.mark.parametrize("minimize", [False, True], ids=["sufficient", "minimized"])
+def test_step4_reports_match_golden(minimize):
+    apps = _receivers()
+    golden = GOLDEN["minimized" if minimize else "sufficient"]
+    assert sorted(apps) == sorted(golden)
+    for label, (als, library) in apps.items():
+        als.qos = dataclasses.replace(als.qos, max_latency_ns=1e9)
+        mapper = SpatialMapper(
+            hiperlan2.build_mpsoc(), library, MapperConfig(minimize_buffers=minimize)
+        )
+        result = mapper.map(als)
+        report = result.feasibility
+        got = {
+            "status": result.status.value,
+            "period": _hex(report.achieved_period_ns),
+            "latency": _hex(report.latency_ns),
+            "buffers": dict(sorted(report.buffer_capacities.items())),
+        }
+        assert got == golden[label], label

@@ -8,7 +8,14 @@ generated and three invariants checked:
   and never deadlocks on an acyclic chain;
 * the measured steady-state period is never below the processor bound, and
   granting the observed buffer occupancies as capacities preserves the period.
+
+A differential then pins the simulator to the tests-only naive oracle
+(``tests/simulation_oracle.py``) on random unbounded and bounded,
+multi-phase, multi-rate graphs with forks, joins and feedback cycles, with
+and without periodic sources and under both early exits.
 """
+
+from math import gcd
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +29,7 @@ from repro.csdf.analysis.throughput import (
 )
 from repro.csdf.builder import CSDFBuilder
 from repro.csdf.repetition import repetition_vector
+from tests.simulation_oracle import naive_reference_run, observe
 
 
 @st.composite
@@ -39,6 +47,99 @@ def random_chain(draw):
         builder.edge(f"a{index}", f"a{index + 1}",
                      production=[production], consumption=[consumption])
     return builder.build()
+
+
+def _phase_rates(draw, phases):
+    """Per-phase rates of 0-3 tokens with a non-zero sum."""
+    rates = [draw(st.integers(min_value=0, max_value=3)) for _ in range(phases)]
+    if not any(rates):
+        rates[draw(st.integers(min_value=0, max_value=phases - 1))] = 1
+    return rates
+
+
+def _spread(draw, total, phases):
+    """Split ``total`` tokens over ``phases`` phases (one phase, or evenly plus rest)."""
+    if draw(st.booleans()):
+        rates = [0] * phases
+        rates[draw(st.integers(min_value=0, max_value=phases - 1))] = total
+        return rates
+    return [total // phases + (1 if p < total % phases else 0) for p in range(phases)]
+
+
+@st.composite
+def random_simulation_case(draw):
+    """A random rate-consistent CSDF graph plus simulator options.
+
+    A chain of 2-6 multi-phase, multi-rate actors, optionally with a forward
+    (fork/join) edge and a backward (feedback) edge whose rates are derived
+    from the chain's repetition vector so the graph stays consistent.  The
+    graph is either unbounded or has random capacities (some too small, so
+    deadlocks occur); the options draw a periodic source and an early exit.
+    """
+    length = draw(st.integers(min_value=2, max_value=6))
+    bounded = draw(st.booleans())
+    phases = [draw(st.integers(min_value=1, max_value=3)) for _ in range(length)]
+    times = [[float(draw(st.integers(min_value=0, max_value=9))) for _ in range(p)] for p in phases]
+    edges = []
+
+    def edge(source, target, production, consumption):
+        tokens = draw(st.integers(min_value=0, max_value=4))
+        capacity = None
+        if bounded and draw(st.integers(min_value=0, max_value=4)):
+            slack = draw(st.integers(min_value=-1, max_value=5))
+            capacity = max(tokens, max(production) + slack, 1)
+        edges.append((source, target, production, consumption, tokens, capacity))
+
+    for index in range(length - 1):
+        production = _phase_rates(draw, phases[index])
+        edge(index, index + 1, production, _phase_rates(draw, phases[index + 1]))
+
+    def build(name):
+        builder = CSDFBuilder(name)
+        for index in range(length):
+            builder.actor(f"a{index}", times[index])
+        for source, target, production, consumption, tokens, capacity in edges:
+            builder.edge(f"a{source}", f"a{target}", production=production,
+                         consumption=consumption, initial_tokens=tokens, capacity=capacity)
+        return builder.build()
+
+    repetitions = repetition_vector(build("chain"))
+    cycles = [repetitions[f"a{index}"] // phases[index] for index in range(length)]
+    extra = []
+    if length >= 3 and draw(st.booleans()):
+        source = draw(st.integers(min_value=0, max_value=length - 3))
+        extra.append((source, draw(st.integers(min_value=source + 2, max_value=length - 1))))
+    if draw(st.booleans()):
+        source = draw(st.integers(min_value=1, max_value=length - 1))
+        extra.append((source, draw(st.integers(min_value=0, max_value=source - 1))))
+    for source, target in extra:
+        # Balance: cycles[source] * produced == cycles[target] * consumed.
+        divisor = gcd(cycles[source], cycles[target])
+        scale = draw(st.integers(min_value=1, max_value=2))
+        produced = scale * cycles[target] // divisor
+        consumed = scale * cycles[source] // divisor
+        if produced > 12 or consumed > 12:
+            continue
+        edge(source, target, _spread(draw, produced, phases[source]),
+             _spread(draw, consumed, phases[target]))
+    graph = build("random_case")
+    options = {
+        "iterations": draw(st.integers(min_value=1, max_value=10)),
+        "source_period_ns": draw(st.sampled_from([None, 3.0, 7.0, 15.0])),
+    }
+    exit_kind = draw(
+        st.sampled_from(["none", "monitor_iteration", "monitor_time", "cycle", "both"])
+    )
+    if exit_kind == "monitor_iteration":
+        limit = draw(st.integers(min_value=0, max_value=4))
+        options["iteration_monitor"] = lambda k, _finish: k < limit
+    elif exit_kind == "monitor_time":
+        options["iteration_monitor"] = lambda _k, finish: finish < 40.0
+    elif exit_kind in ("cycle", "both"):
+        options["cycle_exit"] = True
+        if exit_kind == "both":
+            options["iteration_monitor"] = lambda _k, finish: finish < 60.0
+    return graph, options
 
 
 class TestRepetitionProperties:
@@ -103,3 +204,15 @@ class TestSimulationProperties:
         capacities = sufficient_buffer_capacities(graph, period_ns=period, iterations=8)
         bounded = apply_buffer_capacities(graph, capacities)
         assert is_period_sustainable(bounded, period, iterations=8)
+
+
+class TestSimulatorMatchesNaiveOracle:
+    """Every result field equals the naive full-scan oracle's, bit for bit."""
+
+    @given(random_simulation_case())
+    @settings(max_examples=250, deadline=None)
+    def test_every_field_matches_oracle(self, case):
+        graph, options = case
+        result = simulate(graph, **options)
+        reference = naive_reference_run(graph, **options)
+        assert observe(result) == reference

@@ -5,6 +5,7 @@ import pytest
 from repro.csdf.builder import CSDFBuilder
 from repro.csdf.analysis.simulation import SelfTimedSimulator, simulate
 from repro.exceptions import DeadlockError
+from tests.simulation_oracle import naive_reference_run, observe
 
 
 class TestBasicExecution:
@@ -144,107 +145,13 @@ class TestPeriodicSources:
         assert result.iteration_latency_ns("a", "c", 0) == pytest.approx(35.0)
 
 
-def _naive_reference_run(graph, iterations, source_period_ns=None):
-    """Reference self-timed execution using the full fixpoint readiness scan.
-
-    This is the straightforward implementation the affected-set simulator
-    must stay bit-identical to: after every event, try to start *every*
-    actor in declaration order until a full pass starts nothing.
-    """
-    import heapq
-
-    from repro.csdf.repetition import repetition_vector
-
-    repetitions = repetition_vector(graph)
-    names = list(graph.actor_names)
-    count = len(names)
-    reps = [repetitions[name] for name in names]
-    target = [repetitions[name] * iterations for name in names]
-    edges = list(graph.edges)
-    edge_index = {edge.name: i for i, edge in enumerate(edges)}
-    tokens = [edge.initial_tokens for edge in edges]
-    period = source_period_ns
-    periodic = [period is not None and not graph.input_edges(name) for name in names]
-    phase = [0] * count
-    fired = [0] * count
-    busy = [False] * count
-    firings = [[] for _ in range(count)]
-    remaining = sum(target)
-    pending, sequence, now = [], 0, 0.0
-
-    def try_start(a):
-        nonlocal sequence
-        actor = graph.actor(names[a])
-        if busy[a] or fired[a] >= target[a]:
-            return False
-        if periodic[a] and now + 1e-12 < (fired[a] // reps[a]) * period:
-            return False
-        p = phase[a]
-        for edge in graph.input_edges(names[a]):
-            if tokens[edge_index[edge.name]] + 1e-9 < edge.consumption_rates.at(p):
-                return False
-        for edge in graph.output_edges(names[a]):
-            if edge.capacity is not None and tokens[edge_index[edge.name]] + int(
-                edge.production_rates.at(p)
-            ) > edge.capacity + 1e-9:
-                return False
-        for edge in graph.input_edges(names[a]):
-            tokens[edge_index[edge.name]] -= int(edge.consumption_rates.at(p))
-        busy[a] = True
-        sequence += 1
-        heapq.heappush(pending, (now + actor.execution_time_ns(p), sequence, a, p, now))
-        return True
-
-    def scan_all():
-        started = True
-        while started:
-            started = False
-            for a in range(count):
-                if try_start(a):
-                    started = True
-
-    scan_all()
-    while remaining:
-        if pending:
-            finish, _, a, p, start = heapq.heappop(pending)
-            now = finish
-            for edge in graph.output_edges(names[a]):
-                tokens[edge_index[edge.name]] += int(edge.production_rates.at(p))
-            firings[a].append((names[a], fired[a], p, start, finish))
-            fired[a] += 1
-            phase[a] = (p + 1) % graph.actor(names[a]).phases
-            busy[a] = False
-            remaining -= 1
-            scan_all()
-            continue
-        if period is not None:
-            releases = [
-                (fired[a] // reps[a]) * period
-                for a in range(count)
-                if periodic[a] and fired[a] < target[a]
-            ]
-            if releases and min(releases) > now:
-                now = min(releases)
-                scan_all()
-                continue
-        break
-    return {names[a]: firings[a] for a in range(count)}
-
-
 class TestBoundedAffectedSetEquivalence:
     """The bounded-buffer fast path must match the naive full scan exactly."""
 
     def _compare(self, graph, iterations, source_period_ns=None):
         fast = simulate(graph, iterations=iterations, source_period_ns=source_period_ns)
-        reference = _naive_reference_run(
-            graph, iterations, source_period_ns=source_period_ns
-        )
-        for name in graph.actor_names:
-            got = [
-                (f.actor, f.firing_index, f.phase_index, f.start_ns, f.finish_ns)
-                for f in fast.firings_of(name)
-            ]
-            assert got == reference[name], name
+        reference = naive_reference_run(graph, iterations, source_period_ns=source_period_ns)
+        assert observe(fast) == reference
 
     def test_random_bounded_chains_match_reference(self):
         import random
@@ -288,6 +195,31 @@ class TestBoundedAffectedSetEquivalence:
         # The producer's first firing starts at t=0: the consumer started at
         # t=0 too (consuming the initial token) and thereby freed the slot.
         assert result.firings_of("fast")[0].start_ns == 0.0
+
+    def test_wake_up_ahead_of_the_cursor_joins_the_running_pass(self):
+        # When a0 finishes (t = 4), the scan visits a0, a1 and a4.  a0's
+        # start frees a slot on the bounded feedback edge a3 -> a0 and so
+        # wakes a3, which comes after a0 in actor order: the naive scan
+        # visits a3 in the same pass, before a4, so a3 reserves its output
+        # on a3 -> a4 before a4's start takes a token from that edge.
+        # Deferring a3 to the next pass would under-report the edge's
+        # maximum occupancy.
+        graph = (
+            CSDFBuilder("ahead")
+            .actor("a0", [4.0])
+            .actor("a1", [1.0])
+            .actor("a2", [1.0])
+            .actor("a3", [1.0])
+            .actor("a4", [1.0])
+            .edge("a0", "a1", production=[1], consumption=[1], initial_tokens=2, capacity=2)
+            .edge("a1", "a2", production=[1], consumption=[1], capacity=2)
+            .edge("a2", "a3", production=[1], consumption=[1], initial_tokens=1, capacity=1)
+            .edge("a3", "a4", production=[1], consumption=[1], initial_tokens=1)
+            .edge("a0", "a4", production=[1], consumption=[1], capacity=3)
+            .edge("a3", "a0", production=[1], consumption=[1], initial_tokens=3, capacity=4)
+            .build()
+        )
+        self._compare(graph, iterations=4)
 
     def test_bounded_fork_join_matches_reference(self):
         graph = (

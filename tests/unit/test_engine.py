@@ -12,7 +12,7 @@ from repro.runtime.engine import (
     WorkloadEngine,
 )
 from repro.runtime.events import ScenarioEvent, StartEvent, StopEvent
-from repro.runtime.queue import RequestStatus
+from repro.runtime.queue import AdmissionQueue, RequestStatus
 from repro.runtime.scenario import Scenario
 from tests.harness import build_two_region_platform, make_app, make_manager
 
@@ -43,6 +43,20 @@ class TestEventLoop:
         assert outcome.admission_rate == 1.0
         assert outcome.energy.total_energy_nj > 0
         assert manager.is_running("second") and not manager.is_running("first")
+
+    def test_empty_caller_queue_is_the_engines_queue(self, manager):
+        # A new queue has length 0; the engine must keep it, not replace it.
+        queue = AdmissionQueue(manager)
+        assert len(queue) == 0
+        engine = WorkloadEngine(manager, queue=queue)
+        assert engine.queue is queue
+        app = make_app(1, "only", "io_l")
+        scenario = Scenario("own_queue", duration_ns=1_000_000.0).add(
+            StartEvent(time_ns=0.0, als=app.als, library=app.library)
+        )
+        outcome = engine.run(scenario)
+        assert outcome.admitted == ["only"]
+        assert queue.poll(1).status is RequestStatus.ADMITTED
 
     def test_same_time_batch_runs_departures_before_arrivals(self, manager):
         # Batched mode treats same-timestamp events as concurrent, with the
