@@ -17,7 +17,7 @@ HiperLAN/2 case study with buffer minimisation on:
   speedup never buys a different answer;
 * a generated two-region workload drained with ``minimize_buffers`` on
   settles identically under the baseline and budgeted configurations and
-  across the serial, threaded and process executors.
+  across the serial and process executors.
 
 The trajectory is written to ``BENCH_analysis_budget.json`` at the
 repository root (override with ``$ANALYSIS_BUDGET_JSON``); the env knobs
@@ -126,14 +126,13 @@ def test_ext_analysis_budget(benchmark, case_study):
 
     # Differential: with minimize_buffers on, the analysis changes must not
     # shift a single admission — baseline vs budgeted, and budgeted across
-    # all three executors.
+    # both executors.
     serial_base = run_workload("serial", **BASELINE_KNOBS)
     executor_logs = {}
-    for executor in ("serial", "threaded", "process"):
+    for executor in ("serial", "process"):
         outcome = run_workload(executor)
         executor_logs[executor] = outcome.decision_log()
         assert outcome.decision_log() == serial_base.decision_log(), executor
-    assert executor_logs["threaded"] == executor_logs["serial"]
     assert executor_logs["process"] == executor_logs["serial"]
     benchmark.extra_info["workload_decisions"] = len(serial_base.decision_log())
 

@@ -34,10 +34,9 @@ stream for CI, and the trajectory lands in ``BENCH_rescue_lane.json``).
 
 Two event-driven companions exercise the workload engine on the same
 platform: `test_ext_engine_drain_parallelism` replays one generated
-workload through the unsharded pipeline, the sharded serial executor and
-the sharded threaded (worker-per-region) executor — asserting the drains
-are decision-identical and that region-scoped admission over the 4-region
-partition delivers a measurable per-admission wall-clock improvement — and
+workload through the unsharded pipeline and the sharded serial executor —
+asserting that region-scoped admission over the 4-region partition
+delivers a measurable per-admission wall-clock improvement — and
 `test_ext_admission_rate_vs_offered_load` sweeps the offered load of a
 Poisson mix to produce the paper-style admission-rate-versus-load curve
 (optionally written to ``$ADMISSION_LOAD_CURVE_JSON``).
@@ -58,7 +57,6 @@ from repro.runtime.admission_control import GovernorConfig, LoadSheddingGovernor
 from repro.runtime.engine import (
     ProcessRegionExecutor,
     SerialRegionExecutor,
-    ThreadedRegionExecutor,
     WorkloadEngine,
 )
 from repro.runtime.manager import RuntimeResourceManager
@@ -461,9 +459,7 @@ def run_engine_config(
     manager = RuntimeResourceManager(
         platform, config=MapperConfig(analysis_iterations=3), partition=partition
     )
-    if executor_kind == "threaded":
-        executor = ThreadedRegionExecutor(partition)
-    elif executor_kind == "process":
+    if executor_kind == "process":
         executor = ProcessRegionExecutor(partition, workers=workers)
     else:
         executor = SerialRegionExecutor()
@@ -480,14 +476,12 @@ def run_engine_config(
 
 
 def test_ext_engine_drain_parallelism(benchmark):
-    """Serial vs parallel drain of one event stream over >= 4 regions.
+    """Unsharded vs sharded serial drain of one event stream over 4 regions.
 
-    Pins the two halves of the tentpole claim: the threaded worker-per-region
-    executor is decision-identical to the serial drain, and region-scoped
-    admission over the 4-region partition is measurably cheaper per
-    admission (wall clock) than the unsharded pipeline on the same stream.
-    (CPython threads do not speed up the pure-Python mapper — the threaded
-    figures are recorded to show the drains match, not to win.)
+    Pins that region-scoped admission over the 4-region partition is
+    measurably cheaper per admission (wall clock) than the unsharded
+    pipeline on the same stream.  Executor decision identity is pinned by
+    the differential suites and by the process-drain benchmark.
     """
     workload = generate_workload(
         ENGINE_SEED,
@@ -504,16 +498,9 @@ def test_ext_engine_drain_parallelism(benchmark):
         results["serial"] = run_engine_config(
             workload, sharded=True, executor_kind="serial"
         )
-        results["threaded"] = run_engine_config(
-            workload, sharded=True, executor_kind="threaded"
-        )
         return results
 
     benchmark.pedantic(run_all, rounds=1, iterations=1)
-
-    # The parallel drain decides exactly like the serial drain.
-    assert results["serial"].decision_log() == results["threaded"].decision_log()
-    assert results["serial"].departures == results["threaded"].departures
 
     comparison = {}
     for label, outcome in results.items():
@@ -541,12 +528,6 @@ def test_ext_engine_drain_parallelism(benchmark):
     benchmark.extra_info["sharded_speedup"] = round(speedup, 3)
     assert speedup >= 1.1, comparison
 
-    # The threaded drain must not collapse under lock/GIL overhead.
-    assert (
-        comparison["threaded"]["per_admission_wall_ms"]
-        <= 2.0 * comparison["serial"]["per_admission_wall_ms"]
-    ), comparison
-
     out_path = os.environ.get("ADMISSION_SWEEP_JSON")
     if out_path and os.path.exists(out_path):
         with open(out_path, encoding="utf-8") as handle:
@@ -558,13 +539,12 @@ def test_ext_engine_drain_parallelism(benchmark):
 
 
 def test_ext_process_drain_throughput(benchmark):
-    """Serial vs threaded vs process drain of one stream over 4 regions.
+    """Serial vs process drain of one stream over 4 regions.
 
-    The process executor is the one back-end the GIL cannot serialize:
-    region lanes ship out as snapshots, decide in worker processes, and
-    fold back as allocation deltas.  This benchmark replays one generated
-    4-region workload through all three executors, asserts they are
-    decision-identical, and records the drain throughput comparison in
+    The process executor is the runtime's only parallel back-end: region
+    lanes ship out as snapshots, decide in worker processes, and fold back
+    as allocation deltas.  This benchmark replays one generated 4-region
+    workload through both executors, asserts they are decision-identical, and records the drain throughput comparison in
     ``BENCH_process_drain.json`` at the repository root (with
     ``os.cpu_count()`` — the speedup claim only makes sense on a
     multi-core runner).
@@ -593,9 +573,6 @@ def test_ext_process_drain_throughput(benchmark):
         results["serial"] = run_engine_config(
             workload, sharded=True, executor_kind="serial"
         )
-        results["threaded"] = run_engine_config(
-            workload, sharded=True, executor_kind="threaded"
-        )
         # The observability cost columns: the same process drain with the
         # obs layer absent, constructed-but-disabled, and fully on at
         # sample rate 1.0.  Each configuration runs twice, interleaved, and
@@ -623,9 +600,10 @@ def test_ext_process_drain_throughput(benchmark):
 
     benchmark.pedantic(run_all, rounds=1, iterations=1)
 
-    # Identical decisions across all three executors — the differential
-    # suites pin this on small workloads; the benchmark re-pins it at scale.
-    for kind in ("threaded", "process", "process_obs_disabled", "process_obs_on"):
+    # Identical decisions across executors and obs settings — the
+    # differential suites pin this on small workloads; the benchmark
+    # re-pins it at scale.
+    for kind in ("process", "process_obs_disabled", "process_obs_on"):
         assert results["serial"].decision_log() == results[kind].decision_log()
         assert results["serial"].departures == results[kind].departures
     # The obs-on run must actually have traced and metered the drain.

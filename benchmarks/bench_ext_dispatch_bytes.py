@@ -7,8 +7,8 @@ much state is resident.  This benchmark pins that claim end to end:
 * a resident population of applications is admitted once (the warm-up
   epoch: counted bootstrap snapshots, ALS blobs interned), then
 * a small churn set is admitted and stopped over several steady-state
-  epochs — the same drains, replayed under four engine configurations:
-  serial, threaded, process with delta dispatch disabled (the PR 6
+  epochs — the same drains, replayed under three engine configurations:
+  serial, process with delta dispatch disabled (the
   re-snapshot-every-drain baseline) and process stateful.
 
 Acceptance: every configuration is decision-identical (and ends on a
@@ -28,7 +28,6 @@ from repro.platform.regions import RegionPartition
 from repro.runtime.engine import (
     ProcessRegionExecutor,
     SerialRegionExecutor,
-    ThreadedRegionExecutor,
     WorkloadEngine,
 )
 from repro.runtime.events import StartEvent
@@ -122,8 +121,6 @@ def run_mode(kind, epochs, workers):
     )
     if kind == "serial":
         executor = SerialRegionExecutor()
-    elif kind == "threaded":
-        executor = ThreadedRegionExecutor(partition)
     else:
         executor = ProcessRegionExecutor(
             partition, workers=workers, delta_dispatch=(kind == "process-stateful")
@@ -165,17 +162,17 @@ def test_ext_dispatch_byte_reduction(benchmark):
     results = {}
 
     def run_all():
-        for kind in ("serial", "threaded", "process-full", "process-stateful"):
+        for kind in ("serial", "process-full", "process-stateful"):
             results[kind] = run_mode(kind, epochs, workers)
         return results
 
     benchmark.pedantic(run_all, rounds=1, iterations=1)
 
-    # Bit-identical decisions and end state across all four configurations,
+    # Bit-identical decisions and end state across all three configurations,
     # epoch by epoch — byte savings that changed a single decision would be
     # worthless.
     serial_logs, _, serial_fp, _ = results["serial"]
-    for kind in ("threaded", "process-full", "process-stateful"):
+    for kind in ("process-full", "process-stateful"):
         logs, _, fingerprint, _ = results[kind]
         assert logs == serial_logs, f"{kind} diverged from the serial drain"
         assert fingerprint == serial_fp, f"{kind} ended on a different state"

@@ -6,15 +6,14 @@ applications is only known at run time.  This example makes that concrete
 at engine scale: a region-sharded MPSoC receives a *generated* bursty
 workload — one traffic class per region plus a cross-region mix whose
 applications pin their source and sink into different regions — driven
-through the discrete-event workload engine with the worker-per-region
+through the discrete-event workload engine with the serial region
 executor, the inter-region corridor planner and cache-aware rejection
 parking.  The engine's per-lane telemetry shows where requests settle
-(region lanes, the multi-region lane, the residual global lane) and what
-the region locks cost; the same workload is then replayed on the
-process-parallel snapshot-out / delta-in executor (decision-identical,
-with per-worker traffic telemetry) and the offered load is swept to
-trace the admission-rate-versus-load curve the run-time mapper exists
-to bend.
+(region lanes, the multi-region lane, the residual global lane); the same
+workload is then replayed on the process-parallel snapshot-out /
+delta-in executor (decision-identical, with per-worker traffic
+telemetry) and the offered load is swept to trace the
+admission-rate-versus-load curve the run-time mapper exists to bend.
 
 Run with:  python examples/multi_application_runtime.py
 """
@@ -24,12 +23,12 @@ from repro import (
     ObsConfig,
     ProcessRegionExecutor,
     RuntimeResourceManager,
-    ThreadedRegionExecutor,
     WorkloadEngine,
 )
 from repro.obs.metrics import split_name
 from repro.platform.regions import RegionPartition
 from repro.reporting import format_table
+from repro.runtime import SerialRegionExecutor
 from repro.runtime.admission_control import GovernorConfig, LoadSheddingGovernor
 from repro.spatialmapper.region_score import RegionScorer
 from repro.workloads.arrivals import (
@@ -83,7 +82,7 @@ def traffic_classes(load_factor=1.0):
     return classes
 
 
-def run_workload(load_factor, executor="threaded"):
+def run_workload(load_factor, executor="serial"):
     """Play one generated workload through the engine; returns its outcome."""
     platform = build_platform()
     partition = RegionPartition.grid(platform, REGIONS, REGIONS)
@@ -96,7 +95,7 @@ def run_workload(load_factor, executor="threaded"):
     if executor == "process":
         backend = ProcessRegionExecutor(partition, workers=2)
     else:
-        backend = ThreadedRegionExecutor(partition)
+        backend = SerialRegionExecutor()
     engine = WorkloadEngine(
         manager, executor=backend, park_rejections=True, obs=ObsConfig()
     )
@@ -133,8 +132,7 @@ def print_telemetry(outcome):
     """Render every telemetry table from the run's metrics registry snapshot.
 
     One source: the engine's folded :class:`~repro.obs.MetricsRegistry`
-    (``outcome.metrics``) — lane settlements, lock costs, per-worker
-    executor traffic and step-4 analysis work all arrive through the same
+    (``outcome.metrics``) — lane settlements, per-worker executor traffic and step-4 analysis work all arrive through the same
     fold, so the tables below are pivots of one flat counter namespace.
     """
     counters = outcome.metrics["counters"]
@@ -157,22 +155,6 @@ def print_telemetry(outcome):
         ],
         title="Engine telemetry (per settlement lane)",
     ))
-    locks = _pivot_counters(counters, "locks")
-    lock_rows = [
-        (
-            region,
-            f"{int(stats.get('acquisitions', 0))}",
-            f"{stats.get('wait_s', 0.0) * 1e3:.2f} ms",
-            f"{stats.get('hold_s', 0.0) * 1e3:.2f} ms",
-        )
-        for region, stats in sorted(locks.items())
-    ]
-    if lock_rows:
-        print(format_table(
-            ["Region lock", "Acquisitions", "Waited", "Held"],
-            lock_rows,
-            title="Region lock telemetry",
-        ))
     workers = _pivot_counters(counters, "executor")
     worker_rows = [
         (
@@ -321,7 +303,7 @@ def main():
         process_outcome.decision_log() == outcome.decision_log()
         and process_outcome.departures == outcome.departures
     )
-    print(f"  decision-identical to the threaded run: {identical}")
+    print(f"  decision-identical to the serial run: {identical}")
     print_telemetry(process_outcome)
     print()
 

@@ -54,7 +54,6 @@ from repro.runtime import (
     Scenario,
     StartEvent,
     StopEvent,
-    ThreadedRegionExecutor,
     WorkloadEngine,
     run_scenario,
 )
@@ -108,7 +107,6 @@ __all__ = [
     "StartEvent",
     "StopEvent",
     "WorkloadEngine",
-    "ThreadedRegionExecutor",
     "ProcessRegionExecutor",
     "run_scenario",
 ]

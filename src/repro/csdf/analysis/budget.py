@@ -13,7 +13,7 @@ don't need:
   capacities instead of failing.  Cache hits charge the *stored* cost of the
   entry they reuse, so the budget trajectory — and therefore every decision
   taken under a finite budget — is identical whether the cache is cold or
-  warm.  That is what keeps the serial, threaded and process executors
+  warm.  That is what keeps the serial and process executors
   bit-identical even with budgets configured.
 * :class:`SimulationCache` — an LRU over simulation verdicts keyed by
   ``(kind, structural fingerprint, capacity vector, period, iterations)``.
@@ -31,7 +31,6 @@ don't need:
 
 from __future__ import annotations
 
-import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -114,7 +113,7 @@ class SimulationCacheStats:
 
 
 class SimulationCache:
-    """Thread-safe LRU over simulation verdicts.
+    """LRU over simulation verdicts.
 
     Keys carry the verdict kind, the graph's structural fingerprint, its
     capacity vector and the analysis parameters; values are immutable
@@ -127,33 +126,29 @@ class SimulationCache:
             raise ValueError("cache maxsize must be at least 1")
         self.maxsize = maxsize
         self._entries: OrderedDict[tuple, _CacheEntry] = OrderedDict()
-        self._lock = threading.Lock()
         self.stats = SimulationCacheStats()
 
     def lookup(self, key: tuple) -> _CacheEntry | None:
         """The entry for ``key``, or ``None`` on miss."""
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                self.stats.misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self.stats.hits += 1
-            return entry
+        entry = self._entries.get(key)
+        if entry is None:
+            self.stats.misses += 1
+            return None
+        self._entries.move_to_end(key)
+        self.stats.hits += 1
+        return entry
 
     def store(self, key: tuple, value: object, cost: int) -> None:
         """Memoise a verdict with its simulated-event cost."""
-        with self._lock:
-            self._entries[key] = _CacheEntry(value=value, cost=cost)
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.maxsize:
-                self._entries.popitem(last=False)
-                self.stats.evictions += 1
+        self._entries[key] = _CacheEntry(value=value, cost=cost)
+        self._entries.move_to_end(key)
+        while len(self._entries) > self.maxsize:
+            self._entries.popitem(last=False)
+            self.stats.evictions += 1
 
     def clear(self) -> None:
         """Drop every entry."""
-        with self._lock:
-            self._entries.clear()
+        self._entries.clear()
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -189,7 +184,6 @@ class AnalysisEngine:
         self.cache: SimulationCache | None = (
             SimulationCache(cache_size) if cache_size else None
         )
-        self._lock = threading.Lock()
         self.simulations_run = 0
         self.simulated_events = 0
         self.cache_hits = 0
@@ -214,13 +208,12 @@ class AnalysisEngine:
     # ------------------------------------------------------------------ #
     def snapshot(self) -> dict[str, int]:
         """Current counter values (monotone; diff two snapshots for a delta)."""
-        with self._lock:
-            return {
-                "simulations_run": self.simulations_run,
-                "simulated_events": self.simulated_events,
-                "cache_hits": self.cache_hits,
-                "budget_exhausted": self.budget_exhausted,
-            }
+        return {
+            "simulations_run": self.simulations_run,
+            "simulated_events": self.simulated_events,
+            "cache_hits": self.cache_hits,
+            "budget_exhausted": self.budget_exhausted,
+        }
 
     def publish_metrics(self, registry, counters: dict[str, int] | None = None) -> None:
         """Publish analysis counters (default: a fresh snapshot) into a registry.
@@ -233,17 +226,8 @@ class AnalysisEngine:
             registry.count(f"analysis.{key}", float(value))
 
     def _count_simulation(self, events: int) -> None:
-        with self._lock:
-            self.simulations_run += 1
-            self.simulated_events += events
-
-    def _count_hit(self) -> None:
-        with self._lock:
-            self.cache_hits += 1
-
-    def _count_exhaustion(self) -> None:
-        with self._lock:
-            self.budget_exhausted += 1
+        self.simulations_run += 1
+        self.simulated_events += events
 
     # ------------------------------------------------------------------ #
     # Cached analyses
@@ -254,7 +238,7 @@ class AnalysisEngine:
         entry = self.cache.lookup(key)
         if entry is None:
             return None
-        self._count_hit()
+        self.cache_hits += 1
         if budget is not None:
             budget.charge_events(entry.cost)
         return entry
@@ -529,7 +513,7 @@ class AnalysisEngine:
             if exhausted:
                 break
         if exhausted:
-            self._count_exhaustion()
+            self.budget_exhausted += 1
         return capacities
 
 

@@ -10,13 +10,14 @@ stage:
   boundary-link choice) under routing-pressure scoring;
 * :mod:`repro.interregion.planner` — the :class:`InterRegionPlanner`, which
   decomposes a multi-region application into per-region segments plus
-  budgeted boundary hops and commits the composed mapping atomically;
-* :mod:`repro.interregion.coordinator` — the lock-subset protocol: an
-  inter-region admission holds only the touched regions' locks.
+  budgeted boundary hops and commits the composed mapping atomically.
+
+The planner runs on the engine's decider thread, confined to the region
+scope :meth:`InterRegionPlanner.scope_for` computes; its
+:class:`CorridorScope` commit raises on any mutation outside that scope.
 """
 
 from repro.interregion.budgets import BudgetTransaction, CorridorBudgets
-from repro.interregion.coordinator import InterRegionCoordinator
 from repro.interregion.corridors import Corridor, CorridorHop, CorridorSelector
 from repro.interregion.planner import CorridorScope, InterRegionPlanner
 
@@ -27,6 +28,5 @@ __all__ = [
     "CorridorHop",
     "CorridorSelector",
     "CorridorScope",
-    "InterRegionCoordinator",
     "InterRegionPlanner",
 ]

@@ -16,8 +16,8 @@ boundary into a *planned, budgeted resource*:
   global lane's unplanned routes, so the planner can never starve the
   fallback path;
 * reservations are **journaled** with the same transaction discipline as
-  :class:`~repro.platform.state.PlatformState`: per-thread transaction
-  stacks, first-touch undo snapshots, commit folds into the enclosing open
+  :class:`~repro.platform.state.PlatformState`: one transaction stack,
+  first-touch undo snapshots, commit folds into the enclosing open
   transaction, rollback restores bit-identically.  A failed inter-region
   commit therefore unwinds its budget claims exactly as it unwinds its
   state allocations.
@@ -29,7 +29,6 @@ Reservations are recorded per application so a ``stop`` releases them all
 
 from __future__ import annotations
 
-import threading
 from contextlib import contextmanager
 from typing import Iterator
 
@@ -68,7 +67,7 @@ class BudgetTransaction:
                 raise PlatformError("budget transaction was already rolled back")
             return
         self.closed = True
-        stack = self._budgets._txn_stack()
+        stack = self._budgets._transactions
         enclosing = stack[: stack.index(self)] if self in stack else stack
         open_enclosing = [txn for txn in enclosing if not txn.closed]
         for entry in self._undo:
@@ -143,7 +142,8 @@ class CorridorBudgets:
         self._reserved: dict[PairKey, float] = {pair: 0.0 for pair in self._links}
         #: Per-application reservations: name -> [(pair, bits_per_s), ...].
         self._by_application: dict[str, list[tuple[PairKey, float]]] = {}
-        self._transactions: dict[int, list[BudgetTransaction]] = {}
+        #: Open transaction scopes, outermost first.
+        self._transactions: list[BudgetTransaction] = []
 
     # ------------------------------------------------------------------ #
     # Inventory
@@ -182,9 +182,6 @@ class CorridorBudgets:
     # ------------------------------------------------------------------ #
     # Transactions
     # ------------------------------------------------------------------ #
-    def _txn_stack(self) -> list[BudgetTransaction]:
-        return self._transactions.setdefault(threading.get_ident(), [])
-
     @contextmanager
     def transaction(self) -> Iterator[BudgetTransaction]:
         """Open a journaled scope for tentative reservations.
@@ -195,8 +192,7 @@ class CorridorBudgets:
         :meth:`PlatformState.transaction`.
         """
         txn = BudgetTransaction(self)
-        stack = self._txn_stack()
-        stack.append(txn)
+        self._transactions.append(txn)
         try:
             yield txn
         except BaseException:
@@ -207,12 +203,10 @@ class CorridorBudgets:
             if not txn.closed:
                 txn.commit()
         finally:
-            stack.remove(txn)
-            if not stack:
-                self._transactions.pop(threading.get_ident(), None)
+            self._transactions.remove(txn)
 
     def _journal_pair(self, pair: PairKey) -> None:
-        for txn in reversed(self._transactions.get(threading.get_ident(), ())):
+        for txn in reversed(self._transactions):
             if txn.closed:
                 continue
             if pair not in txn._seen_pairs:
@@ -221,7 +215,7 @@ class CorridorBudgets:
             return
 
     def _journal_application(self, application: str) -> None:
-        for txn in reversed(self._transactions.get(threading.get_ident(), ())):
+        for txn in reversed(self._transactions):
             if txn.closed:
                 continue
             if application not in txn._seen_apps:

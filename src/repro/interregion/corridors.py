@@ -135,8 +135,8 @@ class CorridorSelector:
         Returns ``None`` when no admissible path exists.  ``planned`` holds
         budget claims of the admission being planned but not yet committed,
         so several channels of one application see each other's pressure.
-        ``allowed_regions`` confines the search (the coordinator's lock
-        subset must be an upper bound of what planning may touch).
+        ``allowed_regions`` confines the search (the planner's region scope
+        must be an upper bound of what planning may touch).
         """
         if source_region == target_region:
             return (source_region,)

@@ -2,9 +2,9 @@
 
 The staged pipeline confines an admission to one region; an application
 whose pinned tiles span regions used to fall through to the *global lane* —
-an unrestricted whole-platform mapping committed under a transaction that
-needs every region lock.  One such admission therefore stalled every
-regional worker and paid a search proportional to the whole platform.
+an unrestricted whole-platform mapping committed under an unscoped
+transaction.  One such admission therefore paid a search proportional to
+the whole platform.
 
 :class:`InterRegionPlanner` replaces that with a scoped, budgeted pipeline
 stage.  A plan decomposes the application along region boundaries:
@@ -138,7 +138,7 @@ class InterRegionPlanner:
         self._segment_mappers: dict[int, SpatialMapper] = {}
 
     # ------------------------------------------------------------------ #
-    # Applicability and lock scope
+    # Applicability and region scope
     # ------------------------------------------------------------------ #
     def anchor_regions(self, als: ApplicationLevelSpec) -> tuple[str, ...]:
         """Sorted names of the regions the application's pinned tiles occupy."""
@@ -154,8 +154,8 @@ class InterRegionPlanner:
         ``None`` when the planner is not applicable (fewer than two anchor
         regions).  The scope is the anchors plus every region on the
         pressure-weighted region paths between each ordered anchor pair —
-        planning later confines its corridors to this set, so the lock
-        subset acquired over it is sufficient.
+        planning later confines its corridors to this set, and the commit's
+        :class:`CorridorScope` rejects any write outside it.
         """
         anchors = self.anchor_regions(als)
         if len(anchors) < 2:
@@ -184,9 +184,9 @@ class InterRegionPlanner:
 
         Never raises on an infeasible plan — the decision's ``reason`` says
         why, and the caller falls back to the global lane.  ``scope``
-        optionally pins the allowed region set (the coordinator passes the
-        subset it locked); when omitted it is recomputed, which yields the
-        same set for an unchanged state.
+        optionally pins the allowed region set (the engine passes the
+        :meth:`scope_for` it claimed the request with); when omitted it is
+        recomputed, which yields the same set for an unchanged state.
         """
         started = time.perf_counter()
         if scope is None:
@@ -293,7 +293,7 @@ class InterRegionPlanner:
             # No result cache: every plan builds fresh sub-ALS objects, and
             # cache entries are keyed on ALS identity — segment entries
             # could never be served and would only evict the region
-            # workers' hot entries from the shared LRU.
+            # lanes' hot entries from the shared LRU.
             mapper = SpatialMapper(
                 self.pipeline.platform,
                 effective,

@@ -1,8 +1,8 @@
 """Process-local metrics with one associative fold.
 
-Before this module the runtime had five bespoke merge paths — lane
-counters, region-lock timings, per-worker traffic stats, worker analysis
-counters, and the governor snapshot — each with its own dict shape and its
+Before this module the runtime had bespoke merge paths — lane counters,
+per-worker traffic stats, worker analysis counters, and the governor
+snapshot — each with its own dict shape and its
 own delta arithmetic scattered through ``engine.py``.  A
 :class:`MetricsRegistry` replaces them with three instrument kinds and a
 single :meth:`~MetricsRegistry.fold`:
@@ -101,8 +101,10 @@ class Histogram:
 class MetricsRegistry:
     """Counters, gauges and histograms for one process.
 
-    Thread-safe (the threaded executor's lane workers publish
-    concurrently).  Label sets ride inside the metric name —
+    Guarded by one lock: :meth:`AdmissionQueue.submit
+    <repro.runtime.queue.AdmissionQueue.submit>` counts into the engine's
+    run registry, and clients may submit from their own threads while the
+    decider thread drains.  Label sets ride inside the metric name —
     ``"engine.lane.admitted[region=r0_0]"`` — keeping snapshots flat
     dicts; :func:`split_name` recovers the labels for reporting.
     """

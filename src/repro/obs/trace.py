@@ -1,8 +1,7 @@
 """Request-scoped tracing for the admission path.
 
-The runtime grew four telemetry islands (lane counters, lock timings,
-worker traffic, analysis counters) that answer *aggregate* questions; none
-of them answers the production question "where did *this* request's 40 ms
+The runtime grew three telemetry islands (lane counters, worker traffic,
+analysis counters) that answer *aggregate* questions; none of them answers the production question "where did *this* request's 40 ms
 go?".  This module is that answer: a :class:`Tracer` produces per-request
 **span trees** keyed by a stable trace id (workload + ticket), with one
 span per pipeline stage — queue wait, governor check, region selection,
@@ -33,7 +32,6 @@ re-anchored before they can live in the engine's tree.
 
 from __future__ import annotations
 
-import threading
 import time
 import zlib
 from dataclasses import dataclass, field
@@ -145,9 +143,8 @@ class Span:
 class Tracer:
     """Produces, collects and hands out the spans of one process.
 
-    Thread-safe: the engine's threaded executor runs one lane per worker
-    thread, and all of them record spans through the engine's tracer.
-    Finished spans accumulate in an internal buffer until :meth:`drain`
+    Takes no lock: spans are recorded by the engine's decider thread only
+    (drain worker processes record into their own tracers).  Finished spans accumulate in an internal buffer until :meth:`drain`
     hands them over (the engine drains once per run; a drain worker drains
     once per lane so each lane result carries exactly its own spans).
     """
@@ -155,7 +152,6 @@ class Tracer:
     def __init__(self, config: ObsConfig | None = None, *, process: str = "engine") -> None:
         self.config = config or ObsConfig()
         self.process = process
-        self._lock = threading.Lock()
         self._spans: list[SpanRecord] = []
         self._next_id = 0
 
@@ -190,9 +186,8 @@ class Tracer:
 
     # ------------------------------------------------------------------ #
     def _span_id(self) -> str:
-        with self._lock:
-            self._next_id += 1
-            return f"{self.process}:{self._next_id}"
+        self._next_id += 1
+        return f"{self.process}:{self._next_id}"
 
     def start(
         self,
@@ -225,8 +220,7 @@ class Tracer:
             end_ns=end_ns if end_ns is not None else time.perf_counter_ns(),
             attrs=tuple(sorted(span.attrs.items())),
         )
-        with self._lock:
-            self._spans.append(record)
+        self._spans.append(record)
         return record
 
     def record(
@@ -249,25 +243,21 @@ class Tracer:
             end_ns=end_ns,
             attrs=tuple(sorted(attrs.items())) if attrs else (),
         )
-        with self._lock:
-            self._spans.append(record)
+        self._spans.append(record)
         return record
 
     def adopt(self, spans: list[SpanRecord] | tuple[SpanRecord, ...]) -> None:
         """Append foreign (already re-anchored) span records to the buffer."""
         if spans:
-            with self._lock:
-                self._spans.extend(spans)
+            self._spans.extend(spans)
 
     def drain(self) -> list[SpanRecord]:
         """Hand over (and clear) every span recorded since the last drain."""
-        with self._lock:
-            spans, self._spans = self._spans, []
+        spans, self._spans = self._spans, []
         return spans
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._spans)
+        return len(self._spans)
 
 
 #: The shared disabled tracer: every guarded call site short-circuits on

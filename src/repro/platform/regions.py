@@ -21,46 +21,21 @@ They belong to no region's scope: a mapping that needs one must be committed
 under a global (unscoped) transaction, which keeps cross-region traffic an
 explicit, deliberate exception rather than a silent journal leak.
 
-For *parallel* draining (one worker thread per region), the module adds:
-
-* :class:`RegionLocks` — one lock per region plus two lanes on top: a
-  **subset lane** that acquires only the sorted subset of named regions'
-  locks (the inter-region admission discipline: a two-region admission
-  excludes exactly those two regions' workers) and the **global lane**,
-  which is simply the subset lane over every region.  Both acquire in one
-  deterministic (sorted-name) global order, so any mix of lanes is
-  deadlock-free;
-* :class:`RegionOwnershipGuard` — an assertion hook for
-  :attr:`~repro.platform.state.PlatformState.ownership_guard`: while armed,
-  any mutation of a tile/link whose owning region's lock is *not* held by
-  the mutating thread raises, turning the locking discipline from a
-  convention into an invariant.  A cross-region link is owned by its two
-  endpoint regions together: mutating it requires holding *both* their
-  locks (which the subset and global lanes provide).
+Regions are also the unit of the process drain: the workload engine ships a
+region's allocations to a worker process as a :class:`RegionSnapshot` and
+folds the returned deltas back under a region-scoped transaction.  Every
+mutation of the engine-side state happens on one decider thread, so regions
+need no locks; the scoped transaction is the guard.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import threading
-import time
-from contextlib import contextmanager
 from typing import Iterable, Iterator
 
 from repro.exceptions import PlatformError
 from repro.platform.noc import Position
 from repro.platform.platform import Platform
 from repro.platform.state import PlatformState, RegionSnapshot
-
-
-def current_worker_name() -> str:
-    """``process/thread`` label of the caller, for ownership diagnostics.
-
-    Executor workers carry meaningful names (``region-worker-<lane>``
-    threads, ``region-drain-<n>`` processes), so a guard violation can name
-    the executor lane that raced instead of a raw thread ident.
-    """
-    return f"{multiprocessing.current_process().name}/{threading.current_thread().name}"
 
 
 class Region:
@@ -333,214 +308,3 @@ class RegionPartition:
 
 #: Lane name of the serialized global lane (cross-region / unpinned work).
 GLOBAL_LANE = "__global__"
-
-
-class RegionLocks:
-    """Per-region locks plus subset and global lanes over one partition.
-
-    Workers draining independent regions each hold their region's lock.
-    Work that touches a known *set* of regions (an inter-region admission
-    with its corridor) runs in a **subset lane**, which acquires exactly
-    those regions' locks in deterministic (sorted-name) order — excluding
-    only the touched regions' workers.  Work that may touch anything
-    (unrestricted fallback mappings) runs in the **global lane**, the
-    subset lane over every region.  Because every lane acquires along the
-    same fixed global order, any mix of concurrent lanes is deadlock-free.
-
-    Lock holders are tracked by thread ident so the
-    :class:`RegionOwnershipGuard` can *assert* ownership, not just rely on
-    it.  Locks are reentrant within a thread.  Per-region wait and hold
-    times are accumulated (cheaply, under a dedicated stats lock) for the
-    engine's telemetry.
-    """
-
-    def __init__(self, partition: RegionPartition) -> None:
-        self.partition = partition
-        self._region_names: tuple[str, ...] = tuple(
-            sorted(region.name for region in partition)
-        )
-        self._locks: dict[str, threading.RLock] = {
-            name: threading.RLock() for name in self._region_names
-        }
-        self._holders: dict[str, list[int]] = {name: [] for name in self._region_names}
-        #: Parallel to ``_holders``: the human-readable ``process/thread``
-        #: label of each holder, for ownership-violation diagnostics.
-        self._holder_names: dict[str, list[str]] = {name: [] for name in self._region_names}
-        self._stats_lock = threading.Lock()
-        self._wait_s: dict[str, float] = {name: 0.0 for name in self._region_names}
-        self._hold_s: dict[str, float] = {name: 0.0 for name in self._region_names}
-        self._acquisitions: dict[str, int] = {name: 0 for name in self._region_names}
-
-    @contextmanager
-    def region_lane(self, region_name: str) -> Iterator[None]:
-        """Hold one region's lock (the per-region worker discipline)."""
-        with self.subset_lane((region_name,)):
-            yield
-
-    @contextmanager
-    def subset_lane(self, region_names: Iterable[str]) -> Iterator[None]:
-        """Hold exactly the named regions' locks (inter-region work).
-
-        Acquisition follows the partition-wide sorted-name order regardless
-        of the order the caller names the regions in, so concurrent subset
-        lanes (and the global lane, which is one) can never deadlock.
-        """
-        ordered = tuple(sorted(set(region_names)))
-        if not ordered:
-            raise PlatformError("a lock subset needs at least one region")
-        for name in ordered:
-            if name not in self._locks:
-                raise PlatformError(f"unknown region {name!r}")
-        ident = threading.get_ident()
-        label = current_worker_name()
-        acquired: list[str] = []
-        held_from = time.perf_counter()
-        try:
-            for name in ordered:
-                # Each acquire is timed on its own so contention is charged
-                # to the lock that actually blocked, not the whole subset.
-                started = time.perf_counter()
-                self._locks[name].acquire()
-                waited = time.perf_counter() - started
-                self._holders[name].append(ident)
-                self._holder_names[name].append(label)
-                acquired.append(name)
-                self._note_wait((name,), waited)
-            held_from = time.perf_counter()
-            yield
-        finally:
-            if len(acquired) == len(ordered):
-                self._note_hold(ordered, time.perf_counter() - held_from)
-            for name in reversed(acquired):
-                self._holders[name].pop()
-                self._holder_names[name].pop()
-                self._locks[name].release()
-
-    @contextmanager
-    def global_lane(self) -> Iterator[None]:
-        """Hold *every* region lock (serialized whole-platform work)."""
-        with self.subset_lane(self._region_names):
-            yield
-
-    def _note_wait(self, names: tuple[str, ...], seconds: float) -> None:
-        """Accumulate time-to-acquire (one acquisition per named region)."""
-        with self._stats_lock:
-            for name in names:
-                self._wait_s[name] += seconds
-                self._acquisitions[name] += 1
-
-    def _note_hold(self, names: tuple[str, ...], seconds: float) -> None:
-        """Accumulate time the lane held the named regions' locks."""
-        with self._stats_lock:
-            for name in names:
-                self._hold_s[name] += seconds
-
-    def stats(self) -> dict[str, dict[str, float]]:
-        """Per-region acquisition counts and cumulative wait/hold seconds."""
-        with self._stats_lock:
-            return {
-                name: {
-                    "acquisitions": self._acquisitions[name],
-                    "wait_s": self._wait_s[name],
-                    "hold_s": self._hold_s[name],
-                }
-                for name in self._region_names
-            }
-
-    def publish_metrics(
-        self, registry, stats: dict[str, dict[str, float]] | None = None
-    ) -> None:
-        """Publish per-region lock timings (default: lifetime totals) as counters.
-
-        Callers that account per-run deltas (the workload engine) pass the
-        delta dict in :meth:`stats` shape.
-        """
-        for region, values in (stats if stats is not None else self.stats()).items():
-            registry.count(f"locks.wait_s[region={region}]", float(values["wait_s"]))
-            registry.count(f"locks.hold_s[region={region}]", float(values["hold_s"]))
-            registry.count(
-                f"locks.acquisitions[region={region}]", float(values["acquisitions"])
-            )
-
-    def holds(self, region_name: str) -> bool:
-        """Whether the current thread holds the named region's lock."""
-        return threading.get_ident() in self._holders.get(region_name, ())
-
-    def holder_names(self, region_name: str) -> tuple[str, ...]:
-        """``process/thread`` labels currently holding the region's lock."""
-        return tuple(self._holder_names.get(region_name, ()))
-
-    def holds_all(self) -> bool:
-        """Whether the current thread holds the global lane (every lock)."""
-        ident = threading.get_ident()
-        return all(ident in holders for holders in self._holders.values())
-
-
-class RegionOwnershipGuard:
-    """Mutation-time assertion that region locks are actually held.
-
-    Installed as :attr:`~repro.platform.state.PlatformState.ownership_guard`
-    while a parallel drain is in flight: every ``allocate_*`` / release on
-    the state first resolves the touched tile/link to its owning region(s)
-    and checks the mutating thread holds the matching lock(s).  A
-    cross-region link is owned by its two endpoint regions *together*:
-    mutating it requires holding both their locks — which a subset lane
-    over the touched regions (or the global lane) provides.  Links with an
-    endpoint on an unassigned router position belong to no region pair and
-    still require the global lane.  A violation raises
-    :class:`~repro.exceptions.PlatformError` — racing writers fail loudly
-    instead of corrupting journals.
-    """
-
-    def __init__(self, partition: RegionPartition, locks: RegionLocks) -> None:
-        self.partition = partition
-        self.locks = locks
-        #: Link name -> owning region names (one for internal links, the
-        #: endpoint pair for cross-region links), or ``None`` when an
-        #: endpoint position belongs to no region (global lane required).
-        self._link_owners: dict[str, tuple[str, ...] | None] = {}
-        for region in partition:
-            for link_name in region.link_names:
-                self._link_owners[link_name] = (region.name,)
-        for link_name in partition.cross_link_names():
-            link = partition.platform.noc.link_by_name(link_name)
-            source = partition.region_of_position(link.source)
-            target = partition.region_of_position(link.target)
-            if source is None or target is None:
-                self._link_owners[link_name] = None
-            else:
-                self._link_owners[link_name] = (source.name, target.name)
-
-    def _held_by(self, region_name: str) -> str:
-        """Who currently holds a region's lock, for violation messages."""
-        holders = self.locks.holder_names(region_name)
-        return f"held by {', '.join(holders)}" if holders else "currently unheld"
-
-    def check_tile(self, tile_name: str) -> None:
-        """Raise unless the current thread owns the tile's region."""
-        region = self.partition.region_of_tile(tile_name)
-        if not self.locks.holds(region.name):
-            raise PlatformError(
-                f"tile {tile_name!r} belongs to region {region.name!r} but the "
-                f"mutating worker {current_worker_name()!r} does not hold its "
-                f"lock ({self._held_by(region.name)})"
-            )
-
-    def check_link(self, link_name: str) -> None:
-        """Raise unless the current thread owns the link's region(s)."""
-        owners = self._link_owners.get(link_name)
-        if owners is None:
-            if not self.locks.holds_all():
-                raise PlatformError(
-                    f"link {link_name!r} touches an unassigned router position; "
-                    f"mutating it (from worker {current_worker_name()!r}) "
-                    "requires the global lane (all region locks)"
-                )
-            return
-        for owner in owners:
-            if not self.locks.holds(owner):
-                raise PlatformError(
-                    f"link {link_name!r} is owned by region(s) {owners!r} but the "
-                    f"mutating worker {current_worker_name()!r} does not hold its "
-                    f"lock ({owner!r} {self._held_by(owner)})"
-                )

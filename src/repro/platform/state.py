@@ -37,22 +37,16 @@ touching each other.  Mutating a key no open transaction covers raises — a
 cross-region allocation must be made under a scope that explicitly includes
 it (or under an unscoped, global transaction).
 
-Transaction stacks are *per thread*: nesting, journaling and the
-innermost-first closing discipline all apply within one thread's stack, so
-worker threads draining disjoint regions (the engine's parallel drain) each
-keep their own journal chain and commit independently.  The state performs
-no locking itself — it is the caller's job to ensure concurrent threads
-mutate disjoint key sets (per-region locks; see
-:class:`~repro.platform.regions.RegionLocks`).  An optional *ownership
-guard* (:attr:`PlatformState.ownership_guard`) turns that discipline into a
-hard assertion: when armed, every mutation checks that the mutating thread
-actually owns the touched tile/link.
+The state keeps one transaction stack and performs no locking: it is
+mutated only by the engine's single decider thread (drain worker processes
+mutate their own copies).  Region scoping is the in-process guard — a
+mutation outside every open scope raises, so a region-restricted commit
+cannot leak into a sibling region.
 """
 
 from __future__ import annotations
 
 import hashlib
-import threading
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -342,7 +336,7 @@ class StateTransaction:
 
     def _check_innermost(self) -> None:
         """Closing out of nesting order would corrupt the undo chains."""
-        stack = self._state._txn_stack()
+        stack = self._state._transactions
         if self in stack:
             for txn in stack[stack.index(self) + 1 :]:
                 if not txn.closed:
@@ -364,7 +358,7 @@ class StateTransaction:
             return
         self._check_innermost()
         self.closed = True
-        stack = self._state._txn_stack()
+        stack = self._state._transactions
         enclosing = stack[: stack.index(self)] if self in stack else stack
         open_enclosing = [txn for txn in enclosing if not txn.closed]
         # Each snapshot folds into the innermost enclosing open transaction
@@ -435,19 +429,13 @@ class PlatformState:
     _used_memory: dict[str, int] = field(default_factory=dict, init=False, repr=False)
     _used_cycles: dict[str, float] = field(default_factory=dict, init=False, repr=False)
     _link_load: dict[str, float] = field(default_factory=dict, init=False, repr=False)
-    # Per-thread transaction stacks (keyed by thread ident): each thread's
-    # scopes nest among themselves; threads never journal into each other.
-    _transactions: dict[int, list[StateTransaction]] = field(
-        default_factory=dict, init=False, repr=False
+    # Open transaction scopes, outermost first.
+    _transactions: list[StateTransaction] = field(
+        default_factory=list, init=False, repr=False
     )
-    #: Optional ownership assertion hook: an object with
-    #: ``check_tile(name)`` / ``check_link(name)`` (e.g. a
-    #: :class:`~repro.platform.regions.RegionOwnershipGuard`) consulted on
-    #: every mutation while armed.  ``None`` (the default) costs nothing.
-    ownership_guard: object | None = field(default=None, init=False, repr=False)
     #: Per-region delta journals (:class:`RegionJournal`), keyed by region
     #: name.  Empty until a stateful process executor registers regions via
-    #: :meth:`region_journal`, so serial/threaded runs pay nothing.
+    #: :meth:`region_journal`, so serial runs pay nothing.
     region_journals: dict[str, RegionJournal] = field(
         default_factory=dict, init=False, repr=False
     )
@@ -490,13 +478,9 @@ class PlatformState:
         :class:`~repro.platform.regions.Region`).  Mutations of keys the
         scope does not cover are journaled into an enclosing transaction
         that does cover them, or rejected when none does.
-
-        Stacks are per thread: a transaction opened on a worker thread
-        nests inside (and folds into) that thread's enclosing scopes only.
         """
         txn = StateTransaction(self, scope)
-        stack = self._txn_stack()
-        stack.append(txn)
+        self._transactions.append(txn)
         try:
             yield txn
         except BaseException:
@@ -507,25 +491,17 @@ class PlatformState:
             if not txn.closed:
                 txn.commit()
         finally:
-            stack.remove(txn)
-            if not stack:
-                self._transactions.pop(threading.get_ident(), None)
-
-    def _txn_stack(self) -> list[StateTransaction]:
-        """The current thread's transaction stack (created on first use)."""
-        return self._transactions.setdefault(threading.get_ident(), [])
+            self._transactions.remove(txn)
 
     @property
     def in_transaction(self) -> bool:
-        """Whether the current thread has at least one open transaction scope."""
-        return any(not txn.closed for txn in self._transactions.get(threading.get_ident(), ()))
+        """Whether at least one transaction scope is open."""
+        return any(not txn.closed for txn in self._transactions)
 
     def _journal_tile(self, tile_name: str) -> None:
         """Snapshot a tile's entry into the innermost open transaction covering it."""
-        if self.ownership_guard is not None:
-            self.ownership_guard.check_tile(tile_name)
         any_open = False
-        for txn in reversed(self._transactions.get(threading.get_ident(), ())):
+        for txn in reversed(self._transactions):
             if txn.closed:
                 continue
             any_open = True
@@ -554,10 +530,8 @@ class PlatformState:
 
     def _journal_link(self, link_name: str) -> None:
         """Snapshot a link's entry into the innermost open transaction covering it."""
-        if self.ownership_guard is not None:
-            self.ownership_guard.check_link(link_name)
         any_open = False
-        for txn in reversed(self._transactions.get(threading.get_ident(), ())):
+        for txn in reversed(self._transactions):
             if txn.closed:
                 continue
             any_open = True

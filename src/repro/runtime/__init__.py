@@ -31,7 +31,6 @@ from repro.runtime.engine import (
     LaneCounters,
     ProcessRegionExecutor,
     SerialRegionExecutor,
-    ThreadedRegionExecutor,
     WorkloadEngine,
 )
 from repro.runtime.scenario import Scenario, ScenarioOutcome, run_scenario
@@ -60,7 +59,6 @@ __all__ = [
     "MULTI_REGION_LANE",
     "ProcessRegionExecutor",
     "SerialRegionExecutor",
-    "ThreadedRegionExecutor",
     "Scenario",
     "ScenarioOutcome",
     "run_scenario",

@@ -11,7 +11,7 @@ defers low-priority arrivals *before* any mapping work is spent on them.
 
 The governor is a deterministic state machine driven purely by the
 settlement stream (never by wall clock), so engines draining the same
-events — serially or with the threaded executor — make identical shedding
+events — serially or with the process executor — make identical shedding
 decisions:
 
 ```

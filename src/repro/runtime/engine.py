@@ -1,11 +1,9 @@
-"""The discrete-event workload engine: one event loop, many region workers.
+"""The discrete-event workload engine: one event loop, one decider thread.
 
 The paper's claim is that run-time spatial mapping is fast enough to make
 admission decisions *online*.  Exercising that claim end to end needs a
-driver that consumes timed arrival/departure events at scale — and, on a
-region-sharded platform, one that actually drains independent regions in
-parallel instead of cooperatively interleaving them.  This module is that
-driver:
+driver that consumes timed arrival/departure events at scale.  This module
+is that driver:
 
 * :class:`WorkloadEngine` — a virtual-clock event loop.  It replays a
   :class:`~repro.runtime.scenario.Scenario` (or anything exposing
@@ -14,18 +12,24 @@ driver:
   :class:`~repro.runtime.queue.AdmissionQueue` (with their priorities and
   deadlines), and the queue is drained through a pluggable *region
   executor*.
-* :class:`SerialRegionExecutor` / :class:`ThreadedRegionExecutor` /
-  :class:`ProcessRegionExecutor` — the three drain back-ends.  All follow
-  the same two-phase discipline; the threaded one runs phase 1 with one
-  worker thread per region, each holding its region's lock
-  (:class:`~repro.platform.regions.RegionLocks`) with the
-  :class:`~repro.platform.regions.RegionOwnershipGuard` armed, so the
-  per-thread transaction journals of
-  :class:`~repro.platform.state.PlatformState` provably never interleave on
-  the same keys; the process one ships each lane's region as a picklable
-  snapshot to a worker *process* and folds the returned allocation deltas
-  back on commit (see :mod:`repro.runtime.procdrain`), which is the one
-  back-end the GIL cannot serialize.
+* :class:`SerialRegionExecutor` / :class:`ProcessRegionExecutor` — the two
+  drain back-ends.  The serial one decides every region lane on the
+  engine's thread and is the decision reference; the process one ships
+  each lane's region to a worker *process* (snapshot once, digest-chained
+  deltas after) and folds the returned allocation deltas back on commit
+  (see :mod:`repro.runtime.procdrain`).
+
+Threading contract
+------------------
+
+The engine is one decider thread: every mutation of the platform state,
+the caches, the rejection memory, the corridor budgets and the tracer
+happens on the thread that calls :meth:`WorkloadEngine.run`.  Other threads
+may only submit, cancel and poll through the
+:class:`~repro.runtime.queue.AdmissionQueue`, whose lock (and the
+:class:`~repro.obs.metrics.MetricsRegistry` lock ``submit`` counts under)
+makes that safe.  Parallelism lives in the process executor's worker
+processes, which mutate only their own copies.
 
 The two-phase drain discipline
 ------------------------------
@@ -33,30 +37,28 @@ The two-phase drain discipline
 Each drain claims the ready requests and splits them into **region lanes**,
 a **multi-region lane** and a **global lane**:
 
-1. *Parallel phase* — a request pinned to a single region lane is decided
+1. *Region lanes* — a request pinned to a single region lane is decided
    with the pipeline restricted to exactly that region (``candidates=
    (region,)``): mapping, routing and the transactional commit all stay
-   inside the shard, so lanes commute and any interleaving of workers
-   yields the same decisions as any serial order.
+   inside the shard, so lanes commute and any lane order (or any spread of
+   lanes over worker processes) yields the same decisions.
 2. *Multi-region lane* — with an inter-region planner attached, a request
    whose pinned tiles span several regions is planned over budgeted
-   boundary corridors under the coordinator's **lock subset** (only the
-   touched regions' locks), between the parallel phase and the residual
-   global fallback.  A planner rejection falls through to phase 3.
+   boundary corridors, confined to the planner's region scope, between the
+   region lanes and the residual global fallback.  A planner rejection
+   falls through to phase 3.
 3. *Serial phase* — requests no earlier lane can own (residual global-lane
    requests, duplicate application names, in-region rejections that
    deserve their cross-region fallback, planner rejections) run through
-   the **full** pipeline on the engine's thread, in arrival order, after
-   every worker has joined.
+   the **full** pipeline, in arrival order.
 
 Finalisation (audit trail, running registry, queue settlement, energy
-accounting) always happens on the engine's thread in arrival order, so the
-serial and threaded executors are *decision-identical by construction* —
-the differential tests pin exactly that.
+accounting) always happens in arrival order, so the serial and process
+executors are *decision-identical by construction* — the differential
+tests pin exactly that.
 
-Per-lane telemetry (admissions, rejections, expiries, parked retries) and
-per-region lock wait/hold times are accumulated on the
-:class:`EngineOutcome` (:attr:`EngineOutcome.telemetry`).
+Per-lane telemetry (admissions, rejections, expiries, parked retries) is
+accumulated on the :class:`EngineOutcome` (:attr:`EngineOutcome.telemetry`).
 """
 
 from __future__ import annotations
@@ -64,14 +66,12 @@ from __future__ import annotations
 import hashlib
 import multiprocessing
 import os
-import threading
 import time
 import weakref
 import zlib
 from dataclasses import dataclass, field
 
 from repro.exceptions import PlatformError
-from repro.interregion.coordinator import InterRegionCoordinator
 from repro.obs import (
     NULL_TRACER,
     MetricsRegistry,
@@ -82,13 +82,7 @@ from repro.obs import (
     Tracer,
     reanchor_spans,
 )
-from repro.platform.regions import (
-    GLOBAL_LANE,
-    Region,
-    RegionLocks,
-    RegionOwnershipGuard,
-    RegionPartition,
-)
+from repro.platform.regions import GLOBAL_LANE, Region, RegionPartition
 from repro.platform.state import fingerprint_digest
 from repro.runtime import procdrain
 from repro.runtime.accounting import EnergyAccount
@@ -110,7 +104,6 @@ __all__ = [
     "MULTI_REGION_LANE",
     "ProcessRegionExecutor",
     "SerialRegionExecutor",
-    "ThreadedRegionExecutor",
 ]
 
 
@@ -146,8 +139,8 @@ class _RegionJob:
 class _MultiRegionJob:
     """One multi-region lane work item: plan a spanning request over corridors.
 
-    Runs on the engine's thread between the parallel and serial phases,
-    holding only the lock subset of the regions the plan may touch.
+    Runs between the region lanes and the serial phase, confined to the
+    planner scope the request was claimed with.
     """
 
     request: QueuedRequest
@@ -158,13 +151,12 @@ class _MultiRegionJob:
     #: planner attempt in an ``interregion_plan`` span when set).
     trace: TraceContext | None = None
 
-    def run(self, pipeline: AdmissionPipeline, coordinator: InterRegionCoordinator) -> None:
-        """Plan under the coordinator's lock subset; failures are captured."""
+    def run(self, pipeline: AdmissionPipeline) -> None:
+        """Plan within the claimed scope; failures are captured, not raised."""
         try:
-            with coordinator.admission_lane(self.scope) as locked:
-                self.decision = pipeline.decide_interregion(
-                    self.request.als, self.request.library, scope=locked
-                )
+            self.decision = pipeline.decide_interregion(
+                self.request.als, self.request.library, scope=self.scope
+            )
         except Exception as error:  # surfaced (and re-raised) by the engine
             self.error = error
 
@@ -175,7 +167,7 @@ class SerialRegionExecutor:
     The reference discipline: lanes in sorted-name order, requests in order
     within each lane.  Because phase-1 work is confined to its lane's
     region, this order is immaterial to the decisions — which is exactly
-    what makes the threaded executor safe to substitute.
+    what makes the process executor safe to substitute.
     """
 
     def execute(
@@ -184,73 +176,6 @@ class SerialRegionExecutor:
         """Run every lane's jobs; an error skips the rest of that lane only."""
         for lane in sorted(lane_jobs):
             for job in lane_jobs[lane]:
-                job.run(pipeline)
-                if job.error is not None:
-                    break
-
-
-class ThreadedRegionExecutor:
-    """Drain lanes concurrently: one worker thread per region lane.
-
-    Every worker holds its region's lock for the duration of its lane, and
-    the :class:`~repro.platform.regions.RegionOwnershipGuard` is armed on
-    the platform state while workers are in flight — a mutation outside the
-    mutating thread's region raises instead of corrupting a sibling's
-    journal.  Python threads do not parallelise the pure-Python mapper's
-    CPU work, but the executor proves (and the guard enforces) that the
-    journals, locks and caches are ready for workers that genuinely run
-    concurrently — and the differential tests pin that draining this way is
-    decision-identical to the serial executor.
-    """
-
-    def __init__(
-        self,
-        partition: RegionPartition,
-        *,
-        locks: RegionLocks | None = None,
-        guard: bool = True,
-    ) -> None:
-        self.partition = partition
-        self.locks = locks or RegionLocks(partition)
-        self.guard: RegionOwnershipGuard | None = (
-            RegionOwnershipGuard(partition, self.locks) if guard else None
-        )
-
-    def execute(
-        self, lane_jobs: dict[str, list[_RegionJob]], pipeline: AdmissionPipeline
-    ) -> None:
-        """Run every lane's jobs, one worker per lane, and join them all."""
-        if not lane_jobs:
-            return
-        # The default mapper is created lazily; materialise it before the
-        # workers race on the first admission.
-        pipeline.mapper_for(None)
-        state = pipeline.state
-        previous_guard = state.ownership_guard
-        state.ownership_guard = self.guard
-        try:
-            threads = [
-                threading.Thread(
-                    target=self._run_lane,
-                    args=(lane, lane_jobs[lane], pipeline),
-                    name=f"region-worker-{lane}",
-                    daemon=True,
-                )
-                for lane in sorted(lane_jobs)
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-        finally:
-            state.ownership_guard = previous_guard
-
-    def _run_lane(
-        self, lane: str, jobs: list[_RegionJob], pipeline: AdmissionPipeline
-    ) -> None:
-        """One worker: hold the lane's region lock, decide its jobs in order."""
-        with self.locks.region_lane(lane):
-            for job in jobs:
                 job.run(pipeline)
                 if job.error is not None:
                     break
@@ -298,8 +223,7 @@ class ProcessRegionExecutor:
     """Drain region lanes across *stateful* worker processes: snapshot once,
     deltas forever.
 
-    The GIL-free counterpart of :class:`ThreadedRegionExecutor`.  Workers
-    (:mod:`repro.runtime.procdrain`) keep the region-local state they last
+    Workers (:mod:`repro.runtime.procdrain`) keep the region-local state they last
     rebuilt **resident between drains**, so each drain the engine ships one
     of two per-lane frames:
 
@@ -327,8 +251,8 @@ class ProcessRegionExecutor:
     against its resident state and ships back, per admitted job, a
     serialized :class:`~repro.platform.state.AllocationDelta` (exactly the
     commit's journal records).  The engine process then *folds* each delta
-    under the lane's region lock inside a region-scoped transaction — the
-    existing transaction discipline — with the ownership guard armed.
+    inside a region-scoped transaction, which raises on any write outside
+    the lane's region.
 
     Stale decisions are handled explicitly, never silently committed:
     every worker response carries the digest of the region fingerprint its decision was
@@ -341,7 +265,7 @@ class ProcessRegionExecutor:
     watermark is dropped (its resident diverged).  Finalisation stays on
     the engine thread in arrival order, so sheds and cancels settle
     exactly once, and decisions are identical to the serial executor's
-    (the differential suites pin this across all three executors).
+    (the differential suites pin this).
 
     Lanes are assigned to workers by a stable hash of the lane name, so a
     region's dispatches keep hitting the same worker and its resident
@@ -376,17 +300,11 @@ class ProcessRegionExecutor:
         partition: RegionPartition,
         *,
         workers: int | None = None,
-        locks: RegionLocks | None = None,
-        guard: bool = True,
         start_method: str | None = None,
         delta_dispatch: bool = True,
         journal_capacity: int = 512,
     ) -> None:
         self.partition = partition
-        self.locks = locks or RegionLocks(partition)
-        self.guard: RegionOwnershipGuard | None = (
-            RegionOwnershipGuard(partition, self.locks) if guard else None
-        )
         self.workers = max(
             1,
             workers
@@ -744,7 +662,6 @@ class ProcessRegionExecutor:
         self._tracer = pipeline.tracer
         self._dispatch_spans.clear()
         pool = self._ensure_pool(pipeline)
-        state = pipeline.state
         lanes = sorted(lane_jobs)
         dispatched: dict[str, _DrainWorker] = {}
         lanes_by_worker: dict[str, list[str]] = {}
@@ -778,22 +695,16 @@ class ProcessRegionExecutor:
                     force_full="resync",
                 )
             )
-        # Fold on commit, lane by lane in the serial executor's order, under
-        # each lane's region lock with the ownership guard armed.
-        previous_guard = state.ownership_guard
-        state.ownership_guard = self.guard
-        try:
-            for lane in lanes:
-                self._fold_lane(
-                    lane,
-                    lane_jobs[lane],
-                    results[lane],
-                    pipeline,
-                    self._stats_for(dispatched[lane].name),
-                    worker_name=dispatched[lane].name,
-                )
-        finally:
-            state.ownership_guard = previous_guard
+        # Fold on commit, lane by lane in the serial executor's order.
+        for lane in lanes:
+            self._fold_lane(
+                lane,
+                lane_jobs[lane],
+                results[lane],
+                pipeline,
+                self._stats_for(dispatched[lane].name),
+                worker_name=dispatched[lane].name,
+            )
 
     def _fold_lane(
         self,
@@ -824,69 +735,68 @@ class ProcessRegionExecutor:
         tracer = self._tracer
         responses = {response.ticket: response for response in result.responses}
         clean = result.resync is None
-        with self.locks.region_lane(lane):
-            for job in jobs:
-                fold_start_ns = (
-                    time.perf_counter_ns()
-                    if tracer.enabled and job.trace is not None
-                    else 0
+        for job in jobs:
+            fold_start_ns = (
+                time.perf_counter_ns()
+                if tracer.enabled and job.trace is not None
+                else 0
+            )
+            response = responses.get(job.request.ticket)
+            if response is None:
+                clean = False
+                break  # worker aborted the lane on an earlier error
+            stats["worker_wall_s"] += response.wall_s
+            # The worker's mapper ran for real; keep the engine-wide
+            # invocation accounting honest across executors.
+            pipeline.mapper_invocations += response.mapper_invocations
+            if response.error is not None:
+                clean = False
+                job.error = PlatformError(
+                    f"region drain worker failed in lane {lane!r}:\n"
+                    f"{response.error}"
                 )
-                response = responses.get(job.request.ticket)
-                if response is None:
-                    clean = False
-                    break  # worker aborted the lane on an earlier error
-                stats["worker_wall_s"] += response.wall_s
-                # The worker's mapper ran for real; keep the engine-wide
-                # invocation accounting honest across executors.
-                pipeline.mapper_invocations += response.mapper_invocations
-                if response.error is not None:
-                    clean = False
-                    job.error = PlatformError(
-                        f"region drain worker failed in lane {lane!r}:\n"
-                        f"{response.error}"
-                    )
+                break
+            if fingerprint_digest(region.fingerprint(state)) != response.base_fingerprint:
+                clean = False
+                stats["stale_redecides"] += 1
+                job.run(pipeline)
+                if job.error is not None:
                     break
-                if fingerprint_digest(region.fingerprint(state)) != response.base_fingerprint:
+                continue
+            decision = procdrain.load_frame(response.decision_blob)
+            if decision.admitted:
+                delta = procdrain.load_frame(response.delta_blob)
+                stats["delta_bytes"] += len(response.delta_blob)
+                try:
+                    with state.transaction(region):
+                        state.apply_delta(delta)
+                except PlatformError:
+                    # The fingerprint matched but the delta no longer
+                    # fits (aggregates can collide across histories);
+                    # the transaction rolled everything back — re-decide
+                    # against the live state instead of committing.
                     clean = False
                     stats["stale_redecides"] += 1
                     job.run(pipeline)
                     if job.error is not None:
                         break
                     continue
-                decision = procdrain.load_frame(response.decision_blob)
-                if decision.admitted:
-                    delta = procdrain.load_frame(response.delta_blob)
-                    stats["delta_bytes"] += len(response.delta_blob)
-                    try:
-                        with state.transaction(region):
-                            state.apply_delta(delta)
-                    except PlatformError:
-                        # The fingerprint matched but the delta no longer
-                        # fits (aggregates can collide across histories);
-                        # the transaction rolled everything back — re-decide
-                        # against the live state instead of committing.
-                        clean = False
-                        stats["stale_redecides"] += 1
-                        job.run(pipeline)
-                        if job.error is not None:
-                            break
-                        continue
-                    pipeline.record_commit(
-                        decision.application, decision.result.mapping
-                    )
-                if fold_start_ns:
-                    tracer.record(
-                        "engine_fold",
-                        job.trace,
-                        fold_start_ns,
-                        time.perf_counter_ns(),
-                        attrs={"lane": lane, "folded": decision.admitted},
-                    )
-                job.decision = decision
-            if worker_name is not None:
-                self._advance_watermark(
-                    worker_name, lane, region, result, clean, state
+                pipeline.record_commit(
+                    decision.application, decision.result.mapping
                 )
+            if fold_start_ns:
+                tracer.record(
+                    "engine_fold",
+                    job.trace,
+                    fold_start_ns,
+                    time.perf_counter_ns(),
+                    attrs={"lane": lane, "folded": decision.admitted},
+                )
+            job.decision = decision
+        if worker_name is not None:
+            self._advance_watermark(
+                worker_name, lane, region, result, clean, state
+            )
 
     def _advance_watermark(
         self,
@@ -945,14 +855,10 @@ class EngineTelemetry:
     name for phase-1 admissions, :data:`MULTI_REGION_LANE` for the
     inter-region planner lane, :data:`~repro.platform.regions.GLOBAL_LANE`
     for the serial phase.  Parked retries count against the request's home
-    lane.  ``lock_wait_s`` / ``lock_hold_s`` aggregate the per-region lock
-    times of every lane (region workers, lock subsets, global lane).
+    lane.
     """
 
     lanes: dict[str, LaneCounters] = field(default_factory=dict)
-    lock_wait_s: dict[str, float] = field(default_factory=dict)
-    lock_hold_s: dict[str, float] = field(default_factory=dict)
-    lock_acquisitions: dict[str, int] = field(default_factory=dict)
     #: Final :meth:`LoadSheddingGovernor.snapshot` of the run's governor
     #: (``None`` when the engine ran without one).
     governor: dict | None = None
@@ -989,15 +895,6 @@ class EngineTelemetry:
             counters.cancelled += 1
         elif status is RequestStatus.SHED:
             counters.shed += 1
-
-    def merge_lock_stats(self, stats: dict[str, dict[str, float]]) -> None:
-        """Fold one :meth:`RegionLocks.stats` snapshot into the totals."""
-        for region, values in stats.items():
-            self.lock_wait_s[region] = self.lock_wait_s.get(region, 0.0) + values["wait_s"]
-            self.lock_hold_s[region] = self.lock_hold_s.get(region, 0.0) + values["hold_s"]
-            self.lock_acquisitions[region] = self.lock_acquisitions.get(region, 0) + int(
-                values["acquisitions"]
-            )
 
     def merge_worker_stats(self, stats: dict[str, dict[str, float]]) -> None:
         """Fold one :meth:`ProcessRegionExecutor.worker_stats` delta into the totals."""
@@ -1183,10 +1080,7 @@ class WorkloadEngine:
         manager: RuntimeResourceManager,
         *,
         queue: AdmissionQueue | None = None,
-        executor: SerialRegionExecutor
-        | ThreadedRegionExecutor
-        | ProcessRegionExecutor
-        | None = None,
+        executor: SerialRegionExecutor | ProcessRegionExecutor | None = None,
         drain_mode: str = "batched",
         park_rejections: bool = False,
         governor: LoadSheddingGovernor | None = None,
@@ -1217,10 +1111,6 @@ class WorkloadEngine:
         #: request is claimed repeatedly; only its first wait is the wait).
         self._queue_waited: set[int] = set()
         self._workload_name = "workload"
-        #: Lock-subset coordinator of the multi-region lane, created on
-        #: first use.  It shares the threaded executor's locks (so the
-        #: subset exclusion is real) or gets a private set otherwise.
-        self._coordinator: InterRegionCoordinator | None = None
 
     # ------------------------------------------------------------------ #
     def run(self, workload) -> EngineOutcome:
@@ -1232,7 +1122,6 @@ class WorkloadEngine:
         by :mod:`repro.workloads.arrivals`).
         """
         started = time.perf_counter()
-        lock_baseline = self._lock_stats_snapshot()
         worker_baseline = self._worker_stats_snapshot()
         analysis_baseline = self._analysis_snapshot()
         worker_analysis_baseline = self._worker_analysis_snapshot()
@@ -1291,7 +1180,6 @@ class WorkloadEngine:
         outcome.end_time_ns = end_time_ns
         outcome.energy.finish(end_time_ns)
         outcome.wall_clock_s = time.perf_counter() - started
-        self._collect_lock_stats(outcome, lock_baseline)
         self._collect_worker_stats(outcome, worker_baseline)
         self._collect_analysis_stats(
             outcome, analysis_baseline, worker_analysis_baseline
@@ -1315,7 +1203,7 @@ class WorkloadEngine:
         """Publish the run's telemetry deltas into the metrics registry.
 
         One fold path: the engine publishes its lane counters itself, and
-        every other component (locks, analysis, governor, process executor)
+        every other component (analysis, governor, process executor)
         publishes through its own ``publish_metrics`` — all into the same
         registry the queue and pipeline counted into live, and the same
         registry worker snapshots folded into at dispatch time.
@@ -1328,17 +1216,6 @@ class WorkloadEngine:
                     metrics.count(
                         f"engine.settled[lane={lane},status={status}]", float(value)
                     )
-        for source in self._lock_sources():
-            lock_delta = {
-                region: {
-                    "wait_s": telemetry.lock_wait_s.get(region, 0.0),
-                    "hold_s": telemetry.lock_hold_s.get(region, 0.0),
-                    "acquisitions": telemetry.lock_acquisitions.get(region, 0),
-                }
-                for region in telemetry.lock_wait_s
-            }
-            source.publish_metrics(metrics, lock_delta)
-            break  # the telemetry deltas are already merged across sources
         analysis = getattr(self.manager.pipeline, "analysis", None)
         if analysis is not None and telemetry.analysis:
             analysis.publish_metrics(metrics, telemetry.analysis)
@@ -1347,46 +1224,6 @@ class WorkloadEngine:
         publish = getattr(self.executor, "publish_metrics", None)
         if callable(publish) and telemetry.workers:
             publish(metrics, telemetry.workers)
-
-    def _lock_sources(self) -> list[RegionLocks]:
-        """Every RegionLocks instance this engine's lanes may have used."""
-        sources: list[RegionLocks] = []
-        locks = getattr(self.executor, "locks", None)
-        if isinstance(locks, RegionLocks):
-            sources.append(locks)
-        if self._coordinator is not None and all(
-            self._coordinator.locks is not source for source in sources
-        ):
-            sources.append(self._coordinator.locks)
-        return sources
-
-    def _lock_stats_snapshot(self) -> dict[int, dict[str, dict[str, float]]]:
-        """Cumulative lock stats per source, keyed by object identity."""
-        return {id(source): source.stats() for source in self._lock_sources()}
-
-    def _collect_lock_stats(
-        self,
-        outcome: EngineOutcome,
-        baseline: dict[int, dict[str, dict[str, float]]],
-    ) -> None:
-        """Fold this run's lock timings into the outcome's telemetry.
-
-        ``RegionLocks`` accumulates for its lifetime (executors may be
-        reused across runs), so each run reports the delta against the
-        snapshot taken when it started.  A coordinator created mid-run has
-        fresh locks, whose baseline is implicitly zero.
-        """
-        for source in self._lock_sources():
-            stats = source.stats()
-            before = baseline.get(id(source), {})
-            delta = {
-                region: {
-                    key: values[key] - before.get(region, {}).get(key, 0.0)
-                    for key in values
-                }
-                for region, values in stats.items()
-            }
-            outcome.telemetry.merge_lock_stats(delta)
 
     def _analysis_snapshot(self) -> dict[str, int]:
         """Cumulative analysis-engine counters of the engine-side pipeline."""
@@ -1408,7 +1245,7 @@ class WorkloadEngine:
 
         The analysis engine accumulates for the pipeline's lifetime, so each
         run reports the delta against its starting snapshot (same discipline
-        as the lock and worker stats).  Process drain workers run their own
+        as the worker stats).  Process drain workers run their own
         analysis engines; their per-lane counter deltas accumulate on the
         executor and this run's share is folded in here, so
         ``telemetry.analysis`` accounts *all* analysis work regardless of
@@ -1435,7 +1272,7 @@ class WorkloadEngine:
     ) -> None:
         """Fold this run's per-worker executor stats into the telemetry.
 
-        Like the lock stats, the executor accumulates for its lifetime
+        The executor accumulates for its lifetime
         (worker pools are reused across runs), so each run reports the
         delta against its starting snapshot.
         """
@@ -1561,8 +1398,7 @@ class WorkloadEngine:
             raise failed[0].error
 
         # Multi-region lane: spanning requests plan over budgeted corridors
-        # under a lock subset, after the workers joined, before the global
-        # fallback.  Claiming follows arrival order like everything else.
+        # after the region lanes, before the global fallback.  Claiming follows arrival order like everything else.
         multi_jobs = self._claim_multi_region_jobs(ready, running, claimed, job_of)
         if multi_jobs:
             self._run_multi_region_lane(multi_jobs)
@@ -1577,18 +1413,7 @@ class WorkloadEngine:
         for request in ready:
             job = job_of.get(request.ticket)
             if job is not None and job.decision is not None and job.decision.admitted:
-                lane = (
-                    MULTI_REGION_LANE
-                    if isinstance(job, _MultiRegionJob)
-                    else request.lane
-                )
-                self.manager.adopt_decision(request.als, job.decision, time_ns=now_ns)
-                self.queue.finalize(request, job.decision, now_ns=now_ns)
-                if request.status is not RequestStatus.CANCELLED:
-                    # A raced cancellation rolled the admission back; an
-                    # admission that never stood must not feed the window.
-                    self._observe(request, True)
-                self._record(now_ns, request, outcome, lane=lane)
+                self._settle_admitted(now_ns, request, job, outcome)
             else:
                 # In-region rejections retry with their cross-region
                 # fallback and planner rejections with the unrestricted
@@ -1719,40 +1544,25 @@ class WorkloadEngine:
         return jobs
 
     def _run_multi_region_lane(self, jobs: list[_MultiRegionJob]) -> None:
-        """Run the planner jobs under lock subsets (ownership guard armed)."""
-        if self._coordinator is None:
-            locks = getattr(self.executor, "locks", None)
-            self._coordinator = InterRegionCoordinator(
-                self.manager.partition,
-                locks=locks if isinstance(locks, RegionLocks) else None,
+        """Run the planner jobs in arrival order, each within its scope."""
+        for job in jobs:
+            plan_start_ns = (
+                time.perf_counter_ns()
+                if self.tracer.enabled and job.trace is not None
+                else 0
             )
-        state = self.manager.pipeline.state
-        guard = getattr(self.executor, "guard", None)
-        previous_guard = state.ownership_guard
-        if guard is not None:
-            # The planner must prove it only touches its lock subset.
-            state.ownership_guard = guard
-        try:
-            for job in jobs:
-                plan_start_ns = (
-                    time.perf_counter_ns()
-                    if self.tracer.enabled and job.trace is not None
-                    else 0
+            job.run(self.manager.pipeline)
+            if plan_start_ns:
+                self.tracer.record(
+                    "interregion_plan",
+                    job.trace,
+                    plan_start_ns,
+                    time.perf_counter_ns(),
+                    attrs={
+                        "admitted": job.decision is not None
+                        and job.decision.admitted
+                    },
                 )
-                job.run(self.manager.pipeline, self._coordinator)
-                if plan_start_ns:
-                    self.tracer.record(
-                        "interregion_plan",
-                        job.trace,
-                        plan_start_ns,
-                        time.perf_counter_ns(),
-                        attrs={
-                            "admitted": job.decision is not None
-                            and job.decision.admitted
-                        },
-                    )
-        finally:
-            state.ownership_guard = previous_guard
 
     def _unwind_failed_drain(
         self,
@@ -1766,17 +1576,32 @@ class WorkloadEngine:
         for request in ready:
             job = job_of.get(request.ticket)
             if job is not None and job.decision is not None and job.decision.admitted:
-                lane = (
-                    MULTI_REGION_LANE
-                    if isinstance(job, _MultiRegionJob)
-                    else request.lane
-                )
-                self.manager.adopt_decision(request.als, job.decision, time_ns=now_ns)
-                self.queue.finalize(request, job.decision, now_ns=now_ns)
-                self._record(now_ns, request, outcome, lane=lane)
+                self._settle_admitted(now_ns, request, job, outcome)
             else:
                 requeue.append(request)
         self.queue.requeue(requeue)
+
+    def _settle_admitted(
+        self,
+        now_ns: float,
+        request: QueuedRequest,
+        job: "_RegionJob | _MultiRegionJob",
+        outcome: EngineOutcome,
+    ) -> None:
+        """Adopt, finalize, observe and record one lane admission.
+
+        The one settlement path for admissions decided in a region or
+        multi-region lane, shared by a normal drain and the unwind of a
+        failed one, so the governor sees every admission that stood.
+        """
+        self.manager.adopt_decision(request.als, job.decision, time_ns=now_ns)
+        self.queue.finalize(request, job.decision, now_ns=now_ns)
+        if request.status is not RequestStatus.CANCELLED:
+            # A raced cancellation rolled the admission back; an admission
+            # that never stood must not feed the window.
+            self._observe(request, True)
+        lane = MULTI_REGION_LANE if isinstance(job, _MultiRegionJob) else request.lane
+        self._record(now_ns, request, outcome, lane=lane)
 
     def _record(
         self,

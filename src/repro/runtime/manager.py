@@ -97,8 +97,8 @@ class RuntimeResourceManager:
         Attach an :class:`~repro.interregion.planner.InterRegionPlanner`
         (requires ``partition``): requests whose pinned tiles span regions
         are planned over budgeted boundary corridors before the global
-        fallback, and the engine's multi-region lane admits them under a
-        lock subset instead of the serialized global lane.
+        fallback, and the engine's multi-region lane admits them within
+        the planner's region scope instead of the serialized global lane.
     corridor_budget_fraction:
         Fraction of boundary-link capacity corridors may reserve.
     region_scorer:

@@ -292,10 +292,6 @@ class AdmissionPipeline:
                     self.platform, effective, self.config
                 )
             return self._default_mapper
-        # Read the slot once: a concurrent region worker may replace it
-        # between a check and a re-read, and handing back a mapper built for
-        # a *different* library would silently map against the wrong
-        # implementations.  Racing the slot only costs an extra mapper.
         custom = self._custom_mapper
         if custom is not None and custom[0] is effective:
             return custom[1]
@@ -707,9 +703,9 @@ class AdmissionPipeline:
     ) -> AdmissionDecision:
         """Run only the inter-region planner stage for one request.
 
-        The engine's multi-region lane uses this under the coordinator's
-        lock subset; a rejection is final for this stage only — the caller
-        retries through the serialized global lane.
+        The engine's multi-region lane calls this with the request's
+        planner scope; a rejection is final for this stage only — the
+        caller retries through the serialized global lane.
         """
         if self.interregion is None:
             return AdmissionDecision(
@@ -725,10 +721,10 @@ class AdmissionPipeline:
         (:attr:`AdmissionDecision.attempted_regions`).  Callers — the
         manager's :meth:`~repro.runtime.manager.RuntimeResourceManager.admit`
         and :meth:`~repro.runtime.manager.RuntimeResourceManager.adopt_decision`
-        — invoke this at the single finalisation point, on the finalising
-        thread, in deterministic settlement order: the possibly-concurrent
-        region workers never mutate the memory, which is what keeps the
-        serial and threaded engines decision-identical with feedback on.
+        — invoke this at the single finalisation point, in deterministic
+        settlement order: drain worker processes never mutate the memory,
+        which is what keeps the serial and process executors
+        decision-identical with feedback on.
         """
         scorer = self.region_scorer
         if scorer is None or scorer.feedback is None:

@@ -1,10 +1,11 @@
 """Worker-side protocol of the process-parallel region drain.
 
-The GIL caps what :class:`~repro.runtime.engine.ThreadedRegionExecutor` can
-win: CPython threads interleave the pure-Python mapper instead of running
-it.  This module is the other half of
+The engine decides on one thread; the only parallelism is in drain worker
+processes.  This module is the other half of
 :class:`~repro.runtime.engine.ProcessRegionExecutor` — the part that runs
-*inside* a drain worker process and the framing both sides share.
+*inside* a drain worker process and the framing both sides share.  Each
+worker is single-threaded too: it mutates only its own resident copies of
+region state, never the engine's.
 
 Workers are **stateful**: each keeps the region-local
 :class:`~repro.platform.state.PlatformState` it last rebuilt resident

@@ -114,9 +114,23 @@ class AdmissionQueue:
 
     The queue itself performs no mapping work — it owns ordering, deadlines
     and the ticket book-keeping, and delegates every decision to the
-    manager's staged admission pipeline.  All bookkeeping is guarded by one
-    reentrant lock, so clients may submit/poll/cancel concurrently with an
-    engine draining the queue from its own thread.
+    manager's staged admission pipeline.
+
+    Threading contract: one decider thread — the engine's, or whoever calls
+    :meth:`take`, :meth:`finalize`, :meth:`drain` and friends — does every
+    mapping and every state mutation.  Client threads may only
+    :meth:`submit`, :meth:`cancel` and :meth:`poll`.  Exactly three locks
+    make that safe, and nothing else in the runtime takes one:
+
+    * this queue's reentrant lock, guarding the ticket book-keeping against
+      client threads (the cancel-versus-finalize race settles exactly once
+      under it);
+    * the :class:`~repro.obs.metrics.MetricsRegistry` lock, because
+      :meth:`submit` counts into the engine's run registry from the client's
+      thread;
+    * the event-sequence lock of :mod:`repro.runtime.events`, because
+      clients may build events on their own threads and sequence numbers
+      must stay unique.
     """
 
     def __init__(

@@ -26,7 +26,6 @@ collision between different applications can never produce a wrong hit.
 
 from __future__ import annotations
 
-import threading
 from collections import OrderedDict
 from dataclasses import dataclass, replace
 from typing import Any
@@ -70,10 +69,8 @@ class MapperCache:
     graph) but carries fresh containers, so a caller mutating its result
     (e.g. appending diagnostics) cannot corrupt later hits.
 
-    The cache is thread-safe: one lock serialises the (cheap) bookkeeping so
-    region workers draining in parallel can share it.  Hits in disjoint
-    regions stay independent — the lock protects the LRU structure, not the
-    results, which are cloned before release.
+    The cache takes no lock: only the engine's decider thread uses it
+    (drain worker processes keep their own caches).
     """
 
     def __init__(self, maxsize: int = 128) -> None:
@@ -81,7 +78,6 @@ class MapperCache:
             raise ValueError("cache maxsize must be at least 1")
         self.maxsize = maxsize
         self._entries: OrderedDict[tuple, _CacheEntry] = OrderedDict()
-        self._lock = threading.Lock()
         self.stats = CacheStats()
 
     @staticmethod
@@ -97,25 +93,22 @@ class MapperCache:
         objects the entry was computed from (identity, not equality — the
         entry keeps them alive, so identity is stable).
         """
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None or entry.als is not als or entry.library is not library:
-                self.stats.misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self.stats.hits += 1
-            result = entry.result
-        return self._clone(result)
+        entry = self._entries.get(key)
+        if entry is None or entry.als is not als or entry.library is not library:
+            self.stats.misses += 1
+            return None
+        self._entries.move_to_end(key)
+        self.stats.hits += 1
+        return self._clone(entry.result)
 
     def store(self, key: tuple, als: Any, library: Any, result: MappingResult) -> None:
         """Memoise a freshly computed result (a private clone is kept)."""
         clone = self._clone(result)
-        with self._lock:
-            self._entries[key] = _CacheEntry(als=als, library=library, result=clone)
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.maxsize:
-                self._entries.popitem(last=False)
-                self.stats.evictions += 1
+        self._entries[key] = _CacheEntry(als=als, library=library, result=clone)
+        self._entries.move_to_end(key)
+        while len(self._entries) > self.maxsize:
+            self._entries.popitem(last=False)
+            self.stats.evictions += 1
 
     def invalidate_regions(self, region_names: tuple[str, ...] | list[str]) -> int:
         """Drop every entry keyed to any of the given regions (or to the globe).
@@ -125,18 +118,16 @@ class MapperCache:
         entries dropped.
         """
         doomed = {GLOBAL_REGION, *region_names}
-        with self._lock:
-            victims = [key for key in self._entries if key[1] in doomed]
-            for key in victims:
-                del self._entries[key]
-            self.stats.invalidations += len(victims)
+        victims = [key for key in self._entries if key[1] in doomed]
+        for key in victims:
+            del self._entries[key]
+        self.stats.invalidations += len(victims)
         return len(victims)
 
     def clear(self) -> None:
         """Drop every entry."""
-        with self._lock:
-            self.stats.invalidations += len(self._entries)
-            self._entries.clear()
+        self.stats.invalidations += len(self._entries)
+        self._entries.clear()
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -93,7 +93,7 @@ class MapperConfig:
         when the refinement loop ends without a feasible mapping; ``0``
         (the default) disables the lane entirely, leaving every decision
         exactly as it was without it.  Seeds derive deterministically from
-        the request fingerprint, so the lane keeps serial/threaded/process
+        the request fingerprint, so the lane keeps the serial and process
         executors decision-identical and results cacheable.
     rescue_attempts:
         Full placements each rescue searcher proposes and scores.

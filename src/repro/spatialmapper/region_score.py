@@ -40,15 +40,14 @@ same memory entry (pinned by property test).
 
 :class:`RejectionMemory` updates follow the same journaled-transaction
 discipline as :class:`~repro.platform.state.PlatformState` and
-:class:`~repro.interregion.budgets.CorridorBudgets`: per-thread transaction
-stacks, first-touch snapshots, commit folds into the enclosing scope, and
+:class:`~repro.interregion.budgets.CorridorBudgets`: one transaction
+stack, first-touch snapshots, commit folds into the enclosing scope, and
 rollback restores the memory bit-identically — a feedback update made
 inside an aborted batch admission leaves no trace.
 """
 
 from __future__ import annotations
 
-import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator
@@ -149,7 +148,7 @@ class MemoryTransaction:
                 raise PlatformError("feedback transaction was already rolled back")
             return
         self.closed = True
-        stack = self._memory._txn_stack()
+        stack = self._memory._transactions
         enclosing = stack[: stack.index(self)] if self in stack else stack
         open_enclosing = [txn for txn in enclosing if not txn.closed]
         for entry in self._undo:
@@ -194,7 +193,7 @@ class RejectionMemory:
     rejections weigh heavily, old ones fade geometrically and are pruned
     below ``min_weight``.  Decay is driven by *decisions*, not wall time,
     so replaying the same event stream always yields the same penalties
-    (determinism is what keeps the serial and threaded engines
+    (determinism is what keeps the serial and process executors
     decision-identical).
 
     Parameters
@@ -215,12 +214,10 @@ class RejectionMemory:
         #: region name -> {shape fingerprint: (weight, clock it was current at)}.
         self._weights: dict[str, dict[ShapeKey, tuple[float, int]]] = {}
         self._clock = 0
-        self._transactions: dict[int, list[MemoryTransaction]] = {}
+        #: Open transaction scopes, outermost first.
+        self._transactions: list[MemoryTransaction] = []
 
     # -- transactions ---------------------------------------------------- #
-    def _txn_stack(self) -> list[MemoryTransaction]:
-        return self._transactions.setdefault(threading.get_ident(), [])
-
     @contextmanager
     def transaction(self) -> Iterator[MemoryTransaction]:
         """Open a journaled scope for tentative feedback updates.
@@ -230,8 +227,7 @@ class RejectionMemory:
         parent on commit, mirroring :meth:`PlatformState.transaction`.
         """
         txn = MemoryTransaction(self)
-        stack = self._txn_stack()
-        stack.append(txn)
+        self._transactions.append(txn)
         try:
             yield txn
         except BaseException:
@@ -242,12 +238,10 @@ class RejectionMemory:
             if not txn.closed:
                 txn.commit()
         finally:
-            stack.remove(txn)
-            if not stack:
-                self._transactions.pop(threading.get_ident(), None)
+            self._transactions.remove(txn)
 
     def _journal_region(self, region_name: str) -> None:
-        for txn in reversed(self._transactions.get(threading.get_ident(), ())):
+        for txn in reversed(self._transactions):
             if txn.closed:
                 continue
             if region_name not in txn._seen:
@@ -259,7 +253,7 @@ class RejectionMemory:
             return
 
     def _journal_clock(self) -> None:
-        for txn in reversed(self._transactions.get(threading.get_ident(), ())):
+        for txn in reversed(self._transactions):
             if txn.closed:
                 continue
             if not any(entry[0] == "clock" for entry in txn._undo):

@@ -18,7 +18,7 @@ Three disciplines keep the lane decision-inert infrastructure-wise:
   :func:`~repro.spatialmapper.region_score.shape_fingerprint` of the
   application plus the region/state fingerprint the mapper cache keys on)
   — the same no-global-RNG-state idiom as obs sampling.  Identical requests
-  draw identical placements on every executor, so serial/threaded/process
+  draw identical placements on every executor, so serial and process
   drains stay decision-identical and results stay cacheable; renamed but
   identically-shaped applications draw the same seeds.
 * **Scratch transactions** — each candidate is evaluated inside a

@@ -25,7 +25,6 @@ from repro.platform.regions import RegionPartition
 from repro.runtime.engine import (
     ProcessRegionExecutor,
     SerialRegionExecutor,
-    ThreadedRegionExecutor,
     WorkloadEngine,
 )
 from repro.runtime.manager import RuntimeResourceManager
@@ -99,6 +98,38 @@ def make_manager(platform=None, **kwargs) -> RuntimeResourceManager:
     return RuntimeResourceManager(platform, **kwargs)
 
 
+class ReversedLaneExecutor(SerialRegionExecutor):
+    """Test-only executor: drain region lanes in reverse-sorted order.
+
+    Each lane is confined to its own region, so lanes commute and any lane
+    order must reach the serial executor's decisions and end state.  The
+    differential suites pin that claim with this order.
+    """
+
+    def execute(self, lane_jobs, pipeline) -> None:
+        for lane in sorted(lane_jobs, reverse=True):
+            for job in lane_jobs[lane]:
+                job.run(pipeline)
+                if job.error is not None:
+                    break
+
+
+def make_executor(kind: str, partition: RegionPartition | None):
+    """A region executor by name: ``"serial"``, ``"reversed"`` or ``"process"``.
+
+    The process executor gets a pinned two-worker pool so tests behave the
+    same on any core count; callers should ``close()`` it (or rely on
+    garbage collection) when done.
+    """
+    if kind == "serial":
+        return SerialRegionExecutor()
+    if kind == "reversed":
+        return ReversedLaneExecutor()
+    if kind == "process":
+        return ProcessRegionExecutor(partition, workers=2)
+    raise ValueError(f"unknown executor kind {kind!r}")
+
+
 def make_engine(
     manager: RuntimeResourceManager,
     *,
@@ -107,22 +138,13 @@ def make_engine(
 ) -> WorkloadEngine:
     """An engine over the manager with a named executor kind.
 
-    ``executor`` is ``"serial"``, ``"threaded"`` or ``"process"``;
-    remaining keyword arguments (``park_rejections``, ``governor``,
-    ``drain_mode``, ...) are forwarded to :class:`WorkloadEngine`.  The
-    process executor gets a pinned two-worker pool so tests behave the
-    same on any core count; callers should ``close()`` it (or rely on
-    garbage collection) when done.
+    ``executor`` is any :func:`make_executor` kind; remaining keyword
+    arguments (``park_rejections``, ``governor``, ``drain_mode``, ...) are
+    forwarded to :class:`WorkloadEngine`.
     """
-    if executor == "threaded":
-        backend = ThreadedRegionExecutor(manager.partition)
-    elif executor == "serial":
-        backend = SerialRegionExecutor()
-    elif executor == "process":
-        backend = ProcessRegionExecutor(manager.partition, workers=2)
-    else:
-        raise ValueError(f"unknown executor kind {executor!r}")
-    return WorkloadEngine(manager, executor=backend, **kwargs)
+    return WorkloadEngine(
+        manager, executor=make_executor(executor, manager.partition), **kwargs
+    )
 
 
 # --------------------------------------------------------------------------- #

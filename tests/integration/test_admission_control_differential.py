@@ -4,15 +4,15 @@ Three equivalences anchor the subsystem:
 
 * the composite region scorer at its *neutral* policy (``fill_only``, no
   feedback memory) must order — and therefore decide — exactly like the
-  historic least-filled-first selection stage, on the serial, threaded and
-  process executors alike;
+  historic least-filled-first selection stage, on the serial,
+  reversed-lane and process executors alike;
 * an engine with a *disabled* governor (and one with no governor at all)
   must be decision-inert: bit-identical outcomes to the pre-governor
   engine;
 * with the full adaptive configuration (composite scoring, rejection
-  feedback, governor shedding) every parallel executor (threaded and
-  process) must stay decision-identical to the serial reference —
-  feedback updates and governor state both live on the engine thread in
+  feedback, governor shedding) the process executor and a reversed lane
+  order must stay decision-identical to the serial reference — feedback
+  updates and governor state both live on the decider thread in
   settlement order, and this test is what keeps them there.
 """
 
@@ -50,7 +50,7 @@ def run(seed, *, executor="serial", scorer=None, governor=None, park=True):
 
 class TestNeutralScorerDifferential:
     @pytest.mark.parametrize("seed", [5, 17, 29])
-    @pytest.mark.parametrize("executor", ["serial", "threaded", "process"])
+    @pytest.mark.parametrize("executor", ["serial", "reversed", "process"])
     def test_fill_only_scorer_reproduces_fill_level_decisions(self, seed, executor):
         baseline_manager, baseline = run(seed, executor=executor)
         scored_manager, scored = run(
@@ -105,7 +105,7 @@ class TestGovernorInertness:
 
 class TestAdaptiveExecutorIdentity:
     @pytest.mark.parametrize("seed", [11, 41])
-    @pytest.mark.parametrize("executor", ["threaded", "process"])
+    @pytest.mark.parametrize("executor", ["reversed", "process"])
     def test_full_adaptive_config_is_executor_invariant(self, seed, executor):
         def adaptive_run(kind):
             return run(

@@ -6,7 +6,7 @@ Two equivalences anchor the engine refactor:
   drain mode) must be decision-for-decision — and energy-for-energy —
   identical to the legacy player that called the manager directly; the
   reference implementation is inlined here, frozen at its PR 2 behaviour.
-* Draining with the threaded per-region executor — and with the
+* Draining the region lanes in reverse order — and with the
   process-parallel snapshot-out / delta-in executor — must be
   decision-identical to the serial executor on the same event stream,
   across generated workloads, with and without rejection parking.
@@ -17,12 +17,7 @@ import pytest
 from repro.exceptions import AdmissionError
 from repro.platform.regions import RegionPartition
 from repro.runtime.accounting import EnergyAccount
-from repro.runtime.engine import (
-    ProcessRegionExecutor,
-    SerialRegionExecutor,
-    ThreadedRegionExecutor,
-    WorkloadEngine,
-)
+from repro.runtime.engine import SerialRegionExecutor, WorkloadEngine
 from repro.runtime.events import StartEvent, StopEvent
 from repro.runtime.manager import RuntimeResourceManager
 from repro.runtime.scenario import ScenarioOutcome, run_scenario
@@ -37,6 +32,7 @@ from repro.workloads.synthetic import SyntheticConfig, generate_region_mesh
 from tests.harness import (
     MILLISECOND,
     TWO_STAGE_CONFIG as CONFIG,
+    make_executor,
     make_manager,
     two_region_classes as workload_classes,
 )
@@ -114,7 +110,7 @@ class TestScenarioAdapterDifferential:
 class TestParallelDrainDifferential:
     @pytest.mark.parametrize("seed", [5, 17])
     @pytest.mark.parametrize("park", [False, True])
-    @pytest.mark.parametrize("kind", ["threaded", "process"])
+    @pytest.mark.parametrize("kind", ["reversed", "process"])
     def test_parallel_drain_is_decision_identical_to_serial(self, seed, park, kind):
         scenario = generate_workload(
             seed, 12 * MILLISECOND, workload_classes(), name="parallel-diff"
@@ -128,11 +124,7 @@ class TestParallelDrainDifferential:
         ).run(scenario)
 
         parallel_manager = make_manager()
-        executor = (
-            ThreadedRegionExecutor(parallel_manager.partition)
-            if kind == "threaded"
-            else ProcessRegionExecutor(parallel_manager.partition, workers=2)
-        )
+        executor = make_executor(kind, parallel_manager.partition)
         try:
             parallel = WorkloadEngine(
                 parallel_manager,
@@ -177,11 +169,11 @@ class TestParallelDrainDifferential:
 
 
 class TestRescueLaneDifferential:
-    """Serial vs threaded vs process drains with the rescue lane enabled.
+    """Serial vs reversed-lane vs process drains with the rescue lane enabled.
 
     The stochastic rescue lane must not cost executor decision identity:
     its searcher seeds derive from the request fingerprints (never from
-    global RNG state or the wall clock), so the serial, threaded and
+    global RNG state or the wall clock), so the serial, reversed-lane and
     process drains of one event stream must decide identically — down to
     bit-identical platform-state fingerprints — even while rescue
     adoptions are flipping rejections into admissions.  The platform is
@@ -224,12 +216,7 @@ class TestRescueLaneDifferential:
 
     def run_one(self, kind, config):
         manager = self.make_rescue_manager(config)
-        if kind == "threaded":
-            executor = ThreadedRegionExecutor(manager.partition)
-        elif kind == "process":
-            executor = ProcessRegionExecutor(manager.partition, workers=2)
-        else:
-            executor = SerialRegionExecutor()
+        executor = make_executor(kind, manager.partition)
         try:
             outcome = WorkloadEngine(
                 manager, executor=executor, park_rejections=True
@@ -246,7 +233,7 @@ class TestRescueLaneDifferential:
 
     def test_rescue_enabled_drains_are_decision_identical(self, serial_rescue):
         serial_manager, serial = serial_rescue
-        for kind in ("threaded", "process"):
+        for kind in ("reversed", "process"):
             manager, outcome = self.run_one(kind, self.RESCUE_CONFIG)
             assert serial.decision_log() == outcome.decision_log(), kind
             assert serial_manager.decisions == manager.decisions, kind

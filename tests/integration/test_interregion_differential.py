@@ -1,7 +1,7 @@
 """Differential: the inter-region planner against the global-lane reference.
 
-The global lane (unrestricted whole-platform mapping under every region
-lock) remains in the codebase as the planner's differential reference.
+The global lane (unrestricted whole-platform mapping under an unscoped
+transaction) remains in the codebase as the planner's differential reference.
 These tests pin the equivalence the tentpole promises:
 
 * for *single-region* applications the planner never engages, so a
@@ -18,12 +18,7 @@ These tests pin the equivalence the tentpole promises:
 import pytest
 
 from repro.platform.regions import RegionPartition
-from repro.runtime.engine import (
-    ProcessRegionExecutor,
-    SerialRegionExecutor,
-    ThreadedRegionExecutor,
-    WorkloadEngine,
-)
+from repro.runtime.engine import SerialRegionExecutor, WorkloadEngine
 from repro.runtime.manager import RuntimeResourceManager
 from repro.spatialmapper.config import MapperConfig
 from repro.workloads.arrivals import (
@@ -33,6 +28,7 @@ from repro.workloads.arrivals import (
     generate_workload,
 )
 from repro.workloads.synthetic import SyntheticConfig, generate_application, generate_region_mesh
+from tests.harness import make_executor
 
 REGIONS = 2
 SPAN = 4
@@ -106,21 +102,16 @@ class TestSingleRegionIdentity:
         )
         workload = generate_workload(78, 1.5e7, classes, name="mixed")
         outcomes = {}
-        for kind in ("serial", "threaded", "process"):
+        for kind in ("serial", "reversed", "process"):
             manager = make_manager(planner=True)
-            if kind == "threaded":
-                executor = ThreadedRegionExecutor(manager.partition)
-            elif kind == "process":
-                executor = ProcessRegionExecutor(manager.partition, workers=2)
-            else:
-                executor = SerialRegionExecutor()
+            executor = make_executor(kind, manager.partition)
             engine = WorkloadEngine(manager, executor=executor, park_rejections=True)
             try:
                 outcomes[kind] = engine.run(workload)
             finally:
                 if kind == "process":
                     executor.close()
-        for kind in ("threaded", "process"):
+        for kind in ("reversed", "process"):
             assert outcomes["serial"].decision_log() == outcomes[kind].decision_log()
             assert outcomes["serial"].departures == outcomes[kind].departures
         multi = outcomes["serial"].telemetry.lanes.get("__multi__")

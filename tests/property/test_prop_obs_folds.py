@@ -6,8 +6,7 @@ poll loop sees responses, lanes settle in workload order, and retries
 re-fold the same shapes — none of which may change the totals.  Pinned
 here:
 
-* :meth:`EngineTelemetry.merge_lock_stats` and
-  :meth:`EngineTelemetry.merge_worker_stats` are associative and
+* :meth:`EngineTelemetry.merge_worker_stats` is associative and
   order-independent;
 * :meth:`MetricsRegistry.fold` is associative and order-independent for
   counters, gauges and histograms alike;
@@ -24,21 +23,8 @@ from repro.runtime.engine import EngineTelemetry, LaneCounters
 # ---------------------------------------------------------------------------
 # Strategies
 # ---------------------------------------------------------------------------
-_region_names = st.sampled_from(["r0_0", "r0_1", "r1_0", "__global__"])
 _worker_names = st.sampled_from(["region-drain-0", "region-drain-1", "region-drain-2"])
 _small_floats = st.floats(min_value=0.0, max_value=1e3, allow_nan=False, width=32)
-
-_lock_stats = st.dictionaries(
-    _region_names,
-    st.fixed_dictionaries(
-        {
-            "wait_s": _small_floats,
-            "hold_s": _small_floats,
-            "acquisitions": st.integers(min_value=0, max_value=100).map(float),
-        }
-    ),
-    max_size=4,
-)
 
 _worker_stats = st.dictionaries(
     _worker_names,
@@ -57,58 +43,9 @@ _metric_snapshots = st.builds(
 )
 
 
-def _lock_totals(telemetry: EngineTelemetry):
-    return (
-        {k: round(v, 6) for k, v in telemetry.lock_wait_s.items()},
-        {k: round(v, 6) for k, v in telemetry.lock_hold_s.items()},
-        dict(telemetry.lock_acquisitions),
-    )
-
-
 # ---------------------------------------------------------------------------
-# merge_lock_stats / merge_worker_stats
+# merge_worker_stats
 # ---------------------------------------------------------------------------
-@settings(max_examples=150, deadline=None)
-@given(st.lists(_lock_stats, max_size=6), st.randoms())
-def test_merge_lock_stats_order_independent(snapshots, rng):
-    forward = EngineTelemetry()
-    for snapshot in snapshots:
-        forward.merge_lock_stats(snapshot)
-    shuffled_order = list(snapshots)
-    rng.shuffle(shuffled_order)
-    shuffled = EngineTelemetry()
-    for snapshot in shuffled_order:
-        shuffled.merge_lock_stats(snapshot)
-    assert _lock_totals(forward) == _lock_totals(shuffled)
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.lists(_lock_stats, min_size=2, max_size=6))
-def test_merge_lock_stats_associative(snapshots):
-    # fold((a+b)+c...) == fold(a+(b+c...)): pre-merging any prefix into a
-    # telemetry and then folding its totals onward equals one flat fold.
-    flat = EngineTelemetry()
-    for snapshot in snapshots:
-        flat.merge_lock_stats(snapshot)
-    prefix = EngineTelemetry()
-    for snapshot in snapshots[:2]:
-        prefix.merge_lock_stats(snapshot)
-    grouped = EngineTelemetry()
-    grouped.merge_lock_stats(
-        {
-            region: {
-                "wait_s": prefix.lock_wait_s[region],
-                "hold_s": prefix.lock_hold_s[region],
-                "acquisitions": prefix.lock_acquisitions[region],
-            }
-            for region in prefix.lock_wait_s
-        }
-    )
-    for snapshot in snapshots[2:]:
-        grouped.merge_lock_stats(snapshot)
-    assert _lock_totals(flat) == _lock_totals(grouped)
-
-
 @settings(max_examples=150, deadline=None)
 @given(st.lists(_worker_stats, max_size=6), st.randoms())
 def test_merge_worker_stats_order_independent(snapshots, rng):

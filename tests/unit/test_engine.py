@@ -1,20 +1,19 @@
 """The discrete-event workload engine and its region executors."""
 
-import threading
-
 import pytest
 
 from repro.exceptions import PlatformError
-from repro.platform.regions import RegionLocks, RegionOwnershipGuard
-from repro.runtime.engine import (
-    SerialRegionExecutor,
-    ThreadedRegionExecutor,
-    WorkloadEngine,
-)
+from repro.runtime.admission_control import LoadSheddingGovernor
+from repro.runtime.engine import SerialRegionExecutor, WorkloadEngine
 from repro.runtime.events import ScenarioEvent, StartEvent, StopEvent
 from repro.runtime.queue import AdmissionQueue, RequestStatus
 from repro.runtime.scenario import Scenario
-from tests.harness import build_two_region_platform, make_app, make_manager
+from tests.harness import (
+    ReversedLaneExecutor,
+    build_two_region_platform,
+    make_app,
+    make_manager,
+)
 
 
 @pytest.fixture()
@@ -111,7 +110,7 @@ class TestEventLoop:
 
 
 class TestTwoPhaseDrain:
-    def test_serial_and_threaded_executors_decide_identically(self):
+    def test_serial_and_reversed_lane_executors_decide_identically(self):
         apps = [
             make_app(40 + index, f"app{index}", "io_l" if index % 2 else "io_r")
             for index in range(8)
@@ -130,24 +129,24 @@ class TestTwoPhaseDrain:
         serial = WorkloadEngine(serial_manager, executor=SerialRegionExecutor()).run(
             scenario
         )
-        threaded_manager = make_manager(build_two_region_platform())
-        threaded = WorkloadEngine(
-            threaded_manager, executor=ThreadedRegionExecutor(threaded_manager.partition)
+        reversed_manager = make_manager(build_two_region_platform())
+        reversed_lanes = WorkloadEngine(
+            reversed_manager, executor=ReversedLaneExecutor()
         ).run(scenario)
 
-        assert serial.decision_log() == threaded.decision_log()
-        assert serial_manager.decisions == threaded_manager.decisions
+        assert serial.decision_log() == reversed_lanes.decision_log()
+        assert serial_manager.decisions == reversed_manager.decisions
         assert sorted(serial_manager.state.occupied_tiles()) == sorted(
-            threaded_manager.state.occupied_tiles()
+            reversed_manager.state.occupied_tiles()
         )
-        assert serial_manager.state.link_loads() == threaded_manager.state.link_loads()
+        assert serial_manager.state.link_loads() == reversed_manager.state.link_loads()
         assert serial.energy.total_energy_nj == pytest.approx(
-            threaded.energy.total_energy_nj
+            reversed_lanes.energy.total_energy_nj
         )
 
     def test_duplicate_names_in_one_batch_are_serialized(self, manager):
         # Two same-named arrivals in the same batch, pinned to different
-        # regions: the parallel phase may own at most one; the other must be
+        # regions: the region lanes may own at most one; the other must be
         # rejected as already running, never double-admitted.
         left = make_app(50, "twin", "io_l")
         right = make_app(51, "twin", "io_r")
@@ -156,9 +155,7 @@ class TestTwoPhaseDrain:
             .add(StartEvent(time_ns=0.0, als=left.als, library=left.library))
             .add(StartEvent(time_ns=0.0, als=right.als, library=right.library))
         )
-        outcome = WorkloadEngine(
-            manager, executor=ThreadedRegionExecutor(manager.partition)
-        ).run(scenario)
+        outcome = WorkloadEngine(manager).run(scenario)
         assert len(outcome.admitted) == 1
         assert len(outcome.rejected) == 1
         assert outcome.rejected[0][1] == "application is already running"
@@ -180,7 +177,9 @@ class TestTwoPhaseDrain:
             return original_decide(als, library, candidates=candidates, trace=trace)
 
         monkeypatch.setattr(manager.pipeline, "decide", exploding_decide)
-        engine = WorkloadEngine(manager)
+        governor = LoadSheddingGovernor()
+        samples_before = governor.snapshot()["samples"]
+        engine = WorkloadEngine(manager, governor=governor)
         with pytest.raises(RuntimeError, match="mapper exploded"):
             engine.run(scenario)
         # The good lane's decision survived; the exploding request is back in
@@ -188,6 +187,77 @@ class TestTwoPhaseDrain:
         assert manager.is_running("good")
         assert [r.application for r in engine.queue.pending] == ["exploder"]
         assert engine.queue.pending[0].status is RequestStatus.PENDING
+        # The admission the unwind settled fed the governor's window, like
+        # any admission a normal drain settles.
+        assert governor.snapshot()["samples"] == samples_before + 1
+
+    def test_failed_drain_does_not_observe_a_cancelled_admission(
+        self, manager, monkeypatch
+    ):
+        # A client cancels "good" while its lane decides; the unwind of the
+        # failed drain rolls the admission back and must not feed it to the
+        # governor's window.
+        good = make_app(62, "good", "io_l")
+        exploder = make_app(63, "exploder", "io_r")
+        scenario = (
+            Scenario("cancelled-unwind", duration_ns=1_000_000.0)
+            .add(StartEvent(time_ns=0.0, als=good.als, library=good.library))
+            .add(StartEvent(time_ns=0.0, als=exploder.als, library=exploder.library))
+        )
+        governor = LoadSheddingGovernor()
+        samples_before = governor.snapshot()["samples"]
+        engine = WorkloadEngine(manager, governor=governor)
+        tickets: dict[str, int] = {}
+        original_submit = engine._submit
+
+        def recording_submit(event):
+            ticket = original_submit(event)
+            tickets[event.als.name] = ticket
+            return ticket
+
+        original_decide = manager.pipeline.decide
+
+        def cancelling_decide(als, library=None, *, candidates=None, trace=None):
+            if als.name == "exploder":
+                raise RuntimeError("mapper exploded")
+            decision = original_decide(
+                als, library, candidates=candidates, trace=trace
+            )
+            assert not engine.queue.cancel(tickets[als.name])
+            return decision
+
+        monkeypatch.setattr(engine, "_submit", recording_submit)
+        monkeypatch.setattr(manager.pipeline, "decide", cancelling_decide)
+        with pytest.raises(RuntimeError, match="mapper exploded"):
+            engine.run(scenario)
+        assert engine.queue.poll(tickets["good"]).status is RequestStatus.CANCELLED
+        assert not manager.is_running("good")
+        assert governor.snapshot()["samples"] == samples_before
+
+
+class TestRegionCommitScope:
+    """The region-scoped commit is the in-process guard of a lane decision."""
+
+    def test_commit_under_a_foreign_region_raises_and_leaves_state(self, manager):
+        app = make_app(100, "guarded", "io_r")
+        own = manager.partition.region_of_tile("io_r")
+        foreign = manager.partition.region_of_tile("io_l")
+        result = manager.pipeline.map_stage(app.als, app.library, own)
+        assert result.is_feasible
+        before = manager.state.fingerprint()
+        with pytest.raises(PlatformError, match="outside the scope"):
+            manager.pipeline.commit(app.als, result, region=foreign)
+        assert manager.state.fingerprint() == before
+        assert manager.state.applications() == ()
+
+    def test_commit_under_its_own_region_lands_inside_it(self, manager):
+        app = make_app(101, "guarded", "io_r")
+        own = manager.partition.region_of_tile("io_r")
+        result = manager.pipeline.map_stage(app.als, app.library, own)
+        manager.pipeline.commit(app.als, result, region=own)
+        occupied = manager.state.occupied_tiles()
+        assert occupied
+        assert all(own.covers_tile(tile) for tile in occupied)
 
 
 class TestParkedRetries:
@@ -244,68 +314,6 @@ class TestParkedRetries:
             )
         outcome = WorkloadEngine(manager, park_rejections=True).run(scenario)
         assert "straggler" in outcome.admitted
-
-
-class TestOwnershipGuard:
-    def test_mutation_without_lock_raises(self, manager):
-        locks = RegionLocks(manager.partition)
-        guard = RegionOwnershipGuard(manager.partition, locks)
-        manager.state.ownership_guard = guard
-        app = make_app(100, "guarded", "io_l")
-        try:
-            with pytest.raises(PlatformError, match="does not hold its lock"):
-                manager.start(app.als, library=app.library)
-        finally:
-            manager.state.ownership_guard = None
-
-    def test_mutation_under_region_lock_passes(self, manager):
-        locks = RegionLocks(manager.partition)
-        guard = RegionOwnershipGuard(manager.partition, locks)
-        app = make_app(101, "guarded", "io_l")
-        manager.state.ownership_guard = guard
-        try:
-            with locks.global_lane():
-                result = manager.start(app.als, library=app.library)
-            assert result.is_feasible
-        finally:
-            manager.state.ownership_guard = None
-
-    def test_region_lock_holder_tracking(self, manager):
-        locks = RegionLocks(manager.partition)
-        assert not locks.holds("r0_0")
-        with locks.region_lane("r0_0"):
-            assert locks.holds("r0_0")
-            assert not locks.holds_all()
-        with locks.global_lane():
-            assert locks.holds_all()
-        assert not locks.holds("r0_0")
-        with pytest.raises(PlatformError):
-            with locks.region_lane("nope"):
-                pass
-
-    def test_guard_blocks_foreign_thread(self, manager):
-        locks = RegionLocks(manager.partition)
-        guard = RegionOwnershipGuard(manager.partition, locks)
-        manager.state.ownership_guard = guard
-        app = make_app(102, "foreign", "io_l")
-        errors = []
-
-        def foreign_start():
-            try:
-                manager.start(app.als, library=app.library)
-            except PlatformError as error:
-                errors.append(error)
-
-        try:
-            with locks.global_lane():
-                # The lock is held by *this* thread; a different thread
-                # mutating the same keys must be rejected by the guard.
-                thread = threading.Thread(target=foreign_start)
-                thread.start()
-                thread.join()
-        finally:
-            manager.state.ownership_guard = None
-        assert errors, "foreign-thread mutation slipped past the ownership guard"
 
 
 class TestOutcomeStatusIndex:

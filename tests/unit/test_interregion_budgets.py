@@ -127,3 +127,25 @@ class TestTransactions:
             with pytest.raises(PlatformError):
                 txn.commit()
             txn.rollback()  # idempotent
+
+    def test_nested_rollback_spares_outer_reservations(self, budgets):
+        with budgets.transaction():
+            budgets.reserve("outer", "r0_0", "r0_1", 5e8)
+            with budgets.transaction() as inner:
+                budgets.reserve("inner", "r0_0", "r0_1", 1e9)
+                budgets.reserve("inner", "r1_0", "r0_0", 2e9)
+                inner.rollback()
+        assert budgets.reserved_bits_per_s("r0_0", "r0_1") == pytest.approx(5e8)
+        assert budgets.reserved_bits_per_s("r1_0", "r0_0") == 0.0
+        assert budgets.applications() == ("outer",)
+
+    def test_sequential_scopes_keep_independent_journals(self, budgets):
+        with budgets.transaction():
+            budgets.reserve("first", "r0_0", "r0_1", 5e8)
+        after_first = budgets.fingerprint()
+        with budgets.transaction() as second:
+            budgets.reserve("second", "r0_0", "r0_1", 1e9)
+            second.rollback()
+        # The second rollback undoes only its own claim, never the
+        # committed first scope's.
+        assert budgets.fingerprint() == after_first

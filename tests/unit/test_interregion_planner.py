@@ -5,6 +5,7 @@ import pytest
 from repro.exceptions import PlatformError
 from repro.interregion.planner import CorridorScope, InterRegionPlanner
 from repro.platform.regions import RegionPartition
+from repro.platform.state import LinkAllocation, ProcessAllocation
 from repro.runtime.manager import RuntimeResourceManager
 from repro.runtime.pipeline import AdmissionPipeline
 from repro.spatialmapper.config import MapperConfig
@@ -164,3 +165,53 @@ class TestCorridorScope:
         assert not scope.covers_link(boundary[1])
         outside = partition.region("r1_1")
         assert not scope.covers_tile(outside.tile_names[0])
+
+    def _scoped_commit_parts(self):
+        """A state, a two-region corridor scope over its first boundary link,
+        and the boundary links the scope leaves out."""
+        manager = make_manager()
+        partition = manager.partition
+        regions = (partition.region("r0_0"), partition.region("r0_1"))
+        boundary = manager.pipeline.interregion.budgets.links_between("r0_0", "r0_1")
+        scope = CorridorScope(regions, frozenset(boundary[:1]))
+        return manager, scope, boundary
+
+    def test_scope_commit_rejects_a_tile_of_an_untouched_region(self):
+        manager, scope, _ = self._scoped_commit_parts()
+        state = manager.state
+        outside = manager.partition.region("r1_1").processing_tile_names()[0]
+        before = state.fingerprint()
+        with pytest.raises(PlatformError, match="outside the scope"):
+            with state.transaction(scope):
+                state.allocate_process(
+                    ProcessAllocation(application="x", process="p", tile=outside)
+                )
+        assert state.fingerprint() == before
+
+    def test_scope_commit_rejects_an_unbudgeted_boundary_link(self):
+        manager, scope, boundary = self._scoped_commit_parts()
+        state = manager.state
+        with pytest.raises(PlatformError, match="outside the scope"):
+            with state.transaction(scope):
+                state.allocate_link(
+                    LinkAllocation(
+                        application="x", channel="c", link=boundary[1], bits_per_s=1e6
+                    )
+                )
+        assert state.link_load_bits_per_s(boundary[1]) == 0.0
+
+    def test_scope_commit_accepts_its_own_keys(self):
+        manager, scope, boundary = self._scoped_commit_parts()
+        state = manager.state
+        tile = manager.partition.region("r0_1").processing_tile_names()[0]
+        with state.transaction(scope):
+            state.allocate_process(
+                ProcessAllocation(application="x", process="p", tile=tile)
+            )
+            state.allocate_link(
+                LinkAllocation(
+                    application="x", channel="c", link=boundary[0], bits_per_s=1e6
+                )
+            )
+        assert state.used_process_slots(tile) == 1
+        assert state.link_load_bits_per_s(boundary[0]) == pytest.approx(1e6)

@@ -4,7 +4,12 @@ import pytest
 
 from repro.exceptions import PlatformError
 from repro.platform.regions import Region, RegionPartition
-from repro.platform.state import LinkAllocation, PlatformState, ProcessAllocation
+from repro.platform.state import (
+    AllocationDelta,
+    LinkAllocation,
+    PlatformState,
+    ProcessAllocation,
+)
 from repro.workloads.synthetic import generate_platform
 
 
@@ -174,3 +179,89 @@ class TestScopedTransactions:
                     )
                 )
         assert state.link_load_bits_per_s(cross) == 0.0
+
+    def test_out_of_scope_tile_error_names_the_tile(self, platform, halves):
+        left, right = halves.regions
+        state = PlatformState(platform)
+        right_tile = right.processing_tile_names()[0]
+        with pytest.raises(PlatformError, match="outside the scope") as excinfo:
+            with state.transaction(left):
+                state.allocate_process(_alloc(right_tile))
+        assert repr(right_tile) in str(excinfo.value)
+
+    def test_out_of_scope_link_error_names_the_link(self, platform, halves):
+        left, right = halves.regions
+        state = PlatformState(platform)
+        right_link = right.link_names[0]
+        with pytest.raises(PlatformError, match="outside the scope") as excinfo:
+            with state.transaction(left):
+                state.allocate_link(
+                    LinkAllocation(
+                        application="app", channel="c", link=right_link, bits_per_s=1e6
+                    )
+                )
+        assert repr(right_link) in str(excinfo.value)
+        assert state.link_load_bits_per_s(right_link) == 0.0
+
+    def test_out_of_scope_release_raises_and_keeps_the_allocation(
+        self, platform, halves
+    ):
+        left, right = halves.regions
+        state = PlatformState(platform)
+        right_tile = right.processing_tile_names()[0]
+        state.allocate_process(_alloc(right_tile, application="r"))
+        with pytest.raises(PlatformError):
+            with state.transaction(left):
+                state.release_application("r")
+        assert state.used_process_slots(right_tile) == 1
+        assert state.applications() == ("r",)
+
+    def test_mutation_without_open_transaction_is_unguarded(self, platform, halves):
+        right = halves.regions[1]
+        state = PlatformState(platform)
+        right_tile = right.processing_tile_names()[0]
+        state.allocate_process(_alloc(right_tile))
+        assert state.used_process_slots(right_tile) == 1
+
+    def test_guard_lifts_when_the_scope_closes(self, platform, halves):
+        left, right = halves.regions
+        state = PlatformState(platform)
+        right_tile = right.processing_tile_names()[0]
+        with state.transaction(left):
+            with pytest.raises(PlatformError):
+                state.allocate_process(_alloc(right_tile))
+        state.allocate_process(_alloc(right_tile))
+        assert state.used_process_slots(right_tile) == 1
+
+    def test_delta_fold_into_foreign_region_raises(self, platform, halves):
+        # The engine folds each worker delta under its lane's region scope;
+        # a delta that writes another region's tile must not land.
+        left, right = halves.regions
+        state = PlatformState(platform)
+        right_tile = right.processing_tile_names()[0]
+        before = state.fingerprint()
+        delta = AllocationDelta(
+            application="app", processes=(_alloc(right_tile),), links=()
+        )
+        with pytest.raises(PlatformError, match="outside the scope"):
+            with state.transaction(left):
+                state.apply_delta(delta)
+        assert state.fingerprint() == before
+
+    def test_delta_fold_straddling_regions_rolls_back_whole(self, platform, halves):
+        left, right = halves.regions
+        state = PlatformState(platform)
+        left_tile = left.processing_tile_names()[0]
+        right_tile = right.processing_tile_names()[0]
+        before = state.fingerprint()
+        delta = AllocationDelta(
+            application="app",
+            processes=(_alloc(left_tile, process="p0"), _alloc(right_tile, process="p1")),
+            links=(),
+        )
+        with pytest.raises(PlatformError):
+            with state.transaction(left):
+                state.apply_delta(delta)
+        # The in-scope first record was undone with the failed fold.
+        assert state.used_process_slots(left_tile) == 0
+        assert state.fingerprint() == before

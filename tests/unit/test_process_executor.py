@@ -3,20 +3,12 @@
 The differential suites pin that :class:`ProcessRegionExecutor` is
 decision-identical to the serial reference; these tests pin the edges the
 differentials cannot reach — the stale-snapshot re-decide path, worker
-error surfacing, the custom-factory refusal, pool lifecycle, and the
-ownership guard's enriched violation diagnostics.
+error surfacing, the custom-factory refusal and pool lifecycle.
 """
-
-import threading
 
 import pytest
 
 from repro.exceptions import PlatformError
-from repro.platform.regions import (
-    RegionLocks,
-    RegionOwnershipGuard,
-    current_worker_name,
-)
 from repro.platform.state import fingerprint_digest
 from repro.runtime import procdrain
 from repro.runtime.engine import (
@@ -406,49 +398,3 @@ class TestStatefulDispatch:
         assert sorted(serial_manager.state.occupied_tiles()) == sorted(
             spawn_manager.state.occupied_tiles()
         )
-
-
-class TestGuardDiagnostics:
-    def test_violation_names_worker_and_unheld_lock(self, manager):
-        locks = RegionLocks(manager.partition)
-        guard = RegionOwnershipGuard(manager.partition, locks)
-        manager.state.ownership_guard = guard
-        app = make_app(240, "diagnosed", "io_l")
-        try:
-            with pytest.raises(PlatformError) as excinfo:
-                manager.start(app.als, library=app.library)
-        finally:
-            manager.state.ownership_guard = None
-        message = str(excinfo.value)
-        assert "does not hold its lock" in message
-        assert current_worker_name() in message
-        assert "currently unheld" in message
-
-    def test_violation_names_the_actual_holder(self, manager):
-        locks = RegionLocks(manager.partition)
-        guard = RegionOwnershipGuard(manager.partition, locks)
-        manager.state.ownership_guard = guard
-        app = make_app(241, "contested", "io_l")
-        errors: list[PlatformError] = []
-
-        def foreign_start():
-            try:
-                manager.start(app.als, library=app.library)
-            except PlatformError as error:
-                errors.append(error)
-
-        holder_label = current_worker_name()
-        try:
-            with locks.global_lane():
-                thread = threading.Thread(
-                    target=foreign_start, name="imposter-thread"
-                )
-                thread.start()
-                thread.join()
-        finally:
-            manager.state.ownership_guard = None
-        assert errors
-        message = str(errors[0])
-        assert "held by" in message
-        assert holder_label in message
-        assert "imposter-thread" in message  # the mutating worker's own name

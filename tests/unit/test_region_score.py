@@ -157,6 +157,27 @@ class TestRejectionMemory:
             memory.record("r0", self.SHAPE)
         assert memory.penalty("r0", self.SHAPE) == pytest.approx(1.0)
 
+    def test_nested_rollback_spares_outer_updates(self):
+        memory = RejectionMemory(decay=0.5)
+        with memory.transaction():
+            memory.record("r0", self.SHAPE)
+            with memory.transaction() as inner:
+                memory.record("r1", ("other",))
+                memory.tick()
+                inner.rollback()
+        assert memory.penalty("r0", self.SHAPE) == pytest.approx(1.0)
+        assert memory.penalty("r1", ("other",)) == 0.0
+
+    def test_double_close_is_guarded(self):
+        memory = RejectionMemory(decay=0.5)
+        with memory.transaction() as txn:
+            memory.record("r0", self.SHAPE)
+            txn.rollback()
+            with pytest.raises(PlatformError):
+                txn.commit()
+            txn.rollback()  # idempotent
+        assert memory.penalty("r0", self.SHAPE) == 0.0
+
 
 def occupy_slot(state, platform, tile_name):
     """Burn one process slot on a tile (bookkeeping-only occupant)."""
