@@ -10,10 +10,12 @@ execution of the graph (see DESIGN.md, "Substitutions").
 
 from repro.csdf.analysis.simulation import (
     FiringRecord,
+    FiringTimes,
     SimulationResult,
     SelfTimedSimulator,
     simulate,
 )
+from repro.csdf.analysis.maxplus import firing_times
 from repro.csdf.analysis.throughput import (
     minimal_period_ns,
     is_period_sustainable,
@@ -35,9 +37,11 @@ from repro.csdf.analysis.budget import (
 
 __all__ = [
     "FiringRecord",
+    "FiringTimes",
     "SimulationResult",
     "SelfTimedSimulator",
     "simulate",
+    "firing_times",
     "minimal_period_ns",
     "is_period_sustainable",
     "processor_bound_period_ns",

@@ -41,7 +41,7 @@ from repro.csdf.analysis.buffers import (
     sufficient_buffer_capacities,
 )
 from repro.csdf.analysis.latency import end_to_end_latency_ns
-from repro.csdf.analysis.simulation import simulate
+from repro.csdf.analysis.maxplus import firing_times
 from repro.csdf.analysis.throughput import is_period_sustainable
 from repro.csdf.graph import CSDFGraph
 from repro.exceptions import DeadlockError
@@ -265,7 +265,7 @@ class AnalysisEngine:
         )
         entry = self._lookup(key, budget)
         if entry is None:
-            result = simulate(graph, iterations=iterations)
+            result = firing_times(graph, iterations)
             cost = result.simulated_events
             self._count_simulation(cost)
             if budget is not None:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from repro.csdf.analysis.maxplus import firing_times
 from repro.csdf.analysis.simulation import simulate
 from repro.csdf.graph import CSDFGraph
 from repro.exceptions import CSDFError, DeadlockError
@@ -27,6 +28,8 @@ def end_to_end_latency_ns(
 
     When ``source``/``sink`` are omitted they default to the unique source /
     sink actor of the graph; an error is raised when that is ambiguous.
+    Without ``source_period_ns`` the run is fully self-timed and its firing
+    times come from the max-plus evaluator instead of the event loop.
     """
     if source is None:
         sources = graph.sources()
@@ -45,7 +48,10 @@ def end_to_end_latency_ns(
     graph.actor(source)
     graph.actor(sink)
 
-    result = simulate(graph, iterations=iterations, source_period_ns=source_period_ns)
+    if source_period_ns is None:
+        result = firing_times(graph, iterations)
+    else:
+        result = simulate(graph, iterations=iterations, source_period_ns=source_period_ns)
     if budget is not None:
         budget.charge_events(result.simulated_events)
     if result.completed_iterations == 0:

@@ -49,8 +49,13 @@ class FiringRecord(NamedTuple):
 
 
 @dataclass
-class SimulationResult:
-    """Outcome of a self-timed simulation."""
+class FiringTimes:
+    """Start and finish times of a self-timed run, and what follows from them.
+
+    This is what both the event loop (:class:`SelfTimedSimulator`) and the
+    max-plus evaluator (:func:`~repro.csdf.analysis.maxplus.firing_times`)
+    compute; :class:`SimulationResult` adds what only the event loop knows.
+    """
 
     graph_name: str
     iterations_requested: int
@@ -62,20 +67,13 @@ class SimulationResult:
     #: order (both lists of one actor have the same length).
     start_times_ns: dict[str, list[float]]
     finish_times_ns: dict[str, list[float]]
-    max_occupancy: dict[str, int]
     iteration_finish_times_ns: list[float] = field(default_factory=list)
     deadlocked: bool = False
     deadlock_time_ns: float | None = None
     end_time_ns: float = 0.0
-    #: Number of firing-completion events the simulator processed — the
-    #: currency of the analysis budget (see :mod:`repro.csdf.analysis.budget`).
+    #: Number of completed firings — the currency of the analysis budget
+    #: (see :mod:`repro.csdf.analysis.budget`).
     simulated_events: int = 0
-    #: Whether the run stopped before executing all requested iterations
-    #: because an early-exit condition fired (never set by deadlocks).
-    aborted: bool = False
-    #: Why the run aborted: ``"monitor"`` (the iteration monitor vetoed) or
-    #: ``"cycle"`` (an exact state repeat proved the rest of the run).
-    abort_reason: str | None = None
 
     @property
     def completed_iterations(self) -> int:
@@ -131,6 +129,32 @@ class SimulationResult:
                 f"iteration {iteration} did not complete for actors {source!r}/{sink!r}"
             )
         return sink_finishes[last] - source_starts[first]
+
+
+@dataclass
+class SimulationResult(FiringTimes):
+    """Outcome of an event-driven self-timed simulation."""
+
+    #: Per-edge maximum occupancy, counting output space reserved at a start.
+    max_occupancy: dict[str, int] = field(kw_only=True)
+    #: Whether the run stopped before executing all requested iterations
+    #: because an early-exit condition fired (never set by deadlocks).
+    aborted: bool = False
+    #: Why the run aborted: ``"monitor"`` (the iteration monitor vetoed) or
+    #: ``"cycle"`` (an exact state repeat proved the rest of the run).
+    abort_reason: str | None = None
+
+
+def iteration_finish_times(
+    finishes: list[list[float]], reps: list[int], iterations: int
+) -> list[float]:
+    """Finish time of each completed graph iteration: the latest finish among
+    the firings of that iteration, over all actors (given per actor index)."""
+    completed = min([iterations] + [len(logged) // r for logged, r in zip(finishes, reps)])
+    return [
+        max(logged[(k + 1) * r - 1] for logged, r in zip(finishes, reps))
+        for k in range(completed)
+    ]
 
 
 class SelfTimedSimulator:
@@ -415,10 +439,6 @@ class SelfTimedSimulator:
         # A firing still in flight when the run stopped did not complete.
         for a in actor_range:
             del starts[a][len(finishes[a]):]
-        completed = min([self._iterations] + [len(finishes[a]) // reps[a] for a in actor_range])
-        iteration_finishes = [
-            max(finishes[a][(k + 1) * reps[a] - 1] for a in actor_range) for k in range(completed)
-        ]
         return SimulationResult(
             graph_name=graph.name,
             iterations_requested=self._iterations,
@@ -427,7 +447,7 @@ class SelfTimedSimulator:
             start_times_ns=dict(zip(names, starts)),
             finish_times_ns=dict(zip(names, finishes)),
             max_occupancy={edge.name: max_occupancy[i] for i, edge in enumerate(edges)},
-            iteration_finish_times_ns=iteration_finishes,
+            iteration_finish_times_ns=iteration_finish_times(finishes, reps, self._iterations),
             deadlocked=deadlocked,
             deadlock_time_ns=deadlock_time,
             end_time_ns=now,

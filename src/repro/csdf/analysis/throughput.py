@@ -7,14 +7,17 @@ Two complementary estimates are provided:
   firings in one graph iteration (an actor cannot execute two firings at the
   same time).  This bound is cheap and is used by the mapper's early steps to
   discard hopeless implementation choices.
-* :func:`minimal_period_ns` — the steady-state period measured by self-timed
-  simulation, which accounts for data dependencies, phase interleavings and
+* :func:`minimal_period_ns` — the steady-state period of the self-timed
+  run, which accounts for data dependencies, phase interleavings and
   bounded buffers.  This is the value step 4 of the mapper compares against
-  the application's required period.
+  the application's required period.  The run has no periodic releases, so
+  its firing times come from the max-plus evaluator
+  (:func:`~repro.csdf.analysis.maxplus.firing_times`), not the event loop.
 """
 
 from __future__ import annotations
 
+from repro.csdf.analysis.maxplus import firing_times
 from repro.csdf.analysis.simulation import simulate
 from repro.csdf.graph import CSDFGraph
 from repro.csdf.repetition import repetition_vector
@@ -38,7 +41,7 @@ def minimal_period_ns(graph: CSDFGraph, iterations: int = 10, warmup: int | None
     Raises :class:`~repro.exceptions.DeadlockError` when the graph deadlocks
     before completing a single iteration.
     """
-    result = simulate(graph, iterations=iterations)
+    result = firing_times(graph, iterations)
     if result.deadlocked and result.completed_iterations == 0:
         raise DeadlockError(
             f"graph {graph.name!r} deadlocks at t={result.deadlock_time_ns} ns"

@@ -27,6 +27,9 @@ class CSDFGraph:
         self._actors: dict[str, CSDFActor] = {}
         self._edges: dict[str, CSDFEdge] = {}
         self._fingerprint: tuple | None = None
+        # Repetition-vector cache of :func:`repro.csdf.repetition.repetition_vector`:
+        # structural like the fingerprint, so cleared and kept with it.
+        self._repetitions: dict[str, int] | None = None
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -37,6 +40,7 @@ class CSDFGraph:
             raise CSDFError(f"duplicate actor name {actor.name!r} in graph {self.name!r}")
         self._actors[actor.name] = actor
         self._fingerprint = None
+        self._repetitions = None
         return actor
 
     def add_edge(self, edge: CSDFEdge) -> CSDFEdge:
@@ -69,6 +73,7 @@ class CSDFGraph:
         edge = self._expand_constant_rates(edge, source.phases, target.phases)
         self._edges[edge.name] = edge
         self._fingerprint = None
+        self._repetitions = None
         return edge
 
     @staticmethod
@@ -119,13 +124,15 @@ class CSDFGraph:
         )
         # Capacity is deliberately outside the structural fingerprint (it is a
         # separate cache-key component), so a capacity-only replacement — the
-        # buffer minimizer's per-probe swap — keeps the cached digest valid.
+        # buffer minimizer's per-probe swap — keeps the cached digest and
+        # repetition vector valid.
         if not (
             existing.production_rates == edge.production_rates
             and existing.consumption_rates == edge.consumption_rates
             and existing.initial_tokens == edge.initial_tokens
         ):
             self._fingerprint = None
+            self._repetitions = None
         self._edges[edge.name] = edge
         return edge
 
@@ -241,7 +248,19 @@ class CSDFGraph:
         for edge in self.edges:
             clone.add_edge(edge)
         clone._fingerprint = self._fingerprint
+        clone._repetitions = self._repetitions
         return clone
+
+    def __getstate__(self) -> dict:
+        # The repetition-vector cache stays out of pickles, so a pickled
+        # graph's bytes do not depend on whether it was analysed.
+        state = self.__dict__.copy()
+        del state["_repetitions"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._repetitions = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

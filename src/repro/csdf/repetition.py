@@ -19,7 +19,7 @@ The per-firing repetition vector is then ``r[a] = q[a] * phases(a)``.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from repro.csdf.graph import CSDFGraph
 from repro.exceptions import InconsistentGraphError
@@ -27,6 +27,9 @@ from repro.exceptions import InconsistentGraphError
 
 def cycle_vector(graph: CSDFGraph) -> dict[str, int]:
     """Return the number of full phase cycles each actor completes per iteration.
+
+    The balance equations are solved with exact integer ``(numerator,
+    denominator)`` ratios over one pass of the edges.
 
     Raises
     ------
@@ -36,85 +39,72 @@ def cycle_vector(graph: CSDFGraph) -> dict[str, int]:
     if len(graph) == 0:
         raise InconsistentGraphError(f"graph {graph.name!r} has no actors")
 
-    ratios: dict[str, Fraction | None] = {name: None for name in graph.actor_names}
+    # Per actor, its output edges and then its input edges, each in graph
+    # order, as (edge, other end, tokens moved per cycle at this end, at the
+    # other end), the counts as exact integer ratios: crossing the edge
+    # multiplies the cycle ratio by the first count over the second.
+    outgoing: dict[str, list[tuple]] = {name: [] for name in graph.actor_names}
+    incoming: dict[str, list[tuple]] = {name: [] for name in graph.actor_names}
+    for edge in graph.edges:
+        produced = edge.total_production.as_integer_ratio()
+        consumed = edge.total_consumption.as_integer_ratio()
+        outgoing[edge.source].append((edge, edge.target, produced, consumed))
+        incoming[edge.target].append((edge, edge.source, consumed, produced))
 
+    ratios: dict[str, tuple[int, int] | None] = dict.fromkeys(graph.actor_names)
     # Process connected components seeded from each unvisited actor.
     for seed in graph.actor_names:
         if ratios[seed] is not None:
             continue
-        ratios[seed] = Fraction(1)
+        ratios[seed] = (1, 1)
         stack = [seed]
         while stack:
             current = stack.pop()
-            current_ratio = ratios[current]
-            assert current_ratio is not None
-            for edge in graph.output_edges(current):
-                if edge.total_production == 0 and edge.total_consumption == 0:
+            numerator, denominator = ratios[current]
+            for edge, other, (here_n, here_d), (there_n, there_d) in (
+                outgoing[current] + incoming[current]
+            ):
+                if here_n == 0 and there_n == 0:
                     continue
-                if edge.total_production == 0 or edge.total_consumption == 0:
+                if here_n == 0 or there_n == 0:
                     raise InconsistentGraphError(
                         f"edge {edge.name!r} produces or consumes zero tokens per cycle; "
                         "the graph cannot be rate-consistent"
                     )
-                implied = current_ratio * Fraction(edge.total_production) / Fraction(
-                    edge.total_consumption
-                )
-                _assign(ratios, edge.target, implied, edge.name, stack)
-            for edge in graph.input_edges(current):
-                if edge.total_production == 0 and edge.total_consumption == 0:
-                    continue
-                if edge.total_production == 0 or edge.total_consumption == 0:
+                implied_n = numerator * here_n * there_d
+                implied_d = denominator * here_d * there_n
+                divisor = gcd(implied_n, implied_d)
+                implied = (implied_n // divisor, implied_d // divisor)
+                existing = ratios[other]
+                if existing is None:
+                    ratios[other] = implied
+                    stack.append(other)
+                elif existing != implied:
                     raise InconsistentGraphError(
-                        f"edge {edge.name!r} produces or consumes zero tokens per cycle; "
-                        "the graph cannot be rate-consistent"
+                        f"rate inconsistency detected at edge {edge.name!r}: actor {other!r} "
+                        f"would need cycle ratios {Fraction(*existing)} and {Fraction(*implied)}"
                     )
-                implied = current_ratio * Fraction(edge.total_consumption) / Fraction(
-                    edge.total_production
-                )
-                _assign(ratios, edge.source, implied, edge.name, stack)
 
     # Scale to the smallest integer solution.
-    denominators = [ratio.denominator for ratio in ratios.values() if ratio is not None]
-    scale = lcm(*denominators) if denominators else 1
-    scaled = {name: int(ratio * scale) for name, ratio in ratios.items() if ratio is not None}
-    numerators = [value for value in scaled.values() if value > 0]
-    if not numerators:
-        raise InconsistentGraphError(f"graph {graph.name!r} has a degenerate repetition vector")
-    from math import gcd
-
-    divisor = numerators[0]
-    for value in numerators[1:]:
-        divisor = gcd(divisor, value)
+    scale = lcm(*(d for _, d in ratios.values()))
+    scaled = {name: n * (scale // d) for name, (n, d) in ratios.items()}
+    divisor = gcd(*scaled.values())
     return {name: value // divisor for name, value in scaled.items()}
-
-
-def _assign(
-    ratios: dict[str, Fraction | None],
-    actor: str,
-    implied: Fraction,
-    edge_name: str,
-    stack: list[str],
-) -> None:
-    """Record the cycle ratio implied for ``actor`` or detect an inconsistency."""
-    existing = ratios.get(actor)
-    if existing is None:
-        ratios[actor] = implied
-        stack.append(actor)
-    elif existing != implied:
-        raise InconsistentGraphError(
-            f"rate inconsistency detected at edge {edge_name!r}: actor {actor!r} would "
-            f"need cycle ratios {existing} and {implied}"
-        )
 
 
 def repetition_vector(graph: CSDFGraph) -> dict[str, int]:
     """Return the per-firing repetition vector of a consistent CSDF graph.
 
     Entry ``r[a]`` is the number of firings (phase executions) of actor ``a``
-    per graph iteration.
+    per graph iteration.  The vector is computed once per graph structure
+    and cached on the graph; every call returns a fresh dict.
     """
-    cycles = cycle_vector(graph)
-    return {name: cycles[name] * graph.actor(name).phases for name in cycles}
+    cached = graph._repetitions
+    if cached is None:
+        cycles = cycle_vector(graph)
+        cached = {name: cycles[name] * graph.actor(name).phases for name in cycles}
+        graph._repetitions = cached
+    return dict(cached)
 
 
 def is_consistent(graph: CSDFGraph) -> bool:

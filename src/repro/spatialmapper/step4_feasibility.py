@@ -234,7 +234,7 @@ def _buffer_overflows(
             # The sink's buffer is fixed by its own specification (paper, 4.4).
             continue
         tile_name = mapping.tile_of(channel.target)
-        token_bytes = max(channel.token_size_bits // 8, 1)
+        token_bytes = (channel.token_size_bits + 7) // 8
         per_tile_buffer_bytes[tile_name] = (
             per_tile_buffer_bytes.get(tile_name, 0) + capacities[edge_name] * token_bytes
         )

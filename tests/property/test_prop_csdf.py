@@ -12,15 +12,22 @@ generated and three invariants checked:
 A differential then pins the simulator to the tests-only naive oracle
 (``tests/simulation_oracle.py``) on random unbounded and bounded,
 multi-phase, multi-rate graphs with forks, joins and feedback cycles, with
-and without periodic sources and under both early exits.
+and without periodic sources and under both early exits.  A second one pins
+the max-plus evaluator to the simulator on the same graphs run without
+period or early exit, plus float durations, self-loops and zero-duration
+sources; and the integer repetition-vector solver is checked against a
+``Fraction`` solve.
 """
 
-from math import gcd
+from fractions import Fraction
+from math import gcd, lcm
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.csdf.actor import CSDFActor
 from repro.csdf.analysis.buffers import apply_buffer_capacities, sufficient_buffer_capacities
+from repro.csdf.analysis.maxplus import firing_times
 from repro.csdf.analysis.simulation import simulate
 from repro.csdf.analysis.throughput import (
     is_period_sustainable,
@@ -28,6 +35,9 @@ from repro.csdf.analysis.throughput import (
     processor_bound_period_ns,
 )
 from repro.csdf.builder import CSDFBuilder
+from repro.csdf.edge import CSDFEdge
+from repro.csdf.graph import CSDFGraph
+from repro.csdf.phase import PhaseVector
 from repro.csdf.repetition import repetition_vector
 from tests.simulation_oracle import naive_reference_run, observe
 
@@ -216,3 +226,106 @@ class TestSimulatorMatchesNaiveOracle:
         result = simulate(graph, **options)
         reference = naive_reference_run(graph, **options)
         assert observe(result) == reference
+
+
+@st.composite
+def random_self_timed_case(draw):
+    """A :func:`random_simulation_case` graph and iteration count, for a run
+    without period or early exit; optionally with arbitrary float durations,
+    zero-duration sources and self-loop edges (some bounded)."""
+    graph, options = draw(random_simulation_case())
+    float_times = draw(st.booleans())
+    variant = CSDFGraph("self_timed_case")
+    for actor in graph.actors:
+        times = list(actor.execution_times_ns.values)
+        if float_times:
+            times = [
+                draw(st.floats(min_value=0.0, max_value=50.0, allow_nan=False))
+                for _ in times
+            ]
+        if not graph.input_edges(actor.name) and draw(st.booleans()):
+            times = [0.0] * len(times)
+        variant.add_actor(CSDFActor(actor.name, PhaseVector(times)))
+    for edge in graph.edges:
+        variant.add_edge(edge)
+    loops = draw(st.booleans())
+    for actor in graph.actors:
+        if not loops or draw(st.integers(min_value=0, max_value=2)):
+            continue
+        production = _phase_rates(draw, actor.phases)
+        consumption = _spread(draw, sum(production), actor.phases)
+        # A full cycle's worth of tokens keeps the loop live; fewer may
+        # stall it part-way.
+        tokens = draw(st.integers(min_value=0, max_value=2))
+        if draw(st.booleans()):
+            tokens += sum(consumption)
+        capacity = None
+        if draw(st.booleans()):
+            capacity = max(tokens + max(production) + draw(st.integers(-1, 2)), 1)
+        variant.add_edge(
+            CSDFEdge(
+                f"loop_{actor.name}",
+                actor.name,
+                actor.name,
+                PhaseVector(production),
+                PhaseVector(consumption),
+                initial_tokens=tokens,
+                capacity=capacity,
+            )
+        )
+    return variant, options["iterations"]
+
+
+def fraction_repetition_vector(graph):
+    """The balance equations solved with ``Fraction`` ratios (consistent graphs only)."""
+    ratios = {}
+    for seed in graph.actor_names:
+        if seed in ratios:
+            continue
+        ratios[seed] = Fraction(1)
+        frontier = [seed]
+        while frontier:
+            current = frontier.pop()
+            for edge in graph.edges:
+                for here, there, moved_here, moved_there in (
+                    (edge.source, edge.target, edge.total_production, edge.total_consumption),
+                    (edge.target, edge.source, edge.total_consumption, edge.total_production),
+                ):
+                    if here == current and there not in ratios:
+                        ratios[there] = ratios[current] * Fraction(moved_here) / Fraction(moved_there)
+                        frontier.append(there)
+    scale = lcm(*(ratio.denominator for ratio in ratios.values()))
+    cycles = {name: int(ratio * scale) for name, ratio in ratios.items()}
+    divisor = gcd(*cycles.values())
+    return {name: count // divisor * graph.actor(name).phases for name, count in cycles.items()}
+
+
+class TestIntegerRepetitionVector:
+    @given(random_chain())
+    @settings(max_examples=60, deadline=None)
+    def test_chains_match_fraction_solve(self, graph):
+        assert repetition_vector(graph) == fraction_repetition_vector(graph)
+
+    @given(random_self_timed_case())
+    @settings(max_examples=120, deadline=None)
+    def test_cyclic_graphs_match_fraction_solve(self, case):
+        graph, _ = case
+        assert repetition_vector(graph) == fraction_repetition_vector(graph)
+
+
+class TestMaxPlusMatchesEventLoop:
+    """The evaluator's firing times equal the event loop's under ``==``."""
+
+    @given(random_self_timed_case())
+    @settings(max_examples=300, deadline=None)
+    def test_every_shared_field_matches(self, case):
+        graph, iterations = case
+        result = simulate(graph, iterations=iterations)
+        times = firing_times(graph, iterations)
+        assert times.start_times_ns == result.start_times_ns
+        assert times.finish_times_ns == result.finish_times_ns
+        assert times.iteration_finish_times_ns == result.iteration_finish_times_ns
+        assert times.deadlocked == result.deadlocked
+        assert times.deadlock_time_ns == result.deadlock_time_ns
+        assert times.end_time_ns == result.end_time_ns
+        assert times.simulated_events == result.simulated_events

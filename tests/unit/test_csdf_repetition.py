@@ -1,8 +1,13 @@
 """Repetition vectors and consistency of CSDF graphs."""
 
+import pickle
+
 import pytest
 
+from repro.csdf.actor import CSDFActor
 from repro.csdf.builder import CSDFBuilder
+from repro.csdf.edge import CSDFEdge
+from repro.csdf.phase import PhaseVector
 from repro.csdf.repetition import cycle_vector, is_consistent, repetition_vector
 from repro.exceptions import InconsistentGraphError
 
@@ -103,3 +108,116 @@ class TestRepetitionVector:
         assert repetitions["adc"] == 1
         assert repetitions["pfx"] == 18
         assert repetitions["frq"] == 24  # 8 cycles of 3 phases
+
+
+class TestInconsistencyMessages:
+    """The integer solver reports inconsistencies in the same words as the
+    former ``Fraction`` solver: the ratios are printed as fractions."""
+
+    def test_fractional_ratio_message(self):
+        graph = (
+            CSDFBuilder("bad")
+            .actor("a", [1.0])
+            .actor("b", [1.0])
+            .actor("c", [1.0])
+            .edge("a", "b", production=[3], consumption=[2])
+            .edge("b", "c", production=[1], consumption=[1])
+            .edge("a", "c", production=[1], consumption=[1])
+            .build()
+        )
+        with pytest.raises(InconsistentGraphError) as error:
+            repetition_vector(graph)
+        assert str(error.value) == (
+            "rate inconsistency detected at edge 'e2_b_c': actor 'b' would need "
+            "cycle ratios 3/2 and 1"
+        )
+
+    def test_self_loop_message(self):
+        graph = (
+            CSDFBuilder("bad")
+            .actor("a", [1.0])
+            .actor("b", [1.0])
+            .edge("a", "a", production=[2], consumption=[1])
+            .edge("a", "b", production=[1], consumption=[1])
+            .build()
+        )
+        with pytest.raises(InconsistentGraphError) as error:
+            repetition_vector(graph)
+        assert str(error.value) == (
+            "rate inconsistency detected at edge 'e1_a_a': actor 'a' would need "
+            "cycle ratios 1 and 2"
+        )
+
+    def test_fractional_rates_are_exact(self):
+        graph = (
+            CSDFBuilder("f")
+            .actor("a", [1.0])
+            .actor("b", [1.0])
+            .edge("a", "b", production=[1.5], consumption=[1])
+            .build()
+        )
+        assert repetition_vector(graph) == {"a": 2, "b": 3}
+
+
+class TestRepetitionCache:
+    """The vector is cached on the graph and dropped with the fingerprint."""
+
+    @staticmethod
+    def _graph():
+        return (
+            CSDFBuilder("g")
+            .actor("a", [1.0])
+            .actor("b", [1.0, 2.0])
+            .edge("a", "b", production=[2], consumption=[1, 1])
+            .build()
+        )
+
+    def test_each_call_returns_a_fresh_dict(self):
+        graph = self._graph()
+        first = repetition_vector(graph)
+        first["a"] = 99
+        assert repetition_vector(graph) == {"a": 1, "b": 2}
+        assert repetition_vector(graph) is not repetition_vector(graph)
+
+    def test_survives_capacity_only_replace_and_copy(self):
+        graph = self._graph()
+        repetition_vector(graph)
+        cached = graph._repetitions
+        assert cached is not None
+        edge = graph.edges[0]
+        graph.replace_edge(edge.with_capacity(4))
+        assert graph._repetitions is cached
+        clone = graph.copy("clone")
+        assert clone._repetitions is cached
+        assert repetition_vector(clone) == {"a": 1, "b": 2}
+
+    def test_add_edge_drops_it(self):
+        graph = self._graph()
+        repetition_vector(graph)
+        graph.add_actor(CSDFActor("c", PhaseVector([1.0])))
+        assert graph._repetitions is None
+        repetition_vector(graph)
+        graph.add_edge(
+            CSDFEdge("e_b_c", "b", "c", PhaseVector([1]), PhaseVector([1]))
+        )
+        assert graph._repetitions is None
+        assert repetition_vector(graph) == {"a": 1, "b": 2, "c": 2}
+
+    def test_rate_changing_replace_drops_it(self):
+        graph = self._graph()
+        assert repetition_vector(graph) == {"a": 1, "b": 2}
+        edge = graph.edges[0]
+        graph.replace_edge(
+            CSDFEdge(edge.name, "a", "b", PhaseVector([4]), edge.consumption_rates)
+        )
+        assert graph._repetitions is None
+        assert repetition_vector(graph) == {"a": 1, "b": 4}
+
+    def test_kept_out_of_pickles(self):
+        graph = self._graph()
+        before = pickle.dumps(graph)
+        repetition_vector(graph)
+        assert pickle.dumps(graph) == before
+        restored = pickle.loads(pickle.dumps(graph))
+        assert restored._repetitions is None
+        assert repetition_vector(restored) == {"a": 1, "b": 2}

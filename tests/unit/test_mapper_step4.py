@@ -2,9 +2,16 @@
 
 import pytest
 
+from repro.appmodel.implementation import DEFAULT_PORT, Implementation
+from repro.appmodel.library import ImplementationLibrary
+from repro.csdf.phase import PhaseVector
 from repro.csdf.repetition import is_consistent, repetition_vector
+from repro.kpn.channel import Channel
+from repro.kpn.graph import KPNGraph
+from repro.kpn.process import Process, ProcessKind
 from repro.kpn.qos import QoSConstraints
 from repro.kpn.als import ApplicationLevelSpec
+from repro.platform.builder import PlatformBuilder
 from repro.spatialmapper.config import MapperConfig
 from repro.spatialmapper.csdf_construction import build_mapped_csdf, consumer_buffer_edges
 from repro.spatialmapper.feedback import FeedbackKind
@@ -156,6 +163,18 @@ class TestFeasibility:
         assert not result.feasible
         assert any(f.kind is FeedbackKind.BUFFER_OVERFLOW for f in result.feedback)
 
+    def test_buffer_bytes_round_partial_tokens_up(self):
+        # Stage ``a`` on gpp0 consumes 12-bit tokens: each buffered token
+        # needs 2 bytes, not 1.  Leave room for exactly one byte per token.
+        roomy = _twelve_bit_stage(memory_bytes=1 << 20)
+        assert roomy.feasible
+        tokens = roomy.mapping.buffer_capacities["c0"]
+        tight = _twelve_bit_stage(memory_bytes=_STAGE_MEMORY_BYTES + tokens)
+        assert not tight.feasible
+        assert [f.kind for f in tight.feedback] == [FeedbackKind.BUFFER_OVERFLOW]
+        assert tight.feedback[0].culprit_tile == "gpp0"
+        assert f"{2 * tokens} bytes of stream buffers needed" in tight.report.reason
+
     def test_minimize_buffers_option_gives_no_larger_capacities(self, routed):
         als, platform, library, mapping = routed
         default = check_feasibility(mapping, als, platform, library)
@@ -166,3 +185,43 @@ class TestFeasibility:
         assert minimized.feasible
         for channel, capacity in minimized.mapping.buffer_capacities.items():
             assert capacity <= default.mapping.buffer_capacities[channel]
+
+
+_STAGE_MEMORY_BYTES = 1000
+
+
+def _twelve_bit_stage(memory_bytes: int):
+    """Step 4 of source -> a -> sink with 12-bit tokens, ``a`` alone on gpp0."""
+    platform = (
+        PlatformBuilder("one_stage")
+        .mesh(2, 1, link_capacity_bits_per_s=1e9)
+        .tile_type("GPP", frequency_mhz=100)
+        .tile_type("IO", frequency_mhz=100, is_processing=False)
+        .tile("io0", "IO", (0, 0))
+        .tile("gpp0", "GPP", (1, 0), memory_bytes=memory_bytes)
+        .build()
+    )
+    kpn = KPNGraph("twelve_bit")
+    kpn.add_process(Process("src", ProcessKind.SOURCE, pinned_tile="io0"))
+    kpn.add_process(Process("a"))
+    kpn.add_process(Process("snk", ProcessKind.SINK, pinned_tile="io0"))
+    kpn.add_channel(Channel("c0", "src", "a", tokens_per_iteration=4, token_size_bits=12))
+    kpn.add_channel(Channel("c1", "a", "snk", tokens_per_iteration=4, token_size_bits=12))
+    als = ApplicationLevelSpec(kpn=kpn, qos=QoSConstraints(period_ns=10_000.0))
+    library = ImplementationLibrary()
+    library.add(
+        Implementation(
+            process="a",
+            tile_type="GPP",
+            wcet_cycles=PhaseVector([1.0, 10.0, 1.0]),
+            input_rates={DEFAULT_PORT: PhaseVector([4, 0, 0])},
+            output_rates={DEFAULT_PORT: PhaseVector([0, 0, 4])},
+            energy_nj_per_iteration=1.0,
+            memory_bytes=_STAGE_MEMORY_BYTES,
+        )
+    )
+    step1 = select_implementations(als, platform, library)
+    step2 = refine_tile_assignment(step1.mapping, als, platform)
+    step3 = route_channels(step2.mapping, als, platform)
+    assert step3.succeeded
+    return check_feasibility(step3.mapping, als, platform, library)
