@@ -17,6 +17,7 @@ from repro.csdf.analysis.simulation import (
 )
 from repro.csdf.analysis.maxplus import firing_times
 from repro.csdf.analysis.throughput import (
+    actor_loads_ns,
     minimal_period_ns,
     is_period_sustainable,
     processor_bound_period_ns,
@@ -42,6 +43,7 @@ __all__ = [
     "SelfTimedSimulator",
     "simulate",
     "firing_times",
+    "actor_loads_ns",
     "minimal_period_ns",
     "is_period_sustainable",
     "processor_bound_period_ns",

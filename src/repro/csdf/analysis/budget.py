@@ -41,8 +41,7 @@ from repro.csdf.analysis.buffers import (
     sufficient_buffer_capacities,
 )
 from repro.csdf.analysis.latency import end_to_end_latency_ns
-from repro.csdf.analysis.maxplus import firing_times
-from repro.csdf.analysis.throughput import is_period_sustainable
+from repro.csdf.analysis.throughput import is_period_sustainable, minimal_period_ns
 from repro.csdf.graph import CSDFGraph
 from repro.exceptions import DeadlockError
 
@@ -265,20 +264,19 @@ class AnalysisEngine:
         )
         entry = self._lookup(key, budget)
         if entry is None:
-            result = firing_times(graph, iterations)
-            cost = result.simulated_events
-            self._count_simulation(cost)
+            tally = AnalysisBudget()
+            try:
+                value = ("ok", minimal_period_ns(graph, iterations, warmup, budget=tally))
+            except DeadlockError as error:
+                value = ("deadlock", str(error))
+            self._count_simulation(tally.events_used)
             if budget is not None:
-                budget.charge_events(cost)
-            if result.deadlocked and result.completed_iterations == 0:
-                value = ("deadlock", f"graph deadlocks at t={result.deadlock_time_ns} ns")
-            else:
-                value = ("ok", result.steady_state_period_ns(warmup))
-            self._store(key, value, cost)
-            entry = _CacheEntry(value=value, cost=cost)
+                budget.charge_events(tally.events_used)
+            self._store(key, value, tally.events_used)
+            entry = _CacheEntry(value=value, cost=tally.events_used)
         kind, payload = entry.value
         if kind == "deadlock":
-            raise DeadlockError(f"graph {graph.name!r}: {payload}")
+            raise DeadlockError(payload)
         return payload
 
     def is_period_sustainable(

@@ -1,18 +1,28 @@
 """Throughput analysis of CSDF graphs.
 
-Two complementary estimates are provided:
-
-* :func:`processor_bound_period_ns` — an analytic lower bound on the
-  achievable iteration period: per actor, the total execution time of all its
-  firings in one graph iteration (an actor cannot execute two firings at the
-  same time).  This bound is cheap and is used by the mapper's early steps to
-  discard hopeless implementation choices.
+* :func:`actor_loads_ns` — per actor, the total execution time of all its
+  firings in one graph iteration.  An actor never runs two firings at once,
+  so its load is the weight of its implicit self-loop.
+* :func:`processor_bound_period_ns` — the busiest actor's load: a lower
+  bound on the iteration period of any graph, and the exact period of the
+  graphs described next.
 * :func:`minimal_period_ns` — the steady-state period of the self-timed
-  run, which accounts for data dependencies, phase interleavings and
-  bounded buffers.  This is the value step 4 of the mapper compares against
-  the application's required period.  The run has no periodic releases, so
-  its firing times come from the max-plus evaluator
-  (:func:`~repro.csdf.analysis.maxplus.firing_times`), not the event loop.
+  run.  This is the value step 4 of the mapper compares against the
+  application's required period.
+
+On an acyclic graph whose edges are unbounded, carry no initial tokens and
+move whole tokens — the graphs
+:func:`~repro.spatialmapper.csdf_construction.build_mapped_csdf` produces —
+the only cycles of the self-timed run are the per-actor self-loops.  Its
+asymptotic period is the maximum cycle mean (Baccelli, Cohen, Olsder &
+Quadrat, *Synchronization and Linearity*, 1992), i.e. the busiest actor's
+load, so :func:`minimal_period_ns` returns that closed form for two or more
+iterations instead of running the graph.  Such a graph cannot deadlock, so
+the cost charged to a budget is the run's nominal firing count,
+``iterations x sum(repetitions)``.  Every other graph (feedback, bounded
+edges, initial tokens, fractional rates, one iteration) is run by the max-plus evaluator
+(:func:`~repro.csdf.analysis.maxplus.firing_times`), whose finite-horizon
+estimate and firing count are returned and charged as before.
 """
 
 from __future__ import annotations
@@ -24,24 +34,76 @@ from repro.csdf.repetition import repetition_vector
 from repro.exceptions import DeadlockError
 
 
-def processor_bound_period_ns(graph: CSDFGraph) -> float:
-    """Lower bound on the iteration period: the busiest actor's workload per iteration."""
+def actor_loads_ns(graph: CSDFGraph) -> dict[str, float]:
+    """Per actor, the total execution time of its firings in one graph iteration."""
     repetitions = repetition_vector(graph)
-    bound = 0.0
-    for actor in graph.actors:
-        cycles_per_iteration = repetitions[actor.name] / actor.phases
-        workload = actor.total_execution_time_ns() * cycles_per_iteration
-        bound = max(bound, workload)
-    return bound
+    return {
+        actor.name: actor.total_execution_time_ns() * (repetitions[actor.name] / actor.phases)
+        for actor in graph.actors
+    }
 
 
-def minimal_period_ns(graph: CSDFGraph, iterations: int = 10, warmup: int | None = None) -> float:
+def processor_bound_period_ns(graph: CSDFGraph) -> float:
+    """The busiest actor's load per iteration.
+
+    A lower bound on the iteration period of every graph, and the exact
+    asymptotic period of the acyclic, unbounded, token-free graphs
+    :func:`minimal_period_ns` answers in closed form.
+    """
+    return max(actor_loads_ns(graph).values())
+
+
+def _has_closed_form_period(graph: CSDFGraph) -> bool:
+    """Whether ``graph`` is acyclic and every edge is unbounded, token-free
+    and moves whole tokens (the class :func:`minimal_period_ns` answers
+    without a run)."""
+    pending = dict.fromkeys(graph.actor_names, 0)
+    successors: dict[str, list[str]] = {name: [] for name in pending}
+    for edge in graph.edges:
+        if edge.capacity is not None or edge.initial_tokens:
+            return False
+        for rate in edge.production_rates.values + edge.consumption_rates.values:
+            if rate != int(rate):
+                return False
+        pending[edge.target] += 1
+        successors[edge.source].append(edge.target)
+    ready = [name for name, count in pending.items() if not count]
+    ordered = 0
+    while ready:
+        ordered += 1
+        for target in successors[ready.pop()]:
+            pending[target] -= 1
+            if not pending[target]:
+                ready.append(target)
+    return ordered == len(pending)
+
+
+def minimal_period_ns(
+    graph: CSDFGraph,
+    iterations: int = 10,
+    warmup: int | None = None,
+    *,
+    budget=None,
+) -> float:
     """Steady-state iteration period of the self-timed execution (ns).
+
+    With ``iterations >= 2`` on an acyclic, unbounded, token-free graph this
+    is the busiest actor's load (see the module docstring); otherwise it is
+    the period of ``iterations`` evaluated iterations after ``warmup``.
+    ``budget`` is an optional :class:`~repro.csdf.analysis.budget.AnalysisBudget`
+    charged with the run's firings (nominal ones for the closed form).
 
     Raises :class:`~repro.exceptions.DeadlockError` when the graph deadlocks
     before completing a single iteration.
     """
+    if iterations >= 2 and _has_closed_form_period(graph):
+        period = processor_bound_period_ns(graph)
+        if budget is not None:
+            budget.charge_events(iterations * sum(repetition_vector(graph).values()))
+        return period
     result = firing_times(graph, iterations)
+    if budget is not None:
+        budget.charge_events(result.simulated_events)
     if result.deadlocked and result.completed_iterations == 0:
         raise DeadlockError(
             f"graph {graph.name!r} deadlocks at t={result.deadlock_time_ns} ns"

@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 
 from repro.appmodel.library import ImplementationLibrary
 from repro.csdf.analysis.budget import AnalysisBudget, AnalysisEngine
+from repro.csdf.analysis.throughput import actor_loads_ns
 from repro.csdf.graph import CSDFGraph
-from repro.csdf.repetition import repetition_vector
 from repro.exceptions import DeadlockError, InconsistentGraphError
 from repro.kpn.als import ApplicationLevelSpec
 from repro.mapping.mapping import Mapping
@@ -54,17 +54,15 @@ def _bottleneck_process(
 ) -> tuple[str | None, str | None]:
     """The kernel process with the largest workload per iteration and its tile type."""
     try:
-        repetitions = repetition_vector(graph)
+        loads = actor_loads_ns(graph)
     except InconsistentGraphError:
         return None, None
     worst_process: str | None = None
     worst_load = -1.0
     for process in als.kpn.mappable_processes():
-        if not graph.has_actor(process.name):
+        load = loads.get(process.name)
+        if load is None:
             continue
-        actor = graph.actor(process.name)
-        cycles_per_iteration = repetitions[actor.name] / actor.phases
-        load = actor.total_execution_time_ns() * cycles_per_iteration
         if load > worst_load:
             worst_load = load
             worst_process = process.name

@@ -17,15 +17,23 @@ the max-plus evaluator to the simulator on the same graphs run without
 period or early exit, plus float durations, self-loops and zero-duration
 sources; and the integer repetition-vector solver is checked against a
 ``Fraction`` solve.
+
+Finally the closed-form period of acyclic, unbounded, token-free graphs is
+pinned to a 200-iteration run, its charged cost to the evaluator's firing
+count (cache hits included), and every graph outside that class to exactly
+what the evaluator returns.
 """
 
+from dataclasses import replace
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isclose, lcm
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.csdf.actor import CSDFActor
+from repro.csdf.analysis.budget import AnalysisBudget, AnalysisEngine
 from repro.csdf.analysis.buffers import apply_buffer_capacities, sufficient_buffer_capacities
 from repro.csdf.analysis.maxplus import firing_times
 from repro.csdf.analysis.simulation import simulate
@@ -39,6 +47,7 @@ from repro.csdf.edge import CSDFEdge
 from repro.csdf.graph import CSDFGraph
 from repro.csdf.phase import PhaseVector
 from repro.csdf.repetition import repetition_vector
+from repro.exceptions import DeadlockError
 from tests.simulation_oracle import naive_reference_run, observe
 
 
@@ -329,3 +338,109 @@ class TestMaxPlusMatchesEventLoop:
         assert times.deadlock_time_ns == result.deadlock_time_ns
         assert times.end_time_ns == result.end_time_ns
         assert times.simulated_events == result.simulated_events
+
+
+@st.composite
+def random_closed_form_case(draw):
+    """A graph of the closed form's class and 2-10 iterations: a
+    :func:`random_self_timed_case` chain with its forward fork/join edges,
+    every edge unbounded and token-free (feedback edges and self-loops
+    dropped), multi-phase, with zero and optionally float durations."""
+    graph, _ = draw(random_self_timed_case())
+    names = graph.actor_names
+    acyclic = CSDFGraph("closed_form_case")
+    for actor in graph.actors:
+        acyclic.add_actor(actor)
+    for edge in graph.edges:
+        if names.index(edge.source) < names.index(edge.target):
+            acyclic.add_edge(replace(edge, initial_tokens=0, capacity=None))
+    return acyclic, draw(st.integers(min_value=2, max_value=10))
+
+
+@st.composite
+def random_outside_class_case(draw):
+    """A closed-form-class graph with one change that takes it out of the
+    class: a bounded edge, an initial token, a balanced feedback edge from
+    the last actor to the first, or a single iteration."""
+    graph, iterations = draw(random_closed_form_case())
+    change = draw(st.sampled_from(["bounded", "token", "feedback", "one_iteration"]))
+    if change == "one_iteration":
+        return graph, 1
+    variant = CSDFGraph("outside_class_case")
+    for actor in graph.actors:
+        variant.add_actor(actor)
+    chosen = draw(st.integers(min_value=0, max_value=len(graph.edges) - 1))
+    for index, edge in enumerate(graph.edges):
+        if index == chosen and change == "bounded":
+            edge = edge.with_capacity(draw(st.integers(min_value=1, max_value=6)))
+        elif index == chosen and change == "token":
+            edge = replace(edge, initial_tokens=draw(st.integers(min_value=1, max_value=3)))
+        variant.add_edge(edge)
+    if change == "feedback":
+        first, last = graph.actors[0], graph.actors[-1]
+        repetitions = repetition_vector(graph)
+        cycles_first = repetitions[first.name] // first.phases
+        cycles_last = repetitions[last.name] // last.phases
+        divisor = gcd(cycles_first, cycles_last)
+        consumption = _spread(draw, cycles_last // divisor, first.phases)
+        variant.add_edge(
+            CSDFEdge(
+                "feedback",
+                last.name,
+                first.name,
+                PhaseVector(_spread(draw, cycles_first // divisor, last.phases)),
+                PhaseVector(consumption),
+                initial_tokens=draw(st.integers(min_value=0, max_value=sum(consumption))),
+            )
+        )
+    return variant, iterations
+
+
+class TestClosedFormPeriod:
+    """The busiest actor's load is the self-timed period of the class."""
+
+    @given(random_closed_form_case())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_the_long_run_period(self, case):
+        graph, iterations = case
+        reference = firing_times(graph, 200).steady_state_period_ns()
+        period = minimal_period_ns(graph, iterations)
+        assert period == processor_bound_period_ns(graph)
+        assert isclose(period, reference, rel_tol=1e-9, abs_tol=1e-12)
+
+    @given(random_closed_form_case())
+    @settings(max_examples=100, deadline=None)
+    def test_charges_the_evaluators_firing_count(self, case):
+        graph, iterations = case
+        fired = firing_times(graph, iterations).simulated_events
+        engine = AnalysisEngine()
+        miss, hit = AnalysisBudget(), AnalysisBudget()
+        period = engine.minimal_period_ns(graph, iterations, budget=miss)
+        assert engine.minimal_period_ns(graph, iterations, budget=hit) == period
+        assert miss.events_used == hit.events_used == fired
+        assert engine.snapshot() == {
+            "simulations_run": 1,
+            "simulated_events": fired,
+            "cache_hits": 1,
+            "budget_exhausted": 0,
+        }
+
+    @given(random_outside_class_case())
+    @settings(max_examples=150, deadline=None)
+    def test_graphs_outside_the_class_get_the_evaluators_answer(self, case):
+        graph, iterations = case
+        times = firing_times(graph, iterations)
+        budget, engine_budget = AnalysisBudget(), AnalysisBudget()
+        if times.completed_iterations == 0:
+            with pytest.raises(DeadlockError):
+                minimal_period_ns(graph, iterations, budget=budget)
+            with pytest.raises(DeadlockError):
+                AnalysisEngine().minimal_period_ns(graph, iterations, budget=engine_budget)
+        else:
+            expected = times.steady_state_period_ns()
+            assert minimal_period_ns(graph, iterations, budget=budget) == expected
+            assert (
+                AnalysisEngine().minimal_period_ns(graph, iterations, budget=engine_budget)
+                == expected
+            )
+        assert budget.events_used == engine_budget.events_used == times.simulated_events

@@ -2,13 +2,17 @@
 
 import pytest
 
+from repro.csdf.analysis import throughput
+from repro.csdf.analysis.budget import AnalysisBudget, AnalysisEngine
 from repro.csdf.analysis.buffers import (
     apply_buffer_capacities,
     minimize_buffer_capacities,
     sufficient_buffer_capacities,
 )
 from repro.csdf.analysis.latency import end_to_end_latency_ns
+from repro.csdf.analysis.maxplus import firing_times
 from repro.csdf.analysis.throughput import (
+    actor_loads_ns,
     is_period_sustainable,
     minimal_period_ns,
     processor_bound_period_ns,
@@ -77,6 +81,98 @@ class TestThroughput:
         # A period generous enough to absorb the transient is accepted.
         assert is_period_sustainable(graph, 13.0, iterations=8)
         assert is_period_sustainable(graph, 13.0, iterations=8, early_exit=True)
+
+
+def unsettled_chain():
+    """An acyclic chain whose finite-horizon period estimates have not
+    settled after 6 or 10 iterations; a1's load of 62 ns is the period."""
+    return (
+        CSDFBuilder("unsettled")
+        .actor("a0", [8.0])
+        .actor("a1", [12.0, 19.0])
+        .actor("a2", [16.0, 1.0])
+        .actor("a3", [10.0])
+        .actor("a4", [0.0, 0.0, 1.0])
+        .edge("a0", "a1", production=[2], consumption=[0, 1])
+        .edge("a1", "a2", production=[2, 0], consumption=[0, 2])
+        .edge("a2", "a3", production=[3, 0], consumption=[1])
+        .edge("a3", "a4", production=[2], consumption=[2, 2, 2])
+        .build()
+    )
+
+
+class TestClosedFormPeriod:
+    """Acyclic, unbounded, token-free graphs get the maximum cycle mean."""
+
+    @pytest.fixture()
+    def counted_runs(self, monkeypatch):
+        runs = []
+
+        def counted(graph, iterations):
+            runs.append(iterations)
+            return firing_times(graph, iterations)
+
+        monkeypatch.setattr(throughput, "firing_times", counted)
+        return runs
+
+    def test_actor_loads(self, multirate_csdf):
+        assert actor_loads_ns(multirate_csdf) == {"a": 4.0, "b": 4.0, "c": 18.0}
+
+    def test_unsettled_estimate_no_longer_under_reports(self):
+        graph = unsettled_chain()
+        assert firing_times(graph, 6).steady_state_period_ns() == 60.0
+        assert minimal_period_ns(graph, iterations=6) == 62.0
+        assert AnalysisEngine().minimal_period_ns(graph, iterations=6) == 62.0
+
+    def test_class_graph_is_not_run_and_charges_nominal_firings(self, counted_runs):
+        graph = unsettled_chain()
+        budget = AnalysisBudget()
+        assert minimal_period_ns(graph, iterations=6, budget=budget) == 62.0
+        assert counted_runs == []
+        # Repetitions (firings per iteration): 1, 4, 4, 6, 6.
+        assert budget.events_used == 6 * 21 == firing_times(graph, 6).simulated_events
+
+    @pytest.mark.parametrize(
+        "edge, iterations",
+        [
+            ({"capacity": 4}, 6),
+            ({"initial_tokens": 1}, 6),
+            ({"consumption": [1.5]}, 6),
+            ({}, 1),
+        ],
+        ids=["bounded", "initial-token", "fractional-rate", "one-iteration"],
+    )
+    def test_graphs_outside_the_class_are_run(self, counted_runs, edge, iterations):
+        options = {"production": [1], "consumption": [1], **edge}
+        graph = (
+            CSDFBuilder("outside")
+            .actor("a", [3.0])
+            .actor("b", [5.0, 1.0])
+            .edge("a", "b", **options)
+            .build()
+        )
+        budget = AnalysisBudget()
+        expected = firing_times(graph, iterations)
+        assert minimal_period_ns(graph, iterations, budget=budget) == (
+            expected.steady_state_period_ns()
+        )
+        assert counted_runs == [iterations]
+        assert budget.events_used == expected.simulated_events
+
+    @pytest.mark.parametrize("target", ["a", "b"], ids=["feedback", "self-loop"])
+    def test_cyclic_graphs_are_run(self, counted_runs, target):
+        graph = (
+            CSDFBuilder("cyclic")
+            .actor("a", [3.0])
+            .actor("b", [5.0])
+            .edge("a", "b", production=[1], consumption=[1])
+            .edge("b", target, production=[1], consumption=[1], initial_tokens=1)
+            .build()
+        )
+        assert minimal_period_ns(graph, iterations=6) == (
+            firing_times(graph, 6).steady_state_period_ns()
+        )
+        assert counted_runs == [6]
 
 
 class TestBufferSizing:
