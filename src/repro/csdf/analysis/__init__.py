@@ -16,6 +16,7 @@ from repro.csdf.analysis.simulation import (
     simulate,
 )
 from repro.csdf.analysis.maxplus import firing_times
+from repro.csdf.analysis.feedforward import feed_forward_run, is_feed_forward
 from repro.csdf.analysis.throughput import (
     actor_loads_ns,
     minimal_period_ns,
@@ -43,6 +44,8 @@ __all__ = [
     "SelfTimedSimulator",
     "simulate",
     "firing_times",
+    "feed_forward_run",
+    "is_feed_forward",
     "actor_loads_ns",
     "minimal_period_ns",
     "is_period_sustainable",

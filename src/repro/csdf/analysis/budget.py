@@ -323,7 +323,13 @@ class AnalysisEngine:
         *,
         budget: AnalysisBudget | None = None,
     ) -> dict[str, int]:
-        """Cached sufficient capacities (values keyed back to edge names)."""
+        """Cached sufficient capacities (values keyed back to edge names).
+
+        A feed-forward graph is answered without the event loop (see
+        :func:`~repro.csdf.analysis.buffers.sufficient_buffer_capacities`).
+        It still counts as one simulation and charges the loop's firing
+        count, so budgets and cache entries do not depend on the engine.
+        """
         key = (
             "sufficient",
             graph.structural_fingerprint(),

@@ -3,13 +3,18 @@
 Step 4 of the paper's algorithm computes, for the mapped application, the
 buffer capacities ``B_i`` (Figure 3) that the consuming tiles must reserve.
 The paper delegates this to the analysis of Wiggers et al. (DAC 2007); this
-module provides a functional substitute built on the self-timed simulator:
+module provides a functional substitute built on the self-timed run:
 
 * :func:`sufficient_buffer_capacities` observes the maximum buffer occupancy
   while the graph executes with its sources released at the required period
   and unbounded buffers.  Granting each channel its observed maximum is
   sufficient to sustain the period (the bounded execution can then follow the
-  same schedule as the unbounded one).
+  same schedule as the unbounded one).  For a feed-forward graph (acyclic,
+  token-free, whole-token rates: every mapped graph step 4 builds) the run
+  comes from the max-plus evaluator
+  :func:`~repro.csdf.analysis.feedforward.feed_forward_run`, with no event
+  loop; any other graph is simulated.  Both give the same capacities and
+  charge the same firing count.
 * :func:`minimize_buffer_capacities` additionally shrinks each capacity by
   binary search, re-validating the throughput with bounded buffers after each
   trial.  This yields smaller (though not necessarily globally minimal)
@@ -18,6 +23,7 @@ module provides a functional substitute built on the self-timed simulator:
 
 from __future__ import annotations
 
+from repro.csdf.analysis.feedforward import feed_forward_run, is_feed_forward
 from repro.csdf.analysis.simulation import simulate
 from repro.csdf.analysis.throughput import is_period_sustainable
 from repro.csdf.graph import CSDFGraph
@@ -56,16 +62,19 @@ def sufficient_buffer_capacities(
     Raises :class:`~repro.exceptions.DeadlockError` if the graph cannot
     complete a single iteration even with unbounded buffers.
     """
-    unbounded = graph.copy(f"{graph.name}__unbounded")
-    for edge in graph.edges:
-        if edge.capacity is not None:
-            unbounded.replace_edge(edge.with_capacity(None))
-    result = simulate(
-        unbounded,
-        iterations=iterations,
-        source_period_ns=period_ns,
-        cycle_exit=early_exit,
-    )
+    if is_feed_forward(graph):
+        result = feed_forward_run(graph, iterations, period_ns, cycle_exit=early_exit)
+    else:
+        unbounded = graph.copy(f"{graph.name}__unbounded")
+        for edge in graph.edges:
+            if edge.capacity is not None:
+                unbounded.replace_edge(edge.with_capacity(None))
+        result = simulate(
+            unbounded,
+            iterations=iterations,
+            source_period_ns=period_ns,
+            cycle_exit=early_exit,
+        )
     if budget is not None:
         budget.charge_events(result.simulated_events)
     if result.deadlocked and result.completed_iterations == 0:

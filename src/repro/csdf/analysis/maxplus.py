@@ -25,7 +25,9 @@ The dependencies are found by streaming two-pointers per edge over
 cumulative production and consumption; actors advance round-robin in graph
 order until a full round makes no progress, which resolves feedback cycles
 and detects deadlocks.  Periodic sources, early exits and occupancy maxima
-stay with the event loop (see ARCHITECTURE.md, "Self-timed simulator").
+are left to the event loop, or, for feed-forward graphs, to
+:mod:`repro.csdf.analysis.feedforward` (see ARCHITECTURE.md, "Self-timed
+simulator").
 """
 
 from __future__ import annotations

@@ -349,11 +349,10 @@ class SelfTimedSimulator:
             # pass.  Duplicates are visited back to back, the second visit a
             # no-op.
             todo = list(candidates)
-            horizon = now + 1e-12
             while todo:
                 behind: tuple[int, ...] = ()
                 for a in todo:
-                    if horizon < earliest[a]:
+                    if now < earliest[a]:
                         continue
                     duration, needs, consumes, produces, caps = current[a]
                     for e, needed in needs:
@@ -397,7 +396,17 @@ class SelfTimedSimulator:
                     break
                 seen_states.add(state)
 
-            if pending:
+            # The next periodic release: the earliest start of a source that
+            # waits for its period (a source blocked by a full buffer has its
+            # release behind it).  A release is taken before every later
+            # finish; at an equal instant the finish pops first and its
+            # readiness pass starts the released source.
+            release = inf
+            for a in periodic_indices:
+                if now < earliest[a] < release:
+                    release = earliest[a]
+
+            if pending and pending[0][0] <= release:
                 now, _, a = heappop(pending)
                 for e, produced in current[a][3]:
                     tokens[e] += produced
@@ -421,17 +430,14 @@ class SelfTimedSimulator:
                 candidates = affected[a]
                 continue
 
-            # Nothing running and nothing can start: either every actor is
-            # done, or every remaining one is a periodic source waiting for
-            # its next release, or the graph is deadlocked.  (Nothing runs,
-            # so ``inf`` means done.)
-            if fired == target:
-                break
-            releases = [earliest[a] for a in periodic_indices if earliest[a] != inf]
-            if releases and min(releases) > now:
-                now = min(releases)
+            if release != inf:
+                now = release
                 candidates = periodic_indices
                 continue
+            # Nothing running, nothing can start and no release ahead: either
+            # every actor is done or the graph is deadlocked.
+            if fired == target:
+                break
             deadlocked = True
             deadlock_time = now
             break

@@ -27,6 +27,7 @@ estimate and firing count are returned and charged as before.
 
 from __future__ import annotations
 
+from repro.csdf.analysis.feedforward import is_feed_forward
 from repro.csdf.analysis.maxplus import firing_times
 from repro.csdf.analysis.simulation import simulate
 from repro.csdf.graph import CSDFGraph
@@ -54,28 +55,9 @@ def processor_bound_period_ns(graph: CSDFGraph) -> float:
 
 
 def _has_closed_form_period(graph: CSDFGraph) -> bool:
-    """Whether ``graph`` is acyclic and every edge is unbounded, token-free
-    and moves whole tokens (the class :func:`minimal_period_ns` answers
-    without a run)."""
-    pending = dict.fromkeys(graph.actor_names, 0)
-    successors: dict[str, list[str]] = {name: [] for name in pending}
-    for edge in graph.edges:
-        if edge.capacity is not None or edge.initial_tokens:
-            return False
-        for rate in edge.production_rates.values + edge.consumption_rates.values:
-            if rate != int(rate):
-                return False
-        pending[edge.target] += 1
-        successors[edge.source].append(edge.target)
-    ready = [name for name, count in pending.items() if not count]
-    ordered = 0
-    while ready:
-        ordered += 1
-        for target in successors[ready.pop()]:
-            pending[target] -= 1
-            if not pending[target]:
-                ready.append(target)
-    return ordered == len(pending)
+    """Whether ``graph`` is feed-forward with every edge unbounded (the
+    class :func:`minimal_period_ns` answers without a run)."""
+    return all(edge.capacity is None for edge in graph.edges) and is_feed_forward(graph)
 
 
 def minimal_period_ns(

@@ -27,9 +27,11 @@ class CSDFGraph:
         self._actors: dict[str, CSDFActor] = {}
         self._edges: dict[str, CSDFEdge] = {}
         self._fingerprint: tuple | None = None
-        # Repetition-vector cache of :func:`repro.csdf.repetition.repetition_vector`:
+        # Repetition-vector cache of :func:`repro.csdf.repetition.repetition_vector`
+        # and feed-forward actor order of :mod:`repro.csdf.analysis.feedforward`:
         # structural like the fingerprint, so cleared and kept with it.
         self._repetitions: dict[str, int] | None = None
+        self._feed_forward: tuple[int, ...] | bool | None = None
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -41,6 +43,7 @@ class CSDFGraph:
         self._actors[actor.name] = actor
         self._fingerprint = None
         self._repetitions = None
+        self._feed_forward = None
         return actor
 
     def add_edge(self, edge: CSDFEdge) -> CSDFEdge:
@@ -74,6 +77,7 @@ class CSDFGraph:
         self._edges[edge.name] = edge
         self._fingerprint = None
         self._repetitions = None
+        self._feed_forward = None
         return edge
 
     @staticmethod
@@ -133,6 +137,7 @@ class CSDFGraph:
         ):
             self._fingerprint = None
             self._repetitions = None
+            self._feed_forward = None
         self._edges[edge.name] = edge
         return edge
 
@@ -249,18 +254,21 @@ class CSDFGraph:
             clone.add_edge(edge)
         clone._fingerprint = self._fingerprint
         clone._repetitions = self._repetitions
+        clone._feed_forward = self._feed_forward
         return clone
 
     def __getstate__(self) -> dict:
-        # The repetition-vector cache stays out of pickles, so a pickled
-        # graph's bytes do not depend on whether it was analysed.
+        # The analysis caches stay out of pickles, so a pickled graph's
+        # bytes do not depend on whether it was analysed.
         state = self.__dict__.copy()
         del state["_repetitions"]
+        del state["_feed_forward"]
         return state
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
         self._repetitions = None
+        self._feed_forward = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

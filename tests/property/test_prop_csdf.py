@@ -18,10 +18,17 @@ period or early exit, plus float durations, self-loops and zero-duration
 sources; and the integer repetition-vector solver is checked against a
 ``Fraction`` solve.
 
-Finally the closed-form period of acyclic, unbounded, token-free graphs is
-pinned to a 200-iteration run, its charged cost to the evaluator's firing
-count (cache hits included), and every graph outside that class to exactly
-what the evaluator returns.
+The closed-form period of acyclic, unbounded, token-free graphs is pinned
+to a 200-iteration run, its charged cost to the evaluator's firing count
+(cache hits included), and every graph outside that class to exactly what
+the evaluator returns.
+
+Finally the feed-forward evaluator is pinned to the event loop on random
+feed-forward graphs with periodic sources: every field of the run, and the
+capacities and charged firings of the buffer sizing, with the cycle exit on
+and off.  Integer durations make ties frequent; zero-duration actors, a
+period equal to the source's busy time and actors declared before their
+producers are all drawn.
 """
 
 from dataclasses import replace
@@ -34,7 +41,12 @@ from hypothesis import strategies as st
 
 from repro.csdf.actor import CSDFActor
 from repro.csdf.analysis.budget import AnalysisBudget, AnalysisEngine
-from repro.csdf.analysis.buffers import apply_buffer_capacities, sufficient_buffer_capacities
+from repro.csdf.analysis.buffers import (
+    _lower_bound_capacity,
+    apply_buffer_capacities,
+    sufficient_buffer_capacities,
+)
+from repro.csdf.analysis.feedforward import feed_forward_run
 from repro.csdf.analysis.maxplus import firing_times
 from repro.csdf.analysis.simulation import simulate
 from repro.csdf.analysis.throughput import (
@@ -444,3 +456,103 @@ class TestClosedFormPeriod:
                 == expected
             )
         assert budget.events_used == engine_budget.events_used == times.simulated_events
+
+
+@st.composite
+def random_feed_forward_case(draw):
+    """A closed-form-class graph re-declared in a shuffled actor order, with
+    integer durations of 0-6 ns (an actor may be all zero), some edges
+    bounded (capacities are ignored), plus an iteration count, a period or
+    none, and the cycle exit on or off."""
+    graph, _ = draw(random_closed_form_case())
+    actors = list(graph.actors)
+    variant = CSDFGraph("feed_forward_case")
+    for index in draw(st.permutations(range(len(actors)))):
+        actor = actors[index]
+        times = [float(draw(st.integers(min_value=0, max_value=6))) for _ in range(actor.phases)]
+        if draw(st.integers(min_value=0, max_value=4)) == 0:
+            times = [0.0] * actor.phases
+        variant.add_actor(CSDFActor(actor.name, PhaseVector(times)))
+    for edge in graph.edges:
+        if draw(st.integers(min_value=0, max_value=3)) == 0:
+            edge = edge.with_capacity(draw(st.integers(min_value=1, max_value=8)))
+        variant.add_edge(edge)
+    # The source's busy time per iteration: as a period, its finish meets
+    # its next release.
+    source = variant.sources()[0]
+    repetitions = repetition_vector(variant)[source.name]
+    busy = source.total_execution_time_ns() * repetitions / source.phases
+    periods = [None, float(draw(st.integers(min_value=1, max_value=40)))]
+    if busy > 0:
+        periods.append(busy)
+    return (
+        variant,
+        draw(st.integers(min_value=1, max_value=8)),
+        draw(st.sampled_from(periods)),
+        draw(st.booleans()),
+    )
+
+
+class TestFeedForwardMatchesEventLoop:
+    """The feed-forward evaluator equals the loop on the unbounded graph."""
+
+    @given(random_feed_forward_case())
+    @settings(max_examples=300, deadline=None)
+    def test_every_field_matches(self, case):
+        graph, iterations, period, cycle_exit = case
+        unbounded = graph.copy()
+        for edge in graph.edges:
+            unbounded.replace_edge(edge.with_capacity(None))
+        expected = simulate(
+            unbounded, iterations, source_period_ns=period, cycle_exit=cycle_exit
+        )
+        run = feed_forward_run(graph, iterations, period, cycle_exit=cycle_exit)
+        for name in (
+            "repetitions",
+            "phase_counts",
+            "start_times_ns",
+            "finish_times_ns",
+            "iteration_finish_times_ns",
+            "deadlocked",
+            "deadlock_time_ns",
+            "end_time_ns",
+            "simulated_events",
+            "max_occupancy",
+            "aborted",
+            "abort_reason",
+        ):
+            assert getattr(run, name) == getattr(expected, name), name
+
+    @given(random_feed_forward_case())
+    @settings(max_examples=150, deadline=None)
+    def test_capacities_and_charge_match(self, case):
+        graph, iterations, period, early_exit = case
+        unbounded = graph.copy()
+        for edge in graph.edges:
+            unbounded.replace_edge(edge.with_capacity(None))
+        expected = simulate(
+            unbounded, iterations, source_period_ns=period, cycle_exit=early_exit
+        )
+        capacities = {
+            edge.name: max(
+                expected.max_occupancy[edge.name], _lower_bound_capacity(graph, edge.name)
+            )
+            for edge in graph.edges
+        }
+        budget = AnalysisBudget()
+        assert (
+            sufficient_buffer_capacities(
+                graph, period, iterations=iterations, early_exit=early_exit, budget=budget
+            )
+            == capacities
+        )
+        assert budget.events_used == expected.simulated_events
+        engine = AnalysisEngine(early_exit=early_exit)
+        miss, hit = AnalysisBudget(), AnalysisBudget()
+        for charged in (miss, hit):
+            assert (
+                engine.sufficient_buffer_capacities(graph, period, iterations, budget=charged)
+                == capacities
+            )
+        assert miss.events_used == hit.events_used == expected.simulated_events
+        assert engine.simulations_run == 1

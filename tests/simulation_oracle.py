@@ -49,7 +49,7 @@ def naive_reference_run(
         actor = graph.actor(names[a])
         if busy[a] or fired[a] >= target[a]:
             return False
-        if periodic[a] and now + 1e-12 < (fired[a] // reps[a]) * period:
+        if periodic[a] and now < (fired[a] // reps[a]) * period:
             return False
         p = phase[a]
         for edge in graph.input_edges(names[a]):
@@ -80,7 +80,15 @@ def naive_reference_run(
 
     scan_all()
     while remaining:
-        if pending:
+        # A periodic release is taken before every later finish; at an equal
+        # instant the finish comes first.
+        releases = [
+            (fired[a] // reps[a]) * period
+            for a in range(count)
+            if periodic[a] and not busy[a] and fired[a] < target[a]
+        ]
+        release = min([r for r in releases if r > now], default=None)
+        if pending and (release is None or pending[0][0] <= release):
             finish, _, a, p, start = heapq.heappop(pending)
             now = finish
             events += 1
@@ -118,16 +126,10 @@ def naive_reference_run(
                     break
                 seen_states.add(state)
             continue
-        if period is not None:
-            releases = [
-                (fired[a] // reps[a]) * period
-                for a in range(count)
-                if periodic[a] and fired[a] < target[a]
-            ]
-            if releases and min(releases) > now:
-                now = min(releases)
-                scan_all()
-                continue
+        if release is not None:
+            now = release
+            scan_all()
+            continue
         deadlocked, deadlock_time = True, now
         break
 

@@ -1,12 +1,16 @@
-"""The max-plus evaluator of the unperiodic self-timed run."""
+"""The max-plus evaluators: the unperiodic run and the feed-forward periodic run."""
+
+from dataclasses import replace
 
 import pytest
 
 from repro.csdf.analysis.budget import AnalysisEngine
+from repro.csdf.analysis.buffers import _lower_bound_capacity, sufficient_buffer_capacities
+from repro.csdf.analysis.feedforward import feed_forward_run, is_feed_forward
 from repro.csdf.analysis.latency import end_to_end_latency_ns
 from repro.csdf.analysis.maxplus import firing_times
 from repro.csdf.analysis.simulation import SelfTimedSimulator, simulate
-from repro.csdf.analysis.throughput import minimal_period_ns
+from repro.csdf.analysis.throughput import is_period_sustainable, minimal_period_ns
 from repro.csdf.builder import CSDFBuilder
 from repro.exceptions import DeadlockError
 
@@ -92,8 +96,121 @@ class TestDependencies:
             firing_times(simple_chain_csdf, 0)
 
 
+#: Every field the feed-forward evaluator shares with the event loop's result.
+RUN_FIELDS = FIELDS + ("max_occupancy", "aborted", "abort_reason")
+
+
+def assert_matches_periodic_loop(graph, iterations, period, cycle_exit=False):
+    unbounded = graph.copy()
+    for edge in graph.edges:
+        unbounded.replace_edge(edge.with_capacity(None))
+    run = feed_forward_run(graph, iterations, period, cycle_exit=cycle_exit)
+    result = simulate(unbounded, iterations, source_period_ns=period, cycle_exit=cycle_exit)
+    for name in RUN_FIELDS:
+        assert getattr(run, name) == getattr(result, name), name
+    return run
+
+
+def lockstep_routers():
+    """A zero-duration source feeding two 40 ns routers and a sink, the
+    routers declared after the actors they feed (as step 4 builds them)."""
+    return (
+        CSDFBuilder("lockstep")
+        .actor("src", [0.0])
+        .actor("sink", [0.0])
+        .actor("r0", [40.0])
+        .actor("r1", [40.0])
+        .edge("src", "r0", production=[4], consumption=[1])
+        .edge("r0", "r1", production=[1], consumption=[1])
+        .edge("r1", "sink", production=[1], consumption=[4])
+        .build()
+    )
+
+
+class TestFeedForwardRun:
+    def test_class(self, simple_chain_csdf):
+        assert is_feed_forward(simple_chain_csdf)
+        bounded = simple_chain_csdf.copy()
+        bounded.replace_edge(bounded.edges[0].with_capacity(1))
+        assert is_feed_forward(bounded)
+        feedback = (
+            CSDFBuilder("feedback")
+            .actor("a", [1.0])
+            .actor("b", [1.0])
+            .edge("a", "b", production=[1], consumption=[1])
+            .edge("b", "a", production=[1], consumption=[1], initial_tokens=1)
+            .build()
+        )
+        assert not is_feed_forward(feedback)
+        fractional = (
+            CSDFBuilder("fractional")
+            .actor("a", [1.0, 1.0])
+            .actor("b", [1.0])
+            .edge("a", "b", production=[1.5, 0.5], consumption=[2])
+            .build()
+        )
+        assert not is_feed_forward(fractional)
+        with pytest.raises(ValueError, match="not feed-forward"):
+            feed_forward_run(feedback, 2, 4.0)
+
+    def test_class_survives_capacity_changes_only(self, simple_chain_csdf):
+        assert is_feed_forward(simple_chain_csdf)
+        edge = simple_chain_csdf.edges[0]
+        simple_chain_csdf.replace_edge(edge.with_capacity(3))
+        assert is_feed_forward(simple_chain_csdf)
+        simple_chain_csdf.replace_edge(replace(edge, initial_tokens=2))
+        assert not is_feed_forward(simple_chain_csdf)
+
+    def test_lockstep_ties_follow_the_loop(self):
+        # r0 and r1 finish together every 40 ns; whether r1 took its token
+        # before r0 started again decides r0 -> r1's occupancy.
+        for period in (160.0, 200.0, 400.0):
+            for cycle_exit in (False, True):
+                assert_matches_periodic_loop(lockstep_routers(), 5, period, cycle_exit)
+
+    def test_cycle_exit_stops_at_the_repeated_state(self):
+        run = assert_matches_periodic_loop(lockstep_routers(), 6, 400.0, cycle_exit=True)
+        assert run.aborted and run.abort_reason == "cycle"
+        assert run.simulated_events < 6 * (1 + 1 + 4 + 4)
+
+    def test_period_equal_to_the_source_duration(self, simple_chain_csdf):
+        # a finishes exactly at its next release: its own finish starts it.
+        for cycle_exit in (False, True):
+            assert_matches_periodic_loop(simple_chain_csdf, 6, 10.0, cycle_exit)
+
+    def test_consumer_declared_before_its_producer(self):
+        graph = (
+            CSDFBuilder("reversed")
+            .actor("c", [3.0])
+            .actor("b", [2.0, 0.0])
+            .actor("a", [1.0])
+            .edge("a", "b", production=[1], consumption=[1, 0])
+            .edge("b", "c", production=[0, 1], consumption=[1])
+            .build()
+        )
+        for period in (None, 2.0, 3.0, 8.0):
+            for cycle_exit in (False, True):
+                assert_matches_periodic_loop(graph, 4, period, cycle_exit)
+
+    def test_capacities_are_ignored(self, multirate_csdf):
+        bounded = multirate_csdf.copy()
+        for edge in multirate_csdf.edges:
+            bounded.replace_edge(edge.with_capacity(1))
+        assert assert_matches_periodic_loop(bounded, 4, 12.0).max_occupancy == (
+            feed_forward_run(multirate_csdf, 4, 12.0).max_occupancy
+        )
+
+    def test_arguments_are_checked(self, simple_chain_csdf):
+        with pytest.raises(ValueError):
+            feed_forward_run(simple_chain_csdf, 0, 10.0)
+        with pytest.raises(ValueError):
+            feed_forward_run(simple_chain_csdf, 2, 0.0)
+
+
 class TestRouting:
-    """The unperiodic analyses never run the event loop; periodic ones do."""
+    """Unperiodic analyses and feed-forward buffer sizing never run the event
+    loop; sustainability probes, periodic latency and the buffer sizing of
+    every other graph do."""
 
     @staticmethod
     def refuse_event_loop(monkeypatch):
@@ -101,6 +218,18 @@ class TestRouting:
             raise AssertionError("the event loop ran")
 
         monkeypatch.setattr(SelfTimedSimulator, "run", refuse)
+
+    @staticmethod
+    def count_event_loop(monkeypatch):
+        calls = []
+        run = SelfTimedSimulator.run
+
+        def counted(self):
+            calls.append(self)
+            return run(self)
+
+        monkeypatch.setattr(SelfTimedSimulator, "run", counted)
+        return calls
 
     @pytest.fixture()
     def no_event_loop(self, monkeypatch):
@@ -136,13 +265,65 @@ class TestRouting:
         assert end_to_end_latency_ns(simple_chain_csdf, iterations=3) > 0
 
     def test_periodic_latency_runs_the_event_loop(self, simple_chain_csdf, monkeypatch):
-        calls = []
-        run = SelfTimedSimulator.run
-
-        def counted(self):
-            calls.append(self)
-            return run(self)
-
-        monkeypatch.setattr(SelfTimedSimulator, "run", counted)
+        calls = self.count_event_loop(monkeypatch)
         end_to_end_latency_ns(simple_chain_csdf, iterations=3, source_period_ns=50.0)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("early_exit", [False, True])
+    def test_feed_forward_buffer_sizing(self, early_exit, monkeypatch):
+        graph = lockstep_routers()
+        expected = simulate(graph, 6, source_period_ns=400.0, cycle_exit=early_exit)
+        self.refuse_event_loop(monkeypatch)
+        budget = AnalysisEngine().budget()
+        capacities = sufficient_buffer_capacities(
+            graph, 400.0, iterations=6, early_exit=early_exit, budget=budget
+        )
+        assert capacities == {
+            edge.name: max(
+                expected.max_occupancy[edge.name], _lower_bound_capacity(graph, edge.name)
+            )
+            for edge in graph.edges
+        }
+        assert budget.events_used == expected.simulated_events
+
+    def test_engine_buffer_sizing_charges_the_loops_firings(self, monkeypatch):
+        graph = lockstep_routers()
+        expected = simulate(graph, 6, source_period_ns=400.0, cycle_exit=True)
+        self.refuse_event_loop(monkeypatch)
+        engine = AnalysisEngine()
+        budget = engine.budget()
+        engine.sufficient_buffer_capacities(graph, 400.0, iterations=6, budget=budget)
+        assert engine.simulations_run == 1
+        assert engine.simulated_events == budget.events_used == expected.simulated_events
+
+    def test_bounded_feed_forward_buffer_sizing(self, simple_chain_csdf, no_event_loop):
+        # The capacities are stripped before the run, so the class holds.
+        bounded = simple_chain_csdf.copy()
+        for edge in simple_chain_csdf.edges:
+            bounded.replace_edge(edge.with_capacity(1))
+        assert sufficient_buffer_capacities(bounded, 30.0, iterations=4) == (
+            sufficient_buffer_capacities(simple_chain_csdf, 30.0, iterations=4)
+        )
+
+    def test_feedback_buffer_sizing_runs_the_event_loop(self, monkeypatch):
+        graph = (
+            CSDFBuilder("feedback")
+            .actor("a", [2.0])
+            .actor("b", [1.0])
+            .edge("a", "b", production=[1], consumption=[1])
+            .edge("b", "a", production=[1], consumption=[1], initial_tokens=2)
+            .build()
+        )
+        calls = self.count_event_loop(monkeypatch)
+        sufficient_buffer_capacities(graph, 5.0, iterations=3)
+        assert len(calls) == 1
+
+    def test_sustainability_of_bounded_graphs_runs_the_event_loop(
+        self, simple_chain_csdf, monkeypatch
+    ):
+        bounded = simple_chain_csdf.copy()
+        for edge in simple_chain_csdf.edges:
+            bounded.replace_edge(edge.with_capacity(1))
+        calls = self.count_event_loop(monkeypatch)
+        assert is_period_sustainable(bounded, 30.0, iterations=4)
         assert len(calls) == 1

@@ -144,6 +144,54 @@ class TestPeriodicSources:
         result = simulate(simple_chain_csdf, iterations=3, source_period_ns=100.0)
         assert result.iteration_latency_ns("a", "c", 0) == pytest.approx(35.0)
 
+    @staticmethod
+    def _release_while_busy_chain():
+        # s is waiting for its next release while a is still running: a
+        # finishes at 4.5, after s's release at 4.
+        return (
+            CSDFBuilder("release_while_busy")
+            .actor("s", [1.0])
+            .actor("a", [3.5])
+            .edge("s", "a", production=[1], consumption=[1])
+            .build()
+        )
+
+    def test_release_is_not_deferred_to_a_later_finish(self):
+        graph = self._release_while_busy_chain()
+        result = simulate(graph, iterations=4, source_period_ns=4.0)
+        assert result.start_times_ns["s"] == [0.0, 4.0, 8.0, 12.0]
+        assert result.start_times_ns["a"] == [1.0, 5.0, 9.0, 13.0]
+        reference = naive_reference_run(graph, 4, source_period_ns=4.0)
+        assert observe(result) == reference
+
+    def test_finish_at_the_release_instant_pops_first(self):
+        # a finishes exactly at s's release (4.0): the finish is processed
+        # first and s starts in the readiness pass that follows it.
+        graph = (
+            CSDFBuilder("release_tie")
+            .actor("s", [1.0])
+            .actor("a", [3.0])
+            .edge("s", "a", production=[1], consumption=[1])
+            .build()
+        )
+        result = simulate(graph, iterations=3, source_period_ns=4.0)
+        assert result.start_times_ns["s"] == [0.0, 4.0, 8.0]
+        assert result.finish_times_ns["a"] == [4.0, 8.0, 12.0]
+        assert observe(result) == naive_reference_run(graph, 3, source_period_ns=4.0)
+
+    def test_release_is_exact(self):
+        # A finish 1e-13 ns before the release no longer starts the source
+        # early: the release is taken at its own instant.
+        graph = (
+            CSDFBuilder("release_exact")
+            .actor("s", [1.0])
+            .actor("a", [4.0 - 1e-13 - 1.0])
+            .edge("s", "a", production=[1], consumption=[1])
+            .build()
+        )
+        result = simulate(graph, iterations=2, source_period_ns=4.0)
+        assert result.start_times_ns["s"] == [0.0, 4.0]
+
 
 class TestBoundedAffectedSetEquivalence:
     """The bounded-buffer fast path must match the naive full scan exactly."""
