@@ -176,6 +176,13 @@ def manhattan_cost(
     return total
 
 
+def _channel_energy_nj(bits: float, hops: float, model: CostModel) -> float:
+    """Energy of one channel's bits per iteration over ``hops`` router hops."""
+    if hops == 0:
+        return bits * model.local_channel_energy_per_bit_nj
+    return bits * hops * model.energy_per_bit_per_hop_nj
+
+
 def communication_energy_nj(
     mapping: Mapping,
     als: ApplicationLevelSpec,
@@ -201,11 +208,7 @@ def communication_energy_nj(
             hops = manhattan_distance(
                 platform.tile(source_tile).position, platform.tile(target_tile).position
             )
-        bits = channel.bits_per_iteration
-        if hops == 0:
-            total += bits * model.local_channel_energy_per_bit_nj
-        else:
-            total += bits * hops * model.energy_per_bit_per_hop_nj
+        total += _channel_energy_nj(channel.bits_per_iteration, hops, model)
     return total
 
 
@@ -224,5 +227,38 @@ def mapping_energy_nj(
     model = cost_model or CostModel()
     computation = mapping.computation_energy_nj()
     communication = communication_energy_nj(mapping, als, platform, model)
+    activation = model.tile_activation_energy_nj * len(mapping.used_tiles())
+    return computation + communication + activation
+
+
+def mapping_energy_lower_bound_nj(
+    mapping: Mapping,
+    als: ApplicationLevelSpec,
+    platform: Platform,
+    cost_model: CostModel | None = None,
+) -> float:
+    """A lower bound on :func:`mapping_energy_nj` of any routing of ``mapping``.
+
+    Costs every placed data channel at the fewest hops between its endpoint
+    routers (:meth:`~repro.platform.noc.NoC.hop_distance`), ignoring any
+    routes the mapping holds.  A route never has fewer hops, the bound adds
+    the same terms in the same order as :func:`mapping_energy_nj`, and
+    floating-point products and sums of non-negative terms are monotone, so
+    the bound never exceeds the routed energy, on any topology.  On a mesh
+    the hop distance is the Manhattan distance and the bound equals the
+    energy of the unrouted mapping.
+    """
+    model = cost_model or CostModel()
+    noc = platform.noc
+    communication = 0.0
+    for channel in als.kpn.data_channels():
+        endpoints = _endpoint_tiles(mapping, als, channel)
+        if endpoints is None:
+            continue
+        hops = noc.hop_distance(
+            platform.tile(endpoints[0]).position, platform.tile(endpoints[1]).position
+        )
+        communication += _channel_energy_nj(channel.bits_per_iteration, hops, model)
+    computation = mapping.computation_energy_nj()
     activation = model.tile_activation_energy_nj * len(mapping.used_tiles())
     return computation + communication + activation

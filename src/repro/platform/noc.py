@@ -10,6 +10,8 @@ channel being routed.
 
 from __future__ import annotations
 
+import math
+from collections import deque
 from dataclasses import dataclass, field
 
 from repro.exceptions import PlatformError
@@ -97,6 +99,10 @@ class NoC:
         # searches ask for neighbours in their inner loop, and scanning the
         # whole link table there made every Dijkstra O(links) per visit.
         self._neighbours: dict[Position, list[Position]] = {}
+        # Hop distances from one source router to every router it reaches,
+        # built by one BFS on first use and dropped by add_link (a new router
+        # has no links yet, so it changes no distance).
+        self._hop_rows: dict[Position, dict[Position, int]] = {}
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -119,6 +125,7 @@ class NoC:
         self._links[key] = link
         self._links_by_name[link.name] = link
         self._neighbours.setdefault(key[0], []).append(key[1])
+        self._hop_rows = {}
         return link
 
     def add_bidirectional_link(self, a: Position, b: Position, capacity_bits_per_s: float) -> None:
@@ -181,6 +188,31 @@ class NoC:
         """Positions reachable from ``position`` over one outgoing link (O(degree))."""
         self.router(position)
         return tuple(self._neighbours.get(tuple(position), ()))
+
+    def hop_distance(self, source: Position, target: Position) -> float:
+        """Fewest links on any directed path from ``source`` to ``target``.
+
+        ``math.inf`` when no path exists.  Every route the NoC can carry is
+        at least this long, whatever the topology: on a mesh it equals the
+        Manhattan distance, on a torus the wrap-around links make it
+        shorter.  One BFS per source router, cached until the next
+        :meth:`add_link`.
+        """
+        source = tuple(source)
+        row = self._hop_rows.get(source)
+        if row is None:
+            self.router(source)
+            row = {source: 0}
+            frontier = deque((source,))
+            while frontier:
+                position = frontier.popleft()
+                hops = row[position] + 1
+                for neighbour in self._neighbours.get(position, ()):
+                    if neighbour not in row:
+                        row[neighbour] = hops
+                        frontier.append(neighbour)
+            self._hop_rows[source] = row
+        return row.get(tuple(target), math.inf)
 
     def links_on_path(self, path: tuple[Position, ...]) -> tuple[Link, ...]:
         """The directed links traversed by a router path."""

@@ -27,6 +27,12 @@ class Platform:
         self._allow_shared_routers = allow_shared_routers
         self._tiles: dict[str, Tile] = {}
         self._tiles_by_position: dict[Position, list[str]] = {}
+        # Lookup tables derived from the tiles, reset by add_tile: all tiles
+        # per type name, and the processing tiles of one type within one
+        # scope (``None`` or a region's tile-name set), both in declaration
+        # order.  Steps 1-2 and the rescue lane query these per candidate.
+        self._tiles_by_type: dict[str, tuple[Tile, ...]] | None = None
+        self._scoped_tables: dict[tuple[str, frozenset[str] | None], tuple[str, ...]] = {}
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -47,6 +53,8 @@ class Platform:
             )
         self._tiles[tile.name] = tile
         occupants.append(tile.name)
+        self._tiles_by_type = None
+        self._scoped_tables = {}
         return tile
 
     def add_tiles(self, tiles: Iterable[Tile]) -> None:
@@ -91,7 +99,33 @@ class Platform:
         """All tiles whose type matches ``type_name`` (insertion order)."""
         if isinstance(type_name, TileType):
             type_name = type_name.name
-        return tuple(t for t in self._tiles.values() if t.type_name == type_name)
+        if self._tiles_by_type is None:
+            grouped: dict[str, list[Tile]] = {}
+            for tile in self._tiles.values():
+                grouped.setdefault(tile.type_name, []).append(tile)
+            self._tiles_by_type = {name: tuple(tiles) for name, tiles in grouped.items()}
+        return self._tiles_by_type.get(type_name, ())
+
+    def processing_tile_names(
+        self, type_name: str, scope: frozenset[str] | None = None
+    ) -> tuple[str, ...]:
+        """Names of the processing tiles of one type within ``scope`` (insertion order).
+
+        ``scope`` is a set of tile names, normally a region's, or ``None``
+        for the whole platform.  The table is built once per (type, scope)
+        and kept until the next :meth:`add_tile`; callers pass only the
+        scopes of their region partition, so the tables stay few.
+        """
+        key = (type_name, scope)
+        table = self._scoped_tables.get(key)
+        if table is None:
+            table = tuple(
+                tile.name
+                for tile in self.tiles_of_type(type_name)
+                if tile.is_processing and (scope is None or tile.name in scope)
+            )
+            self._scoped_tables[key] = table
+        return table
 
     def processing_tiles(self) -> tuple[Tile, ...]:
         """Tiles that can host mapped processes."""

@@ -6,10 +6,26 @@ one-exclusion-per-iteration feedback simply cannot reshuffle fast enough.
 Following gerbmerge's ``TileSearch`` ("random placement + evaluation with a
 shared best-score works surprisingly well" for tile packing), this module
 runs K seeded random-placement searchers when the refinement loop ends
-without a :attr:`~repro.mapping.result.MappingStatus.FEASIBLE` result, each
-proposing full placements that are routed, adherence-checked and
-feasibility-analysed, and adopts the best feasible mapping found within an
-event budget.
+without a :attr:`~repro.mapping.result.MappingStatus.FEASIBLE` result and
+adopts the best feasible mapping found within an event budget.
+
+Each candidate runs the pipeline place → bound → route → adhere → cost →
+step 4, and leaves it as soon as it cannot beat the shared best:
+
+* **place** — a full random placement, drawn from the platform's per-scope
+  tile tables against a copy of one residual tracker seeded per call;
+* **bound** — once a feasible best exists, a lower bound on the candidate's
+  energy (:func:`~repro.mapping.cost.mapping_energy_lower_bound_nj`: every
+  channel at the fewest NoC hops between its endpoint routers) is compared
+  with the best energy before any routing.  This is the branch-and-bound
+  prune of the shared-best cut: a route is never shorter than the hop
+  distance, so a candidate the bound cuts would have been cut after
+  routing too, and routing charges the ledger nothing, so the lane's
+  decisions, counters and charges are the same as without the bound;
+* **route / adhere / cost** — step 3 in a scratch transaction, the
+  adherence check and the exact energy, which repeats the shared-best cut
+  on the routed hop counts;
+* **step 4** — the feasibility analysis, charged to the call's ledger.
 
 Three disciplines keep the lane decision-inert infrastructure-wise:
 
@@ -21,9 +37,9 @@ Three disciplines keep the lane decision-inert infrastructure-wise:
   draw identical placements on every executor, so serial and process
   drains stay decision-identical and results stay cacheable; renamed but
   identically-shaped applications draw the same seeds.
-* **Scratch transactions** — each candidate is evaluated inside a
-  :meth:`~repro.platform.state.PlatformState.transaction` that is rolled
-  back before the next candidate (the ``step3_routing``/``interregion``
+* **Scratch transactions** — each candidate the bound keeps is evaluated
+  inside a :meth:`~repro.platform.state.PlatformState.transaction` that is
+  rolled back before the next candidate (the ``step3_routing``/``interregion``
   scratch discipline), so the platform state is bit-identical afterwards.
 * **Budget charging** — all feasibility analysis of one rescue call is
   charged against a single :class:`~repro.csdf.analysis.budget.AnalysisBudget`
@@ -45,7 +61,11 @@ from repro.appmodel.library import ImplementationLibrary
 from repro.csdf.analysis.budget import AnalysisBudget, AnalysisEngine
 from repro.kpn.als import ApplicationLevelSpec
 from repro.mapping.assignment import ProcessAssignment
-from repro.mapping.cost import manhattan_cost, mapping_energy_nj
+from repro.mapping.cost import (
+    manhattan_cost,
+    mapping_energy_lower_bound_nj,
+    mapping_energy_nj,
+)
 from repro.mapping.mapping import Mapping
 from repro.mapping.properties import adherence_violations
 from repro.mapping.result import MappingResult, MappingStatus
@@ -95,20 +115,22 @@ def _random_placement(
     platform: Platform,
     library: ImplementationLibrary,
     state: PlatformState,
+    pinned: Mapping,
+    pinned_residuals: ResidualTracker,
     allowed_tiles: frozenset[str] | None,
 ) -> Mapping | None:
     """One full random placement, or ``None`` when some process cannot fit.
 
-    Pinned processes keep their pinned tile; mappable processes are placed
-    in a shuffled order, each drawing uniformly from its currently-eligible
-    (implementation, tile) options.  The refinement loop's exclusions are
-    deliberately *not* applied: they encode why the greedy search failed,
-    and the rescue lane's whole point is to search outside that corridor.
+    Pinned processes keep their pinned tile (``pinned`` holds them, and
+    ``pinned_residuals`` accounts for them; both are copied, not changed);
+    mappable processes are placed in a shuffled order, each drawing
+    uniformly from its currently-eligible (implementation, tile) options.
+    The refinement loop's exclusions are deliberately *not* applied: they
+    encode why the greedy search failed, and the rescue lane's whole point
+    is to search outside that corridor.
     """
-    mapping = Mapping(als.name)
-    for process in als.kpn.pinned_processes():
-        mapping.assign(ProcessAssignment(process.name, process.pinned_tile))
-    residuals = ResidualTracker.for_mapping(platform, state, mapping)
+    mapping = pinned.copy()
+    residuals = pinned_residuals.copy()
 
     order = [process.name for process in als.kpn.mappable_processes()]
     rng.shuffle(order)
@@ -151,6 +173,13 @@ def rescue_search(
     ledger = AnalysisBudget(max_events=config.rescue_budget)
     outcome = RescueOutcome()
     best: MappingResult | None = None
+    # The scratch transactions roll every candidate back, so the state and
+    # with it the residuals left by the pinned processes are the same for
+    # every placement of this call.
+    pinned = Mapping(als.name)
+    for process in als.kpn.pinned_processes():
+        pinned.assign(ProcessAssignment(process.name, process.pinned_tile))
+    pinned_residuals = ResidualTracker.for_mapping(platform, state, pinned)
 
     for searcher in range(config.rescue_searchers):
         if ledger.exhausted:
@@ -161,11 +190,20 @@ def rescue_search(
             if ledger.exhausted:
                 break
             mapping = _random_placement(
-                rng, als, platform, library, state, allowed_tiles
+                rng, als, platform, library, state, pinned, pinned_residuals,
+                allowed_tiles,
             )
             if mapping is None:
                 continue
             outcome.candidates += 1
+            # Bound before routing.  The bound costs each channel at the
+            # NoC's BFS hop distance, which no route undercuts on any
+            # topology; a Manhattan bound would be valid on a mesh only, as
+            # a torus's wrap-around links route shorter than Manhattan.
+            if best is not None and mapping_energy_lower_bound_nj(
+                mapping, als, platform, config.cost_model
+            ) >= best.energy_nj_per_iteration:
+                continue
             with state.transaction() as txn:
                 candidate = _evaluate(
                     mapping,
@@ -214,9 +252,10 @@ def _evaluate(
     if adherence_violations(step3.mapping, platform, library, state, als):
         return None
     energy = mapping_energy_nj(step3.mapping, als, platform, config.cost_model)
-    # Shared-best cut: a candidate that cannot improve on the best feasible
-    # energy found so far is not worth a step-4 simulation.  The cut depends
-    # only on earlier (deterministic) candidates, so it is replay-stable.
+    # Shared-best cut on the routed hop counts: a candidate that cannot
+    # improve on the best feasible energy found so far is not worth a step-4
+    # analysis.  The cut depends only on earlier (deterministic) candidates,
+    # so it is replay-stable.
     if best is not None and energy >= best.energy_nj_per_iteration:
         return None
     step4 = check_feasibility(

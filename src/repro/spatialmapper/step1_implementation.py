@@ -55,24 +55,22 @@ def eligible_tiles(
     ``residuals`` carries the O(1) slot/memory bookkeeping; when omitted (the
     standalone-call convenience path) a tracker is derived from ``state`` and
     ``mapping`` on the spot.  ``allowed_tiles`` restricts the candidates to a
-    region's tiles (``None`` = whole platform).
+    region's tiles (``None`` = whole platform); the candidates come from the
+    platform's cached per-scope table of processing tiles of the type.
     """
-    exclusions = exclusions or ExclusionSet()
     if residuals is None:
         residuals = ResidualTracker.for_mapping(platform, state, mapping)
+    process = implementation.process
+    memory = implementation.memory_bytes
     tiles: list[str] = []
-    for tile in platform.tiles_of_type(implementation.tile_type):
-        if not tile.is_processing:
+    for tile_name in platform.processing_tile_names(implementation.tile_type, allowed_tiles):
+        if exclusions is not None and not exclusions.placement_allowed(process, tile_name):
             continue
-        if allowed_tiles is not None and tile.name not in allowed_tiles:
+        if residuals.free_slots(tile_name) < 1:
             continue
-        if not exclusions.placement_allowed(implementation.process, tile.name):
+        if memory > residuals.free_memory(tile_name):
             continue
-        if residuals.free_slots(tile.name) < 1:
-            continue
-        if implementation.memory_bytes > residuals.free_memory(tile.name):
-            continue
-        tiles.append(tile.name)
+        tiles.append(tile_name)
     return tiles
 
 
@@ -99,7 +97,7 @@ def select_implementations(
     contains them).
     """
     config = config or MapperConfig()
-    exclusions = exclusions or ExclusionSet()
+    exclusions = ExclusionSet() if exclusions is None else exclusions
     mapping = Mapping(als.name)
 
     # Pinned processes are fixed by the ALS and not subject to choice.
@@ -111,24 +109,36 @@ def select_implementations(
     result = Step1Result(mapping=mapping)
     residuals = ResidualTracker.for_mapping(platform, state, mapping)
 
+    # Eligible tiles per (process, implementation), derived once.  The
+    # exclusions are fixed during step 1 and a placement only lowers the
+    # residuals of its own tile, so after each placement re-checking that
+    # one tile keeps every list exact.
+    eligible: dict[str, list[tuple[Implementation, list[str]]]] = {
+        process_name: [
+            (
+                implementation,
+                eligible_tiles(
+                    implementation, platform, state, mapping, exclusions, residuals,
+                    allowed_tiles,
+                ),
+            )
+            for implementation in library.implementations_for(process_name)
+            if exclusions.implementation_allowed(process_name, implementation.tile_type)
+        ]
+        for process_name in unassigned
+    }
+
     while unassigned:
         # Re-evaluate desirability every iteration: tile availability changes
         # as processes are packed, which changes which implementations still
         # admit an adherent mapping.
         scored: list[tuple[float, int, str, list]] = []
         for process_name in unassigned:
-            candidates = []
-            for implementation in library.implementations_for(process_name):
-                if not exclusions.implementation_allowed(
-                    process_name, implementation.tile_type
-                ):
-                    continue
-                tiles = eligible_tiles(
-                    implementation, platform, state, mapping, exclusions, residuals,
-                    allowed_tiles,
-                )
-                if tiles:
-                    candidates.append((implementation, tiles))
+            candidates = [
+                (implementation, tiles)
+                for implementation, tiles in eligible[process_name]
+                if tiles
+            ]
             options = assignment_options(
                 process_name,
                 candidates,
@@ -162,13 +172,21 @@ def select_implementations(
         # Cheapest option decides the implementation; the concrete tile is the
         # first tile (platform declaration order) of that type that fits.
         chosen = options[0].implementation
-        tiles = eligible_tiles(
-            chosen, platform, state, mapping, exclusions, residuals, allowed_tiles
-        )
-        tile_name = tiles[0]
+        tile_name = next(
+            tiles for implementation, tiles in eligible.pop(process_name)
+            if implementation is chosen
+        )[0]
         mapping.assign(ProcessAssignment(process_name, tile_name, chosen))
         residuals.place(tile_name, chosen.memory_bytes)
         result.order.append(process_name)
         unassigned.remove(process_name)
+        free_slots = residuals.free_slots(tile_name)
+        free_memory = residuals.free_memory(tile_name)
+        for entries in eligible.values():
+            for implementation, tiles in entries:
+                if tile_name in tiles and (
+                    free_slots < 1 or implementation.memory_bytes > free_memory
+                ):
+                    tiles.remove(tile_name)
 
     return result

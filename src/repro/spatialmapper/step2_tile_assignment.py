@@ -166,19 +166,17 @@ def _enumerate_candidates(
         if assignment.implementation is None:
             continue
         tile_type = platform.tile(assignment.tile).type_name
-        # Moves to free tiles of the same type.
-        for tile in platform.tiles_of_type(tile_type):
-            if tile.name == assignment.tile or not tile.is_processing:
+        # Moves to free tiles of the same type, from the scope's tile table.
+        for tile_name in platform.processing_tile_names(tile_type, allowed_tiles):
+            if tile_name == assignment.tile:
                 continue
-            if allowed_tiles is not None and tile.name not in allowed_tiles:
+            if not exclusions.placement_allowed(process_name, tile_name):
                 continue
-            if not exclusions.placement_allowed(process_name, tile.name):
+            if residuals.free_slots(tile_name) < 1:
                 continue
-            if residuals.free_slots(tile.name) < 1:
+            if assignment.implementation.memory_bytes > residuals.free_memory(tile_name):
                 continue
-            if assignment.implementation.memory_bytes > residuals.free_memory(tile.name):
-                continue
-            candidates.append(_Move(process_name, tile.name))
+            candidates.append(_Move(process_name, tile_name))
         # Swaps with later processes on the same tile type.
         for other_name in processes:
             if rank[other_name] <= rank[process_name]:
@@ -259,7 +257,7 @@ def refine_tile_assignment(
 ) -> Step2Result:
     """Run the step-2 local search and return the refined mapping with its trace."""
     config = config or MapperConfig()
-    exclusions = exclusions or ExclusionSet()
+    exclusions = ExclusionSet() if exclusions is None else exclusions
     current = mapping.copy()
     residuals = ResidualTracker.for_mapping(platform, state, current)
     incident = incident_channels(als)

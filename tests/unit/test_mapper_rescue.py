@@ -1,9 +1,10 @@
 """The stochastic rescue lane, plus the mapper feedback/trace bugfixes.
 
 Covers the rescue lane itself (seeding, adoption, rollback, replay
-determinism, cacheability), the feedback-recording symmetry of
-``_apply_feedback`` (every branch must log to *both* the trace and the
-diagnostics — the INADHERENT branch used to record neither), and the
+determinism, cacheability, the energy bound before routing), the
+feedback-recording symmetry of ``_apply_feedback`` (every branch must log
+to *both* the trace and the diagnostics — the INADHERENT branch used to
+record neither), and the
 cache-hit fixes (``last_trace`` resets to a marked empty trace; hits are
 clones whose stored ``runtime_s`` is never overwritten).
 """
@@ -14,16 +15,23 @@ from dataclasses import replace
 
 import pytest
 
+from repro.csdf.analysis.budget import AnalysisEngine
 from repro.exceptions import ConfigurationError
+from repro.mapping.assignment import ProcessAssignment
+from repro.mapping.cost import mapping_energy_lower_bound_nj, mapping_energy_nj
+from repro.mapping.mapping import Mapping
 from repro.mapping.result import MappingStatus
+from repro.platform.builder import PlatformBuilder
 from repro.platform.regions import RegionPartition
 from repro.platform.state import PlatformState
+from repro.platform.topology import build_torus_noc
 from repro.runtime.manager import RuntimeResourceManager
+from repro.spatialmapper import rescue as rescue_module
 from repro.spatialmapper.cache import MapperCache
 from repro.spatialmapper.config import MapperConfig
 from repro.spatialmapper.feedback import ExclusionSet, Feedback, FeedbackKind
 from repro.spatialmapper.mapper import SpatialMapper
-from repro.spatialmapper.rescue import rescue_seed
+from repro.spatialmapper.rescue import rescue_search, rescue_seed
 from repro.spatialmapper.trace import MapperTrace
 from repro.workloads.synthetic import (
     SyntheticConfig,
@@ -197,6 +205,156 @@ class TestRescueLane:
         assert hit.status is MappingStatus.FEASIBLE
         assert assignments_of(hit) == assignments_of(computed)
         assert mapper.last_trace.cache_hit
+
+
+def run_rescue(platform, state, region, app, config=RESCUE):
+    """One rescue-lane call on a fresh analysis engine."""
+    return rescue_search(
+        app.als,
+        platform,
+        app.library,
+        state,
+        config=config,
+        analysis=AnalysisEngine.from_config(config),
+        region=region,
+        fingerprint=region.fingerprint(state) if region is not None else None,
+    )
+
+
+class TestBoundBeforeRouting:
+    """The energy bound cuts candidates before routing without changing
+    what the lane decides, counts or charges."""
+
+    def test_outcome_equals_the_values_pinned_before_the_bound(self, rescue_case):
+        """Captured on the lane that routed every candidate and cut only
+        after costing the routed mapping."""
+        platform, state, region, app = rescue_case
+        outcome = run_rescue(platform, state, region, app)
+        assert outcome.searchers_run == 6
+        assert outcome.candidates == 24
+        assert outcome.feasible_found == 4
+        assert outcome.events_used == 12227
+        assert not outcome.budget_exhausted
+        result = outcome.result
+        assert assignments_of(result) == [
+            ("k0", "gpp6", "GPP"),
+            ("k1", "dsp7", "DSP"),
+            ("k2", "gpp1", "GPP"),
+            ("k3", "dsp7", "DSP"),
+            ("k4", "gpp11", "GPP"),
+            ("sink", "io_r0_0", None),
+            ("source", "io_r0_0", None),
+        ]
+        assert result.energy_nj_per_iteration == float.fromhex("0x1.552a9eac6f5dap+10")
+        assert result.manhattan_cost == 12.0
+        assert sorted((r.channel, r.path) for r in result.mapping.routes) == [
+            ("c0_source_k0", ((0, 0), (0, 1), (1, 1))),
+            ("c1_k0_k1", ((1, 1), (2, 1))),
+            ("c2_k1_k2", ((2, 1), (1, 1), (1, 0))),
+            ("c3_k2_k3", ((1, 0), (1, 1), (2, 1))),
+            ("c4_k3_k4", ((2, 1), (1, 1), (0, 1), (0, 2))),
+            ("c5_k4_sink", ((0, 2), (0, 1), (0, 0))),
+        ]
+
+    def test_a_cut_candidate_never_reaches_routing(self, rescue_case, monkeypatch):
+        platform, state, region, app = rescue_case
+        candidates: list[dict] = []
+        best: list[float] = []
+
+        def placement(*args, **kwargs):
+            mapping = real_placement(*args, **kwargs)
+            if mapping is not None:
+                candidates.append({"routed": False, "cut": False})
+            return mapping
+
+        def bound(*args, **kwargs):
+            value = real_bound(*args, **kwargs)
+            candidates[-1]["cut"] = value >= best[-1]
+            return value
+
+        def route(*args, **kwargs):
+            candidates[-1]["routed"] = True
+            return real_route(*args, **kwargs)
+
+        def evaluate(*args, **kwargs):
+            result = real_evaluate(*args, **kwargs)
+            if result is not None:
+                best.append(result.energy_nj_per_iteration)
+            return result
+
+        real_placement = rescue_module._random_placement
+        real_bound = rescue_module.mapping_energy_lower_bound_nj
+        real_route = rescue_module.route_channels
+        real_evaluate = rescue_module._evaluate
+        monkeypatch.setattr(rescue_module, "_random_placement", placement)
+        monkeypatch.setattr(rescue_module, "mapping_energy_lower_bound_nj", bound)
+        monkeypatch.setattr(rescue_module, "route_channels", route)
+        monkeypatch.setattr(rescue_module, "_evaluate", evaluate)
+        outcome = run_rescue(platform, state, region, app)
+
+        assert len(candidates) == outcome.candidates == 24
+        cut = [c for c in candidates if c["cut"]]
+        assert len(cut) == 20
+        assert not any(c["routed"] for c in cut)
+        assert all(c["routed"] for c in candidates if not c["cut"])
+
+    def test_a_wrapped_route_below_manhattan_is_not_cut(self, monkeypatch):
+        """On a torus the wrap-around link makes ``far`` one hop from the
+        I/O tile, three fewer than Manhattan.  Placed second, behind a
+        feasible placement on ``near`` (two hops), it is cheaper once
+        routed, so the bound must keep it; a Manhattan bound would cut it."""
+        platform = (
+            PlatformBuilder("torus")
+            .noc(build_torus_noc(5, 3))
+            .tile_type("IO", is_processing=False)
+            .tile_type("GPP")
+            .tile("io", "IO", (0, 0))
+            .tile("near", "GPP", (2, 0), max_processes=4)
+            .tile("far", "GPP", (4, 0), max_processes=4)
+            .build()
+        )
+        app = generate_application(
+            3,
+            SyntheticConfig(stages=2, period_ns=1e6, tile_types=("GPP",)),
+            source_tile="io",
+            sink_tile="io",
+        )
+
+        def placed_on(tile):
+            mapping = Mapping(app.als.name)
+            for process in app.als.kpn.pinned_processes():
+                mapping.assign(ProcessAssignment(process.name, process.pinned_tile))
+            for process in app.als.kpn.mappable_processes():
+                (implementation,) = app.library.implementations_for(process.name)
+                mapping.assign(ProcessAssignment(process.name, tile, implementation))
+            return mapping
+
+        near, far = placed_on("near"), placed_on("far")
+        proposals = iter([near, far])
+        monkeypatch.setattr(
+            rescue_module, "_random_placement", lambda *args: next(proposals, None)
+        )
+        routed = []
+        real_route = rescue_module.route_channels
+        monkeypatch.setattr(
+            rescue_module,
+            "route_channels",
+            lambda mapping, *args, **kwargs: routed.append(mapping)
+            or real_route(mapping, *args, **kwargs),
+        )
+        config = replace(BASE, rescue_searchers=1, rescue_attempts=2)
+        outcome = run_rescue(platform, PlatformState(platform), None, app, config)
+
+        assert routed == [near, far]
+        assert outcome.feasible_found == 2
+        assert {a.tile for a in outcome.result.mapping.assignments} == {"io", "far"}
+        near_energy = mapping_energy_nj(near, app.als, platform, config.cost_model)
+        # On the idle torus every channel routes on a shortest path, so the
+        # bound is tight; the Manhattan energy lies above the near placement.
+        assert mapping_energy_lower_bound_nj(
+            far, app.als, platform, config.cost_model
+        ) == outcome.result.energy_nj_per_iteration < near_energy
+        assert mapping_energy_nj(far, app.als, platform, config.cost_model) > near_energy
 
 
 class TestCacheHitTraceAndRuntime:

@@ -114,3 +114,52 @@ class TestEligibleTiles:
         implementation = hiperlan_library.implementation_for("prefix_removal", "ARM")
         tiles = eligible_tiles(implementation, platform, state, Mapping("x"))
         assert tiles == ["arm2"]
+
+
+class SpyExclusions(ExclusionSet):
+    """An exclusion set that counts how often it is consulted."""
+
+    def __init__(self):
+        super().__init__()
+        self.queries = 0
+
+    def placement_allowed(self, process, tile):
+        self.queries += 1
+        return super().placement_allowed(process, tile)
+
+    def implementation_allowed(self, process, tile_type):
+        self.queries += 1
+        return super().implementation_allowed(process, tile_type)
+
+
+class TestEmptyExclusionsAreKept:
+    """An empty caller-owned ``ExclusionSet`` is falsy (it defines
+    ``__len__``) but must still be the set the step consults, not be swapped
+    for a fresh one."""
+
+    def test_eligible_tiles_consults_an_empty_set(self, case_study):
+        als, platform, library = case_study
+        from repro.mapping.mapping import Mapping
+
+        spy = SpyExclusions()
+        assert not spy
+        implementation = library.implementation_for("prefix_removal", "ARM")
+        tiles = eligible_tiles(implementation, platform, None, Mapping("x"), exclusions=spy)
+        assert tiles == ["arm1", "arm2"]
+        assert spy.queries == 2
+
+    def test_select_implementations_consults_an_empty_set(self, case_study):
+        als, platform, library = case_study
+        spy = SpyExclusions()
+        result = select_implementations(als, platform, library, exclusions=spy)
+        assert result.succeeded
+        assert spy.queries > 0
+
+    def test_refine_tile_assignment_consults_an_empty_set(self, case_study):
+        from repro.spatialmapper.step2_tile_assignment import refine_tile_assignment
+
+        als, platform, library = case_study
+        mapping = select_implementations(als, platform, library).mapping
+        spy = SpyExclusions()
+        refine_tile_assignment(mapping, als, platform, exclusions=spy)
+        assert spy.queries > 0

@@ -140,3 +140,45 @@ class TestRouting:
         first = capacity_aware_shortest_path(noc, (0, 0), (2, 2))
         second = capacity_aware_shortest_path(noc, (0, 0), (2, 2))
         assert first == second
+
+
+class TestHopDistance:
+    def test_mesh_hop_distance_is_manhattan(self):
+        noc = build_mesh_noc(4, 3)
+        for source in noc.positions:
+            for target in noc.positions:
+                assert noc.hop_distance(source, target) == manhattan_distance(source, target)
+
+    def test_torus_wraps_below_manhattan(self):
+        noc = build_torus_noc(5, 3)
+        assert noc.hop_distance((0, 0), (4, 0)) == 1
+        assert noc.hop_distance((0, 0), (4, 2)) == 2
+        assert noc.hop_distance((0, 0), (2, 0)) == 2
+        assert manhattan_distance((0, 0), (4, 2)) == 6
+
+    def test_unreachable_router_is_infinitely_far(self):
+        noc = NoC()
+        for position in ((0, 0), (1, 0), (2, 0)):
+            noc.add_router(Router(position))
+        noc.add_link(Link((0, 0), (1, 0), 1e9))
+        assert noc.hop_distance((0, 0), (1, 0)) == 1
+        assert noc.hop_distance((1, 0), (0, 0)) == float("inf")
+        assert noc.hop_distance((0, 0), (2, 0)) == float("inf")
+
+    def test_a_new_link_drops_the_cached_rows(self):
+        noc = NoC()
+        for position in ((0, 0), (1, 0), (2, 0)):
+            noc.add_router(Router(position))
+        noc.add_bidirectional_link((0, 0), (1, 0), 1e9)
+        noc.add_bidirectional_link((1, 0), (2, 0), 1e9)
+        assert noc.hop_distance((0, 0), (2, 0)) == 2
+        noc.add_link(Link((0, 0), (2, 0), 1e9))
+        assert noc.hop_distance((0, 0), (2, 0)) == 1
+        noc.add_router(Router((3, 0)))
+        assert noc.hop_distance((0, 0), (3, 0)) == float("inf")
+        noc.add_link(Link((2, 0), (3, 0), 1e9))
+        assert noc.hop_distance((0, 0), (3, 0)) == 2
+
+    def test_unknown_source_rejected(self):
+        with pytest.raises(PlatformError):
+            build_mesh_noc(2, 2).hop_distance((5, 5), (0, 0))
