@@ -331,6 +331,8 @@ class AdmissionPipeline:
             return
         metrics.count("mapper.rescue.searchers", float(trace.rescue_searchers_run))
         metrics.count("mapper.rescue.candidates", float(trace.rescue_candidates))
+        metrics.count("mapper.rescue.energy_cut", float(trace.rescue_energy_cut))
+        metrics.count("mapper.rescue.floor_cut", float(trace.rescue_floor_cut))
         metrics.count("mapper.rescue.feasible", float(trace.rescue_feasible))
         if trace.rescue_adopted:
             metrics.count("mapper.rescue.adopted", 1.0)

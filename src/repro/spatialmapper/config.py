@@ -101,9 +101,12 @@ class MapperConfig:
         Ceiling on simulated events the whole rescue lane (all searchers of
         one :meth:`~repro.spatialmapper.mapper.SpatialMapper.map` call
         combined) may charge through the analysis engine; ``None`` is
-        unlimited.  Cache hits charge their stored cost, so the trajectory
-        is cache-warmth independent (anytime: exhaustion returns the best
-        feasible candidate found so far).
+        unlimited.  It is charged with the events of the analyses that run:
+        cache hits charge their stored cost, so the trajectory is
+        cache-warmth independent, and a candidate cut before step 4 (by the
+        energy bound or the stream-buffer floor) charges nothing, so the
+        events go to candidates that can still be feasible (anytime:
+        exhaustion returns the best feasible candidate found so far).
     """
 
     step2_strategy: Step2Strategy = Step2Strategy.FIRST_IMPROVEMENT

@@ -223,6 +223,8 @@ class SpatialMapper:
         )
         trace.rescue_searchers_run = outcome.searchers_run
         trace.rescue_candidates = outcome.candidates
+        trace.rescue_energy_cut = outcome.energy_cut
+        trace.rescue_floor_cut = outcome.floor_cut
         trace.rescue_feasible = outcome.feasible_found
         trace.rescue_budget_exhausted = outcome.budget_exhausted
         if outcome.result is not None:
@@ -337,6 +339,7 @@ class SpatialMapper:
         trace.step_windows.append(
             ("mapper.step4", step_start_ns, time.perf_counter_ns())
         )
+        trace.step4_floor_rejections += step4.floor_overflow
         status = MappingStatus.FEASIBLE if step4.feasible else MappingStatus.ADHERENT
         if not step4.feasible:
             diagnostics.append(f"step 4: {step4.report.reason}")

@@ -9,8 +9,9 @@ runs K seeded random-placement searchers when the refinement loop ends
 without a :attr:`~repro.mapping.result.MappingStatus.FEASIBLE` result and
 adopts the best feasible mapping found within an event budget.
 
-Each candidate runs the pipeline place → bound → route → adhere → cost →
-step 4, and leaves it as soon as it cannot beat the shared best:
+Each candidate runs the pipeline place → bound → floor → route → adhere →
+cost → step 4, and leaves it as soon as it cannot beat the shared best or
+cannot be feasible:
 
 * **place** — a full random placement, drawn from the platform's per-scope
   tile tables against a copy of one residual tracker seeded per call;
@@ -20,12 +21,21 @@ step 4, and leaves it as soon as it cannot beat the shared best:
   with the best energy before any routing.  This is the branch-and-bound
   prune of the shared-best cut: a route is never shorter than the hop
   distance, so a candidate the bound cuts would have been cut after
-  routing too, and routing charges the ledger nothing, so the lane's
-  decisions, counters and charges are the same as without the bound;
+  routing too;
+* **floor** — the stream buffers at their smallest possible capacities
+  (:func:`~repro.spatialmapper.step4_feasibility.stream_buffer_floor_overflow`)
+  must fit the consuming tiles' memory.  The floor needs no routes and is
+  exactly the capacity step 4's sizing starts from, so a candidate it cuts
+  would have ended in a step-4 buffer overflow after its sizing run;
 * **route / adhere / cost** — step 3 in a scratch transaction, the
   adherence check and the exact energy, which repeats the shared-best cut
   on the routed hop counts;
 * **step 4** — the feasibility analysis, charged to the call's ledger.
+
+A candidate cut before step 4 charges the ledger nothing.  The bound
+therefore changes none of the lane's decisions or charges.  The floor
+changes charges only: the sizing runs it skips would have charged the
+ledger, so a ledger that used to run out can now last for more candidates.
 
 Three disciplines keep the lane decision-inert infrastructure-wise:
 
@@ -37,9 +47,10 @@ Three disciplines keep the lane decision-inert infrastructure-wise:
   draw identical placements on every executor, so serial and process
   drains stay decision-identical and results stay cacheable; renamed but
   identically-shaped applications draw the same seeds.
-* **Scratch transactions** — each candidate the bound keeps is evaluated
-  inside a :meth:`~repro.platform.state.PlatformState.transaction` that is
-  rolled back before the next candidate (the ``step3_routing``/``interregion``
+* **Scratch transactions** — each candidate the bound and the floor keep
+  is evaluated inside a
+  :meth:`~repro.platform.state.PlatformState.transaction` that is rolled
+  back before the next candidate (the ``step3_routing``/``interregion``
   scratch discipline), so the platform state is bit-identical afterwards.
 * **Budget charging** — all feasibility analysis of one rescue call is
   charged against a single :class:`~repro.csdf.analysis.budget.AnalysisBudget`
@@ -76,7 +87,10 @@ from repro.spatialmapper.region_score import shape_fingerprint
 from repro.spatialmapper.residuals import ResidualTracker
 from repro.spatialmapper.step1_implementation import eligible_tiles
 from repro.spatialmapper.step3_routing import route_channels
-from repro.spatialmapper.step4_feasibility import check_feasibility
+from repro.spatialmapper.step4_feasibility import (
+    check_feasibility,
+    stream_buffer_floor_overflow,
+)
 
 
 def rescue_seed(
@@ -107,6 +121,10 @@ class RescueOutcome:
     feasible_found: int = 0
     budget_exhausted: bool = False
     events_used: int = 0
+    #: Candidates cut by the energy bound and by the stream-buffer floor,
+    #: before routing; every other candidate is routed.
+    energy_cut: int = 0
+    floor_cut: int = 0
 
 
 def _random_placement(
@@ -203,6 +221,10 @@ def rescue_search(
             if best is not None and mapping_energy_lower_bound_nj(
                 mapping, als, platform, config.cost_model
             ) >= best.energy_nj_per_iteration:
+                outcome.energy_cut += 1
+                continue
+            if stream_buffer_floor_overflow(mapping, als, platform, state):
+                outcome.floor_cut += 1
                 continue
             with state.transaction() as txn:
                 candidate = _evaluate(

@@ -1,14 +1,21 @@
 """Step 4: check the application's QoS constraints on the mapped CSDF graph.
 
 The mapped graph built by :mod:`repro.spatialmapper.csdf_construction` is
-analysed with the dataflow machinery of :mod:`repro.csdf.analysis`:
+analysed with the dataflow machinery of :mod:`repro.csdf.analysis`, in this
+order:
 
-* the steady-state period of the self-timed execution must not exceed the
-  required period (throughput constraint);
-* if a latency bound is specified, the worst iteration latency under periodic
-  source releases must not exceed it;
-* the buffer capacities needed to sustain the period are computed and must
-  fit into the memory of the consuming tiles.
+* **throughput** — the steady-state period of the self-timed execution must
+  not exceed the required period;
+* **floor** — the stream buffers at their :func:`stream_buffer_floors` (the
+  smallest capacity any sizing grants) must fit into the memory of the
+  consuming tiles.  No sizing returns less, so a floor overflow is a sized
+  overflow, found without running the sizing and without charging for it;
+* **sizing** — the buffer capacities needed to sustain the period are
+  computed (the paper delegates this to Wiggers et al., DAC 2007);
+* **fit** — the sized buffers must fit into the memory of the consuming
+  tiles (the same per-tile free-memory table as the floor check);
+* **latency** — if a latency bound is specified, the worst iteration latency
+  under periodic source releases must not exceed it.
 
 Any violation produces feedback identifying a culprit (the bottleneck process
 or the overflowing tile), which the outer refinement loop of the mapper turns
@@ -42,6 +49,9 @@ class Step4Result:
     report: FeasibilityReport
     mapped_csdf: CSDFGraph | None = None
     feedback: list[Feedback] = field(default_factory=list)
+    #: ``True`` when the stream-buffer floor already overflowed, so the
+    #: buffers were never sized.
+    floor_overflow: bool = False
 
     @property
     def feasible(self) -> bool:
@@ -144,6 +154,16 @@ def check_feasibility(
     # ------------------------------------------------------------------ #
     # Buffer capacities
     # ------------------------------------------------------------------ #
+    # Buffers live in the memory of the consuming tile.  The floor check
+    # runs before any sizing; it and the post-sizing check share one table.
+    floors = stream_buffer_floors(mapping, als, platform)
+    free = _free_memory_bytes(mapping, als, platform, state, floors)
+    overflow = _first_overflow(als, mapping, floors, free)
+    if overflow:
+        result.floor_overflow = True
+        _report_overflow(result, *overflow, at_least=True)
+        return result
+
     try:
         if config.minimize_buffers:
             capacities = analysis.minimize_buffer_capacities(
@@ -164,22 +184,10 @@ def check_feasibility(
     for channel_name, edge_name in channel_buffers.items():
         result.mapping.set_buffer_capacity(channel_name, capacities[edge_name])
 
-    # Buffers live in the memory of the consuming tile; check they fit.
-    overflow = _buffer_overflows(result.mapping, als, platform, state, capacities, channel_buffers)
+    sized = {name: capacities[channel_buffers[name]] for name in floors}
+    overflow = _first_overflow(als, mapping, sized, free)
     if overflow:
-        tile_name, needed, available = overflow
-        report.reason = (
-            f"buffer overflow on tile {tile_name!r}: {needed} bytes of stream buffers needed "
-            f"but only {available} bytes available"
-        )
-        result.feedback.append(
-            Feedback(
-                kind=FeedbackKind.BUFFER_OVERFLOW,
-                step=4,
-                message=report.reason,
-                culprit_tile=tile_name,
-            )
-        )
+        _report_overflow(result, *overflow)
         return result
 
     # ------------------------------------------------------------------ #
@@ -215,36 +223,127 @@ def check_feasibility(
     return result
 
 
-def _buffer_overflows(
+def stream_buffer_floors(
+    mapping: Mapping, als: ApplicationLevelSpec, platform: Platform
+) -> dict[str, int]:
+    """Smallest stream-buffer capacity, in tokens, of each data channel.
+
+    Covers the data channels whose consumer is not pinned (the sink's buffer
+    is fixed by its own specification, paper 4.4), in channel order.  The
+    floor is the largest of 1, the consumer's largest consumption rate on
+    the channel and — only when both endpoint tiles sit at one router
+    position — the producer's largest production rate (a pinned producer's
+    is the channel's tokens per iteration).
+
+    Needs placed processes, not routes: step 3 routes a channel with 0 hops
+    exactly when its endpoints share a router position, so the producer
+    writes into the buffer itself; otherwise the buffer is filled by a
+    router that moves one token per firing.  The floor is therefore the
+    ``_lower_bound_capacity`` of the channel's consumer edge in
+    :func:`~repro.spatialmapper.csdf_construction.build_mapped_csdf`, which
+    every buffer sizing clamps to or searches up from.
+    """
+    floors: dict[str, int] = {}
+    for channel in als.kpn.data_channels():
+        if als.kpn.process(channel.target).is_pinned:
+            continue
+        target = mapping.assignment(channel.target)
+        floor = max(target.implementation.consumption_rates(channel.name).max(), 1)
+        producer = als.kpn.process(channel.source)
+        source_tile = producer.pinned_tile if producer.is_pinned else mapping.tile_of(producer.name)
+        if platform.tile(source_tile).position == platform.tile(target.tile).position:
+            if producer.is_pinned:
+                production = channel.tokens_per_iteration
+            else:
+                implementation = mapping.assignment(producer.name).implementation
+                production = implementation.production_rates(channel.name).max()
+            floor = max(floor, production)
+        floors[channel.name] = int(floor)
+    return floors
+
+
+def stream_buffer_floor_overflow(
+    mapping: Mapping,
+    als: ApplicationLevelSpec,
+    platform: Platform,
+    state: PlatformState | None = None,
+) -> tuple[str, int, int] | None:
+    """First tile whose memory cannot hold even the stream-buffer floors.
+
+    Returns ``(tile, bytes needed at least, bytes available)`` or ``None``.
+    Routing-independent (see :func:`stream_buffer_floors`), so the rescue
+    lane runs it on a bare placement, before routing it.
+    """
+    floors = stream_buffer_floors(mapping, als, platform)
+    free = _free_memory_bytes(mapping, als, platform, state, floors)
+    return _first_overflow(als, mapping, floors, free)
+
+
+def _free_memory_bytes(
     mapping: Mapping,
     als: ApplicationLevelSpec,
     platform: Platform,
     state: PlatformState | None,
-    capacities: dict[str, int],
-    channel_buffers: dict[str, str],
-) -> tuple[str, int, int] | None:
-    """First tile whose memory cannot hold its implementations plus stream buffers."""
-    per_tile_buffer_bytes: dict[str, int] = {}
-    for channel_name, edge_name in channel_buffers.items():
-        channel = als.kpn.channel(channel_name)
-        consumer = als.kpn.process(channel.target)
-        if consumer.is_pinned:
-            # The sink's buffer is fixed by its own specification (paper, 4.4).
+    channels: dict[str, int],
+) -> dict[str, int]:
+    """Memory left for stream buffers on each consuming tile of ``channels``:
+    the tile's memory minus what running applications and this mapping's
+    implementations already hold."""
+    free: dict[str, int] = {}
+    for channel_name in channels:
+        tile_name = mapping.tile_of(als.kpn.channel(channel_name).target)
+        if tile_name in free:
             continue
-        tile_name = mapping.tile_of(channel.target)
-        token_bytes = (channel.token_size_bits + 7) // 8
-        per_tile_buffer_bytes[tile_name] = (
-            per_tile_buffer_bytes.get(tile_name, 0) + capacities[edge_name] * token_bytes
-        )
-    for tile_name, buffer_bytes in per_tile_buffer_bytes.items():
-        tile = platform.tile(tile_name)
-        used_existing = state.used_memory_bytes(tile_name) if state else 0
         used_implementations = sum(
             mapping.assignment(p).implementation.memory_bytes
             for p in mapping.processes_on(tile_name)
             if mapping.assignment(p).implementation is not None
         )
-        available = tile.resources.memory_bytes - used_existing - used_implementations
-        if buffer_bytes > available:
-            return tile_name, buffer_bytes, available
+        used_existing = state.used_memory_bytes(tile_name) if state else 0
+        free[tile_name] = (
+            platform.tile(tile_name).resources.memory_bytes
+            - used_existing
+            - used_implementations
+        )
+    return free
+
+
+def _first_overflow(
+    als: ApplicationLevelSpec,
+    mapping: Mapping,
+    tokens: dict[str, int],
+    free: dict[str, int],
+) -> tuple[str, int, int] | None:
+    """First tile, in channel order, whose buffers of ``tokens`` per channel
+    exceed its free memory, as ``(tile, bytes needed, bytes available)``."""
+    per_tile_buffer_bytes: dict[str, int] = {}
+    for channel_name, count in tokens.items():
+        channel = als.kpn.channel(channel_name)
+        tile_name = mapping.tile_of(channel.target)
+        token_bytes = (channel.token_size_bits + 7) // 8
+        per_tile_buffer_bytes[tile_name] = (
+            per_tile_buffer_bytes.get(tile_name, 0) + count * token_bytes
+        )
+    for tile_name, buffer_bytes in per_tile_buffer_bytes.items():
+        if buffer_bytes > free[tile_name]:
+            return tile_name, buffer_bytes, free[tile_name]
     return None
+
+
+def _report_overflow(
+    result: Step4Result, tile_name: str, needed: int, available: int, *, at_least: bool = False
+) -> None:
+    """Record a buffer overflow on ``result`` as its reason and feedback."""
+    report = result.report
+    report.reason = (
+        f"buffer overflow on tile {tile_name!r}: {'at least ' if at_least else ''}"
+        f"{needed} bytes of stream buffers needed but only {available} bytes available"
+    )
+    result.feedback.append(
+        Feedback(
+            kind=FeedbackKind.BUFFER_OVERFLOW,
+            step=4,
+            message=report.reason,
+            culprit_tile=tile_name,
+        )
+    )

@@ -90,6 +90,9 @@ class MapperTrace:
     simulated_events: int = 0
     analysis_cache_hits: int = 0
     budget_exhausted: int = 0
+    #: Step-4 checks of this run whose stream-buffer floor already
+    #: overflowed, so no buffer sizing ran (rescue candidates excluded).
+    step4_floor_rejections: int = 0
     #: ``True`` when the owning :meth:`~repro.spatialmapper.mapper.SpatialMapper.map`
     #: call was answered from the :class:`~repro.spatialmapper.cache.MapperCache`:
     #: the trace is then a deliberately *empty* marker (no steps ran), never
@@ -98,9 +101,13 @@ class MapperTrace:
     #: Rescue-lane counters (:mod:`repro.spatialmapper.rescue`): seeded
     #: searchers actually run, full placements proposed, feasible placements
     #: found, whether the best one replaced the refinement loop's result and
-    #: whether the lane's event budget ran out (anytime cut-off).
+    #: whether the lane's event budget ran out (anytime cut-off).  Of the
+    #: candidates, ``rescue_energy_cut`` fell to the energy bound and
+    #: ``rescue_floor_cut`` to the stream-buffer floor before routing.
     rescue_searchers_run: int = 0
     rescue_candidates: int = 0
+    rescue_energy_cut: int = 0
+    rescue_floor_cut: int = 0
     rescue_feasible: int = 0
     rescue_adopted: bool = False
     rescue_budget_exhausted: bool = False

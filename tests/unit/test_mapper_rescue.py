@@ -21,6 +21,7 @@ from repro.mapping.assignment import ProcessAssignment
 from repro.mapping.cost import mapping_energy_lower_bound_nj, mapping_energy_nj
 from repro.mapping.mapping import Mapping
 from repro.mapping.result import MappingStatus
+from repro.obs.metrics import MetricsRegistry
 from repro.platform.builder import PlatformBuilder
 from repro.platform.regions import RegionPartition
 from repro.platform.state import PlatformState
@@ -32,6 +33,7 @@ from repro.spatialmapper.config import MapperConfig
 from repro.spatialmapper.feedback import ExclusionSet, Feedback, FeedbackKind
 from repro.spatialmapper.mapper import SpatialMapper
 from repro.spatialmapper.rescue import rescue_search, rescue_seed
+from repro.spatialmapper.step4_feasibility import check_feasibility
 from repro.spatialmapper.trace import MapperTrace
 from repro.workloads.synthetic import (
     SyntheticConfig,
@@ -69,16 +71,14 @@ def assignments_of(result):
     )
 
 
-@pytest.fixture(scope="module")
-def rescue_case():
-    """A live platform state plus an application the greedy mapper rejects
-    but the rescue lane admits.
+def packing_rejections(arrivals=120):
+    """The applications a greedy manager rejects in a deterministic churny
+    arrival sequence on a multi-slot, memory-tight mesh, as
+    ``(arrival, platform, state, region, app)`` with the live state.
 
-    Found by replaying a deterministic churny arrival sequence on a
-    multi-slot, memory-tight mesh — the packing regime where the first-fit
-    front end strands memory and channel buffers overflow
-    placement-dependently.  Everything is seeded, so the same (state,
-    application) pair is found on every run.
+    This is the packing regime where the first-fit front end strands memory
+    and channel buffers overflow placement-dependently.  Everything is
+    seeded, so every run meets the same (state, application) pairs.
     """
     platform = generate_region_mesh(
         2, 3, max_processes_per_tile=4, tile_memory_bytes=16 * 1024
@@ -88,7 +88,7 @@ def rescue_case():
     running = deque()
     rng = random.Random(7)
     cells = [(0, 0), (1, 0), (0, 1), (1, 1)]
-    for index in range(1, 121):
+    for index in range(1, arrivals + 1):
         while len(running) >= 12:
             manager.stop(running.popleft())
         cell = cells[(index - 1) % 4]
@@ -104,11 +104,35 @@ def rescue_case():
             running.append(app.als.name)
             continue
         region = next(r for r in partition.regions if io_tile in r.tile_names)
+        yield index, platform, manager.state, region, app
+
+
+@pytest.fixture(scope="module")
+def rescue_case():
+    """A live platform state plus an application the greedy mapper rejects
+    but the rescue lane admits: the first such arrival of
+    :func:`packing_rejections`."""
+    for _, platform, state, region, app in packing_rejections():
         mapper = SpatialMapper(platform, app.library, RESCUE)
-        result = mapper.map(app.als, manager.state, region=region)
+        result = mapper.map(app.als, state, region=region)
         if result.status is MappingStatus.FEASIBLE:
-            return platform, manager.state, region, app
+            return platform, state, region, app
     pytest.fail("no rescueable rejection found in 120 arrivals")
+
+
+#: The rescue lane under the 20 000-event ledger of the packing benchmark.
+LEDGER = replace(RESCUE, rescue_budget=20_000)
+
+
+@pytest.fixture(scope="module")
+def exhausting_case():
+    """Arrival 35 of :func:`packing_rejections`.  Under :data:`LEDGER`, when
+    every candidate past the energy bound still reached step 4, its rescue
+    call ran out of events after 11 candidates."""
+    for index, platform, state, region, app in packing_rejections(35):
+        if index == 35:
+            return platform, state, region, app
+    pytest.fail("arrival 35 was admitted without rescue")
 
 
 class TestRescueSeed:
@@ -355,6 +379,122 @@ class TestBoundBeforeRouting:
             far, app.als, platform, config.cost_model
         ) == outcome.result.energy_nj_per_iteration < near_energy
         assert mapping_energy_nj(far, app.als, platform, config.cost_model) > near_energy
+
+
+#: Arrival 35's rescue call under :data:`LEDGER` when every candidate past
+#: the energy bound reached step 4: it analysed 11 candidates before the
+#: ledger ran out and adopted this energy.
+LEDGER_CANDIDATES_WITHOUT_FLOOR = 11
+LEDGER_ENERGY_WITHOUT_FLOOR = float.fromhex("0x1.542a4ca0e2154p+10")
+
+
+class TestFloorBeforeRouting:
+    """The stream-buffer floor cuts placements whose buffers cannot fit
+    before routing them, so the ledger pays only for candidates that can
+    still be feasible."""
+
+    def test_the_ledger_lasts_for_more_candidates(self, exhausting_case):
+        outcome = run_rescue(*exhausting_case, config=LEDGER)
+        assert not outcome.budget_exhausted
+        assert outcome.candidates == 24 >= LEDGER_CANDIDATES_WITHOUT_FLOOR
+        energy = outcome.result.energy_nj_per_iteration
+        assert energy == float.fromhex("0x1.384c2946adb38p+10")
+        assert energy <= LEDGER_ENERGY_WITHOUT_FLOOR
+        assert outcome.feasible_found == 2
+        assert outcome.events_used == 7260
+
+    def test_cuts_and_analysed_candidates_add_up(self, exhausting_case, monkeypatch):
+        analysed = []
+        real_evaluate = rescue_module._evaluate
+        monkeypatch.setattr(
+            rescue_module,
+            "_evaluate",
+            lambda *args, **kwargs: analysed.append(args[0])
+            or real_evaluate(*args, **kwargs),
+        )
+        outcome = run_rescue(*exhausting_case, config=LEDGER)
+        assert (outcome.energy_cut, outcome.floor_cut, len(analysed)) == (14, 8, 2)
+        assert outcome.energy_cut + outcome.floor_cut + len(analysed) == outcome.candidates
+
+    def test_a_floor_cut_candidate_never_reaches_routing(
+        self, exhausting_case, monkeypatch
+    ):
+        candidates: list[dict] = []
+
+        def placement(*args, **kwargs):
+            mapping = real_placement(*args, **kwargs)
+            if mapping is not None:
+                candidates.append({"mapping": mapping, "floor": None, "routed": False})
+            return mapping
+
+        def floor(*args, **kwargs):
+            overflow = real_floor(*args, **kwargs)
+            candidates[-1]["floor"] = overflow or False
+            return overflow
+
+        def route(*args, **kwargs):
+            candidates[-1]["routed"] = True
+            return real_route(*args, **kwargs)
+
+        real_placement = rescue_module._random_placement
+        real_floor = rescue_module.stream_buffer_floor_overflow
+        real_route = rescue_module.route_channels
+        monkeypatch.setattr(rescue_module, "_random_placement", placement)
+        monkeypatch.setattr(rescue_module, "stream_buffer_floor_overflow", floor)
+        monkeypatch.setattr(rescue_module, "route_channels", route)
+        outcome = run_rescue(*exhausting_case, config=LEDGER)
+
+        assert len(candidates) == outcome.candidates
+        cut = [c for c in candidates if c["floor"]]
+        assert len(cut) == outcome.floor_cut == 8
+        assert not any(c["routed"] for c in cut)
+        assert all(c["routed"] for c in candidates if c["floor"] is False)
+
+        # Every cut placement that routes ends in step 4's floor overflow,
+        # on the tile the cut named.
+        platform, state, region, app = exhausting_case
+        monkeypatch.undo()
+        checked = 0
+        for candidate in cut:
+            step3 = real_route(
+                candidate["mapping"], app.als, platform,
+                state=state, allowed_positions=region.positions,
+            )
+            if not step3.succeeded:
+                continue
+            step4 = check_feasibility(
+                step3.mapping, app.als, platform, app.library, state=state, config=LEDGER
+            )
+            if step4.report.achieved_period_ns > app.als.period_ns:
+                continue
+            assert step4.floor_overflow
+            assert step4.feedback[0].culprit_tile == candidate["floor"][0]
+            checked += 1
+        assert checked
+
+    def test_trace_and_pipeline_count_the_cuts(self, exhausting_case):
+        platform, state, region, app = exhausting_case
+        mapper = SpatialMapper(platform, app.library, LEDGER)
+        result = mapper.map(app.als, state, region=region)
+        assert result.status is MappingStatus.FEASIBLE
+        trace = mapper.last_trace
+        assert trace.rescue_adopted and not trace.rescue_budget_exhausted
+        assert (
+            trace.rescue_candidates,
+            trace.rescue_energy_cut,
+            trace.rescue_floor_cut,
+        ) == (24, 14, 8)
+
+        pipeline = RuntimeResourceManager(platform, config=LEDGER).pipeline
+        pipeline.metrics = MetricsRegistry()
+        pipeline._count_rescue_metrics(mapper)
+        counters = {
+            name: pipeline.metrics.counter_value(f"mapper.rescue.{name}")
+            for name in ("candidates", "energy_cut", "floor_cut", "adopted")
+        }
+        assert counters == {
+            "candidates": 24.0, "energy_cut": 14.0, "floor_cut": 8.0, "adopted": 1.0,
+        }
 
 
 class TestCacheHitTraceAndRuntime:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.appmodel.implementation import DEFAULT_PORT, Implementation
 from repro.appmodel.library import ImplementationLibrary
+from repro.csdf.analysis.budget import AnalysisBudget, AnalysisEngine
 from repro.csdf.phase import PhaseVector
 from repro.csdf.repetition import is_consistent, repetition_vector
 from repro.kpn.channel import Channel
@@ -11,14 +12,17 @@ from repro.kpn.graph import KPNGraph
 from repro.kpn.process import Process, ProcessKind
 from repro.kpn.qos import QoSConstraints
 from repro.kpn.als import ApplicationLevelSpec
+from repro.mapping.result import MappingStatus
 from repro.platform.builder import PlatformBuilder
+from repro.platform.state import PlatformState, ProcessAllocation
 from repro.spatialmapper.config import MapperConfig
 from repro.spatialmapper.csdf_construction import build_mapped_csdf, consumer_buffer_edges
 from repro.spatialmapper.feedback import FeedbackKind
+from repro.spatialmapper.mapper import SpatialMapper
 from repro.spatialmapper.step1_implementation import select_implementations
 from repro.spatialmapper.step2_tile_assignment import refine_tile_assignment
 from repro.spatialmapper.step3_routing import route_channels
-from repro.spatialmapper.step4_feasibility import check_feasibility
+from repro.spatialmapper.step4_feasibility import check_feasibility, stream_buffer_floors
 from repro.workloads import hiperlan2
 
 
@@ -187,10 +191,119 @@ class TestFeasibility:
             assert capacity <= default.mapping.buffer_capacities[channel]
 
 
+@pytest.fixture()
+def sizings(monkeypatch):
+    """Counts the buffer sizings step 4 runs through the analysis engine."""
+    calls = []
+    real = AnalysisEngine.sufficient_buffer_capacities
+
+    def counted(self, *args, **kwargs):
+        calls.append(args[0].name)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(AnalysisEngine, "sufficient_buffer_capacities", counted)
+    return calls
+
+
+class TestBufferFloor:
+    """Step 4 rejects a mapping whose stream buffers overflow even at their
+    floors before sizing them, and otherwise sizes them exactly as before."""
+
+    def test_floor_overflow_skips_the_sizing(self, sizings):
+        # ``a`` consumes 4 tokens at once, so c0's buffer holds at least 4
+        # 12-bit tokens: 8 bytes, one more than gpp0 has left.
+        ledger = AnalysisBudget()
+        result = _twelve_bit_stage(memory_bytes=_STAGE_MEMORY_BYTES + 7, budget=ledger)
+        assert not result.feasible
+        assert result.floor_overflow
+        assert [(f.kind, f.culprit_tile) for f in result.feedback] == [
+            (FeedbackKind.BUFFER_OVERFLOW, "gpp0")
+        ]
+        assert result.report.reason == (
+            "buffer overflow on tile 'gpp0': at least 8 bytes of stream buffers "
+            "needed but only 7 bytes available"
+        )
+        assert sizings == []
+        assert result.report.buffer_capacities == {}
+        assert result.mapping.buffer_capacities == {}
+        # The caller's ledger pays for the throughput check and nothing else.
+        throughput = AnalysisBudget()
+        AnalysisEngine().minimal_period_ns(
+            result.mapped_csdf, iterations=MapperConfig().analysis_iterations,
+            budget=throughput,
+        )
+        assert ledger.events_used == throughput.events_used
+
+    def test_fitting_floor_sizes_once_with_the_report_unchanged(self, sizings):
+        """Pinned before the floor check existed."""
+        result = _twelve_bit_stage(memory_bytes=_STAGE_MEMORY_BYTES + 8)
+        assert len(sizings) == 1
+        assert result.feasible and not result.floor_overflow
+        report = result.report
+        assert report.achieved_period_ns == float.fromhex("0x1.4000000000000p+7")
+        assert report.latency_ns is None
+        assert report.buffer_capacities == {
+            "c0__seg0": 4, "c0__seg1": 4, "c1__seg0": 4, "c1__seg1": 4,
+        }
+        assert report.reason == "all QoS constraints satisfied"
+        assert result.mapping.buffer_capacities == {"c0": 4, "c1": 4}
+
+    def test_sized_overflow_above_a_fitting_floor_keeps_its_message(
+        self, routed, sizings
+    ):
+        """c_frq_iofdm's floor is 1 token but its sized buffer is larger:
+        with room for the floor only, the post-sizing check still names the
+        tile, with the sized byte count."""
+        als, platform, library, mapping = routed
+        roomy = check_feasibility(mapping, als, platform, library)
+        tile = mapping.tile_of("inverse_ofdm")
+        assert stream_buffer_floors(mapping, als, platform)["c_frq_iofdm"] == 1
+        sized = roomy.mapping.buffer_capacities["c_frq_iofdm"]
+        assert sized > 1
+        state = PlatformState(platform)
+        implementation = mapping.assignment("inverse_ofdm").implementation
+        state.allocate_process(
+            ProcessAllocation(
+                "other",
+                "occupant",
+                tile,
+                platform.tile(tile).resources.memory_bytes
+                - implementation.memory_bytes
+                - 4,
+            )
+        )
+        sizings.clear()
+        result = check_feasibility(mapping, als, platform, library, state=state)
+        assert len(sizings) == 1
+        assert not result.feasible and not result.floor_overflow
+        assert result.feedback[0].culprit_tile == tile
+        assert result.report.reason == (
+            f"buffer overflow on tile {tile!r}: {4 * sized} bytes of stream buffers "
+            "needed but only 4 bytes available"
+        )
+
+    def test_mapper_trace_counts_floor_rejections(self, case_study):
+        """With 3 bytes left on each Montium the 1-token floor (4 bytes)
+        already overflows; with 4 bytes only the sized buffers do.  The
+        refinement loop bans the same placements either way."""
+        als, _, library = case_study
+        traces = {}
+        for memory_bytes in (8195, 8196):
+            mapper = SpatialMapper(
+                hiperlan2.build_mpsoc(montium_memory_bytes=memory_bytes), library
+            )
+            result = mapper.map(als)
+            assert result.status is MappingStatus.ADHERENT
+            traces[memory_bytes] = mapper.last_trace
+        assert traces[8195].step4_floor_rejections == 2
+        assert traces[8196].step4_floor_rejections == 0
+        assert traces[8195].feedback_log == traces[8196].feedback_log
+
+
 _STAGE_MEMORY_BYTES = 1000
 
 
-def _twelve_bit_stage(memory_bytes: int):
+def _twelve_bit_stage(memory_bytes: int, **step4_options):
     """Step 4 of source -> a -> sink with 12-bit tokens, ``a`` alone on gpp0."""
     platform = (
         PlatformBuilder("one_stage")
@@ -224,4 +337,4 @@ def _twelve_bit_stage(memory_bytes: int):
     step2 = refine_tile_assignment(step1.mapping, als, platform)
     step3 = route_channels(step2.mapping, als, platform)
     assert step3.succeeded
-    return check_feasibility(step3.mapping, als, platform, library)
+    return check_feasibility(step3.mapping, als, platform, library, **step4_options)
