@@ -1,7 +1,7 @@
 """Shared fixtures for the benchmark harness.
 
-Every benchmark regenerates one table or figure of the paper (or one of the
-extension experiments described in DESIGN.md).  The raw rows/series are
+Every benchmark regenerates one table or figure of the paper (or runs one
+of the ``bench_ext_*`` extension experiments).  The raw rows/series are
 attached to the pytest-benchmark ``extra_info`` so they appear in the JSON
 output, and the qualitative claims of the paper (who wins, what the cost
 trajectory looks like) are asserted so a regression in the reproduction fails

@@ -6,8 +6,9 @@ A complete, self-contained Python reproduction of
     "Run-time Spatial Mapping of Streaming Applications to a Heterogeneous
     Multi-Processor System-on-Chip (MPSOC)", DATE 2008.
 
-The public API re-exports the most commonly used classes; see README.md for a
-quickstart and DESIGN.md for the full system inventory.
+The public API re-exports the most commonly used classes; see
+``examples/quickstart.py`` for a quickstart and ARCHITECTURE.md for the
+system's layers.
 
 Typical use::
 

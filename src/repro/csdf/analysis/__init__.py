@@ -5,17 +5,15 @@ mapped application (processes plus router actors, Figure 3) is checked against
 its QoS constraints and the buffer capacities B_i are computed.  The buffer
 computation is a functional substitute for the analysis of Wiggers et al.
 (DAC 2007) referenced by the paper, built on a conservative self-timed
-execution of the graph (see DESIGN.md, "Substitutions").
+execution of the graph (see ARCHITECTURE.md, "Self-timed simulator").
 """
 
 from repro.csdf.analysis.simulation import (
     FiringRecord,
-    FiringTimes,
     SimulationResult,
     SelfTimedSimulator,
     simulate,
 )
-from repro.csdf.analysis.maxplus import firing_times
 from repro.csdf.analysis.feedforward import feed_forward_run, is_feed_forward
 from repro.csdf.analysis.throughput import (
     actor_loads_ns,
@@ -39,11 +37,9 @@ from repro.csdf.analysis.budget import (
 
 __all__ = [
     "FiringRecord",
-    "FiringTimes",
     "SimulationResult",
     "SelfTimedSimulator",
     "simulate",
-    "firing_times",
     "feed_forward_run",
     "is_feed_forward",
     "actor_loads_ns",

@@ -32,6 +32,7 @@ don't need:
 from __future__ import annotations
 
 from collections import OrderedDict
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from repro.csdf.analysis.buffers import (
@@ -169,17 +170,8 @@ class AnalysisEngine:
     cache-warmth independent because hits charge their stored cost.
     """
 
-    def __init__(
-        self,
-        *,
-        cache_size: int = 256,
-        early_exit: bool = True,
-        event_budget: int | None = None,
-        probe_budget: int | None = None,
-    ) -> None:
+    def __init__(self, *, cache_size: int = 256, early_exit: bool = True) -> None:
         self.early_exit = early_exit
-        self.event_budget = event_budget
-        self.probe_budget = probe_budget
         self.cache: SimulationCache | None = (
             SimulationCache(cache_size) if cache_size else None
         )
@@ -191,16 +183,7 @@ class AnalysisEngine:
     @classmethod
     def from_config(cls, config) -> "AnalysisEngine":
         """Build an engine from a :class:`~repro.spatialmapper.config.MapperConfig`."""
-        return cls(
-            cache_size=getattr(config, "analysis_cache_size", 256),
-            early_exit=getattr(config, "analysis_early_exit", True),
-            event_budget=getattr(config, "analysis_event_budget", None),
-            probe_budget=getattr(config, "analysis_probe_budget", None),
-        )
-
-    def budget(self) -> AnalysisBudget:
-        """A fresh per-call budget with this engine's configured ceilings."""
-        return AnalysisBudget(self.event_budget, self.probe_budget)
+        return cls(cache_size=config.analysis_cache_size, early_exit=config.analysis_early_exit)
 
     # ------------------------------------------------------------------ #
     # Observability
@@ -224,27 +207,40 @@ class AnalysisEngine:
         for key, value in (counters if counters is not None else self.snapshot()).items():
             registry.count(f"analysis.{key}", float(value))
 
-    def _count_simulation(self, events: int) -> None:
-        self.simulations_run += 1
-        self.simulated_events += events
-
     # ------------------------------------------------------------------ #
     # Cached analyses
     # ------------------------------------------------------------------ #
-    def _lookup(self, key: tuple, budget: AnalysisBudget | None) -> _CacheEntry | None:
-        if self.cache is None:
-            return None
-        entry = self.cache.lookup(key)
+    def _cached(
+        self,
+        key: tuple,
+        budget: AnalysisBudget | None,
+        compute: Callable[[AnalysisBudget], object],
+    ) -> object:
+        """The answer to ``key``: replayed from the cache, or computed by
+        ``compute(tally)`` on a miss, counted as one simulation and stored
+        with the events charged to ``tally``.  Either way ``budget`` is
+        charged the entry's cost, and a deadlock is raised as a
+        :class:`~repro.exceptions.DeadlockError` with its message."""
+        entry = self.cache.lookup(key) if self.cache is not None else None
         if entry is None:
-            return None
-        self.cache_hits += 1
+            tally = AnalysisBudget()
+            try:
+                value = ("ok", compute(tally))
+            except DeadlockError as error:
+                value = ("deadlock", str(error))
+            entry = _CacheEntry(value=value, cost=tally.events_used)
+            self.simulations_run += 1
+            self.simulated_events += entry.cost
+            if self.cache is not None:
+                self.cache.store(key, value, entry.cost)
+        else:
+            self.cache_hits += 1
         if budget is not None:
             budget.charge_events(entry.cost)
-        return entry
-
-    def _store(self, key: tuple, value: object, cost: int) -> None:
-        if self.cache is not None:
-            self.cache.store(key, value, cost)
+        kind, payload = entry.value
+        if kind == "deadlock":
+            raise DeadlockError(payload)
+        return payload
 
     def minimal_period_ns(
         self,
@@ -262,22 +258,11 @@ class AnalysisEngine:
             iterations,
             warmup,
         )
-        entry = self._lookup(key, budget)
-        if entry is None:
-            tally = AnalysisBudget()
-            try:
-                value = ("ok", minimal_period_ns(graph, iterations, warmup, budget=tally))
-            except DeadlockError as error:
-                value = ("deadlock", str(error))
-            self._count_simulation(tally.events_used)
-            if budget is not None:
-                budget.charge_events(tally.events_used)
-            self._store(key, value, tally.events_used)
-            entry = _CacheEntry(value=value, cost=tally.events_used)
-        kind, payload = entry.value
-        if kind == "deadlock":
-            raise DeadlockError(payload)
-        return payload
+        return self._cached(
+            key,
+            budget,
+            lambda tally: minimal_period_ns(graph, iterations, warmup, budget=tally),
+        )
 
     def is_period_sustainable(
         self,
@@ -297,23 +282,18 @@ class AnalysisEngine:
             iterations,
             tolerance,
         )
-        entry = self._lookup(key, budget)
-        if entry is not None:
-            return entry.value
-        tally = AnalysisBudget()
-        verdict = is_period_sustainable(
-            graph,
-            period_ns,
-            iterations=iterations,
-            tolerance=tolerance,
-            early_exit=self.early_exit,
-            budget=tally,
+        return self._cached(
+            key,
+            budget,
+            lambda tally: is_period_sustainable(
+                graph,
+                period_ns,
+                iterations=iterations,
+                tolerance=tolerance,
+                early_exit=self.early_exit,
+                budget=tally,
+            ),
         )
-        self._count_simulation(tally.events_used)
-        if budget is not None:
-            budget.charge_events(tally.events_used)
-        self._store(key, verdict, tally.events_used)
-        return verdict
 
     def sufficient_buffer_capacities(
         self,
@@ -337,33 +317,15 @@ class AnalysisEngine:
             period_ns,
             iterations,
         )
-        entry = self._lookup(key, budget)
-        if entry is None:
-            tally = AnalysisBudget()
-            try:
-                capacities = sufficient_buffer_capacities(
-                    graph,
-                    period_ns,
-                    iterations=iterations,
-                    early_exit=self.early_exit,
-                    budget=tally,
-                )
-            except DeadlockError as error:
-                self._count_simulation(tally.events_used)
-                if budget is not None:
-                    budget.charge_events(tally.events_used)
-                self._store(key, ("deadlock", str(error)), tally.events_used)
-                raise
-            self._count_simulation(tally.events_used)
-            if budget is not None:
-                budget.charge_events(tally.events_used)
-            value = ("ok", tuple(capacities[edge.name] for edge in graph.edges))
-            self._store(key, value, tally.events_used)
-            entry = _CacheEntry(value=value, cost=tally.events_used)
-        kind, payload = entry.value
-        if kind == "deadlock":
-            raise DeadlockError(payload)
-        return {edge.name: payload[i] for i, edge in enumerate(graph.edges)}
+
+        def compute(tally: AnalysisBudget) -> tuple[int, ...]:
+            capacities = sufficient_buffer_capacities(
+                graph, period_ns, iterations=iterations, early_exit=self.early_exit, budget=tally
+            )
+            return tuple(capacities[edge.name] for edge in graph.edges)
+
+        values = self._cached(key, budget, compute)
+        return {edge.name: values[i] for i, edge in enumerate(graph.edges)}
 
     def end_to_end_latency_ns(
         self,
@@ -375,7 +337,14 @@ class AnalysisEngine:
         *,
         budget: AnalysisBudget | None = None,
     ) -> float:
-        """Cached worst iteration latency between two actors."""
+        """Cached worst iteration latency between two actors.
+
+        Raises :class:`~repro.exceptions.CSDFError` for an unknown actor,
+        as the uncached analysis does.
+        """
+        for name in (source, sink):
+            if name is not None:
+                graph.actor(name)  # raises CSDFError before the key needs its index
         names = graph.actor_names
         key = (
             "latency",
@@ -386,34 +355,18 @@ class AnalysisEngine:
             iterations,
             source_period_ns,
         )
-        entry = self._lookup(key, budget)
-        if entry is None:
-            tally = AnalysisBudget()
-            try:
-                latency = end_to_end_latency_ns(
-                    graph,
-                    source,
-                    sink,
-                    iterations=iterations,
-                    source_period_ns=source_period_ns,
-                    budget=tally,
-                )
-            except DeadlockError as error:
-                self._count_simulation(tally.events_used)
-                if budget is not None:
-                    budget.charge_events(tally.events_used)
-                self._store(key, ("deadlock", str(error)), tally.events_used)
-                raise
-            self._count_simulation(tally.events_used)
-            if budget is not None:
-                budget.charge_events(tally.events_used)
-            value = ("ok", latency)
-            self._store(key, value, tally.events_used)
-            entry = _CacheEntry(value=value, cost=tally.events_used)
-        kind, payload = entry.value
-        if kind == "deadlock":
-            raise DeadlockError(payload)
-        return payload
+        return self._cached(
+            key,
+            budget,
+            lambda tally: end_to_end_latency_ns(
+                graph,
+                source,
+                sink,
+                iterations=iterations,
+                source_period_ns=source_period_ns,
+                budget=tally,
+            ),
+        )
 
     # ------------------------------------------------------------------ #
     # Budgeted buffer minimisation
@@ -453,12 +406,12 @@ class AnalysisEngine:
         edge keeps its sufficient capacity, so the returned vector always
         sustains ``period_ns``.
 
-        ``budget`` overrides the engine's per-call budget with one the caller
-        owns — the rescue lane uses this to charge all its feasibility checks
-        against a single shared ledger.
+        Without ``budget`` the search is unlimited.  A caller that wants a
+        ceiling passes its own — the rescue lane uses this to charge all its
+        feasibility checks against a single shared ledger.
         """
         if budget is None:
-            budget = self.budget()
+            budget = AnalysisBudget()
         capacities = self.sufficient_buffer_capacities(
             graph, period_ns, iterations=iterations, budget=budget
         )

@@ -9,12 +9,12 @@ module provides a functional substitute built on the self-timed run:
   while the graph executes with its sources released at the required period
   and unbounded buffers.  Granting each channel its observed maximum is
   sufficient to sustain the period (the bounded execution can then follow the
-  same schedule as the unbounded one).  For a feed-forward graph (acyclic,
-  token-free, whole-token rates: every mapped graph step 4 builds) the run
-  comes from the max-plus evaluator
+  same schedule as the unbounded one).  With its capacities removed, a
+  feed-forward graph (acyclic, token-free, whole-token rates: every mapped
+  graph step 4 builds) runs on
   :func:`~repro.csdf.analysis.feedforward.feed_forward_run`, with no event
-  loop; any other graph is simulated.  Both give the same capacities and
-  charge the same firing count.
+  loop; any other graph runs on the event loop.  Both give the same
+  capacities and charge the same firing count.
 * :func:`minimize_buffer_capacities` additionally shrinks each capacity by
   binary search, re-validating the throughput with bounded buffers after each
   trial.  This yields smaller (though not necessarily globally minimal)
@@ -23,8 +23,7 @@ module provides a functional substitute built on the self-timed run:
 
 from __future__ import annotations
 
-from repro.csdf.analysis.feedforward import feed_forward_run, is_feed_forward
-from repro.csdf.analysis.simulation import simulate
+from repro.csdf.analysis.feedforward import _self_timed_run
 from repro.csdf.analysis.throughput import is_period_sustainable
 from repro.csdf.graph import CSDFGraph
 from repro.exceptions import DeadlockError
@@ -62,19 +61,13 @@ def sufficient_buffer_capacities(
     Raises :class:`~repro.exceptions.DeadlockError` if the graph cannot
     complete a single iteration even with unbounded buffers.
     """
-    if is_feed_forward(graph):
-        result = feed_forward_run(graph, iterations, period_ns, cycle_exit=early_exit)
-    else:
+    unbounded = graph
+    if any(edge.capacity is not None for edge in graph.edges):
         unbounded = graph.copy(f"{graph.name}__unbounded")
         for edge in graph.edges:
             if edge.capacity is not None:
                 unbounded.replace_edge(edge.with_capacity(None))
-        result = simulate(
-            unbounded,
-            iterations=iterations,
-            source_period_ns=period_ns,
-            cycle_exit=early_exit,
-        )
+    result = _self_timed_run(unbounded, iterations, period_ns, cycle_exit=early_exit)
     if budget is not None:
         budget.charge_events(result.simulated_events)
     if result.deadlocked and result.completed_iterations == 0:

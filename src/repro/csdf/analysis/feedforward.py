@@ -5,10 +5,11 @@ initial tokens and moves whole tokens; its buffer capacities are not looked
 at.  Every graph :func:`~repro.spatialmapper.csdf_construction.build_mapped_csdf`
 produces is one.  :func:`feed_forward_run` returns what
 :func:`~repro.csdf.analysis.simulation.simulate` returns for such a graph
-with its capacities removed and its sources released once per period —
-the run :func:`~repro.csdf.analysis.buffers.sufficient_buffer_capacities`
-observes — in every field but the graph name, occupancy maxima and cycle
-exit included.
+with its capacities removed and, optionally, its sources released once
+per period, in every field but the graph name, occupancy maxima and cycle
+exit included.  :func:`_self_timed_run` is the analyses' one dispatch
+rule: a feed-forward graph with no capacity set runs here, every other
+graph on the event loop.
 
 *Firing times.*  On such a graph an actor's enabling conditions, once true,
 stay true, so firing ``k`` of actor ``a`` starts at the maximum of
@@ -56,7 +57,7 @@ from itertools import accumulate, chain, compress, cycle, islice, repeat
 from math import inf
 from operator import floordiv, mul
 
-from repro.csdf.analysis.simulation import SimulationResult, iteration_finish_times
+from repro.csdf.analysis.simulation import SimulationResult, iteration_finish_times, simulate
 from repro.csdf.graph import CSDFGraph
 from repro.csdf.repetition import repetition_vector
 
@@ -552,3 +553,27 @@ def feed_forward_run(
         aborted=aborted,
         abort_reason="cycle" if aborted else None,
     )
+
+
+def _unbounded_feed_forward(graph: CSDFGraph) -> bool:
+    """Whether ``graph`` is feed-forward with no capacity set."""
+    return all(edge.capacity is None for edge in graph.edges) and is_feed_forward(graph)
+
+
+def _self_timed_run(
+    graph: CSDFGraph,
+    iterations: int,
+    source_period_ns: float | None = None,
+    *,
+    cycle_exit: bool = False,
+) -> SimulationResult:
+    """The self-timed run of ``graph``, as every analysis runs it.
+
+    A feed-forward graph with no capacity set runs on
+    :func:`feed_forward_run`, every other graph on the event loop
+    (:func:`~repro.csdf.analysis.simulation.simulate`).  Both give the same
+    result, so the choice moves no figure and no charged firing count.
+    """
+    if _unbounded_feed_forward(graph):
+        return feed_forward_run(graph, iterations, source_period_ns, cycle_exit=cycle_exit)
+    return simulate(graph, iterations, source_period_ns=source_period_ns, cycle_exit=cycle_exit)

@@ -1,9 +1,16 @@
-"""End-to-end latency analysis of CSDF graphs."""
+"""End-to-end latency analysis of CSDF graphs.
+
+The latency is read off the firing times of one self-timed run, fully
+self-timed or with the sources released once per period.  A feed-forward
+graph with no capacity set — every mapped graph step 4 builds — runs on
+:func:`~repro.csdf.analysis.feedforward.feed_forward_run`; any other graph
+runs on the event loop.  Both give the same firing times and charge the
+same firing count.
+"""
 
 from __future__ import annotations
 
-from repro.csdf.analysis.maxplus import firing_times
-from repro.csdf.analysis.simulation import simulate
+from repro.csdf.analysis.feedforward import _self_timed_run
 from repro.csdf.graph import CSDFGraph
 from repro.exceptions import CSDFError, DeadlockError
 
@@ -28,8 +35,7 @@ def end_to_end_latency_ns(
 
     When ``source``/``sink`` are omitted they default to the unique source /
     sink actor of the graph; an error is raised when that is ambiguous.
-    Without ``source_period_ns`` the run is fully self-timed and its firing
-    times come from the max-plus evaluator instead of the event loop.
+    Without ``source_period_ns`` the run is fully self-timed.
     """
     if source is None:
         sources = graph.sources()
@@ -48,10 +54,7 @@ def end_to_end_latency_ns(
     graph.actor(source)
     graph.actor(sink)
 
-    if source_period_ns is None:
-        result = firing_times(graph, iterations)
-    else:
-        result = simulate(graph, iterations=iterations, source_period_ns=source_period_ns)
+    result = _self_timed_run(graph, iterations, source_period_ns)
     if budget is not None:
         budget.charge_events(result.simulated_events)
     if result.completed_iterations == 0:

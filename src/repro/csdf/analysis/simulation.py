@@ -17,6 +17,12 @@ the spatial mapper:
 The result object holds the start and finish time of every completed firing
 as one flat list per actor, per-edge maximum buffer occupancy, iteration
 completion times, the steady-state period estimate and deadlock information.
+
+This event loop is the general evaluator and the reference the tests compare
+against.  The analyses run it on bounded graphs and on graphs that are not
+feed-forward; a feed-forward graph with no capacity set is run by
+:func:`~repro.csdf.analysis.feedforward.feed_forward_run`, which returns the
+same result without a loop (see ARCHITECTURE.md, "Self-timed simulator").
 """
 
 from __future__ import annotations
@@ -49,12 +55,13 @@ class FiringRecord(NamedTuple):
 
 
 @dataclass
-class FiringTimes:
-    """Start and finish times of a self-timed run, and what follows from them.
+class SimulationResult:
+    """Outcome of a self-timed run: start and finish times and what follows
+    from them.
 
-    This is what both the event loop (:class:`SelfTimedSimulator`) and the
-    max-plus evaluator (:func:`~repro.csdf.analysis.maxplus.firing_times`)
-    compute; :class:`SimulationResult` adds what only the event loop knows.
+    Both evaluators return it: the event loop (:class:`SelfTimedSimulator`)
+    and, for feed-forward graphs,
+    :func:`~repro.csdf.analysis.feedforward.feed_forward_run`.
     """
 
     graph_name: str
@@ -67,6 +74,8 @@ class FiringTimes:
     #: order (both lists of one actor have the same length).
     start_times_ns: dict[str, list[float]]
     finish_times_ns: dict[str, list[float]]
+    #: Per-edge maximum occupancy, counting output space reserved at a start.
+    max_occupancy: dict[str, int]
     iteration_finish_times_ns: list[float] = field(default_factory=list)
     deadlocked: bool = False
     deadlock_time_ns: float | None = None
@@ -74,6 +83,12 @@ class FiringTimes:
     #: Number of completed firings — the currency of the analysis budget
     #: (see :mod:`repro.csdf.analysis.budget`).
     simulated_events: int = 0
+    #: Whether the run stopped before executing all requested iterations
+    #: because an early-exit condition fired (never set by deadlocks).
+    aborted: bool = False
+    #: Why the run aborted: ``"monitor"`` (the iteration monitor vetoed) or
+    #: ``"cycle"`` (an exact state repeat proved the rest of the run).
+    abort_reason: str | None = None
 
     @property
     def completed_iterations(self) -> int:
@@ -129,20 +144,6 @@ class FiringTimes:
                 f"iteration {iteration} did not complete for actors {source!r}/{sink!r}"
             )
         return sink_finishes[last] - source_starts[first]
-
-
-@dataclass
-class SimulationResult(FiringTimes):
-    """Outcome of an event-driven self-timed simulation."""
-
-    #: Per-edge maximum occupancy, counting output space reserved at a start.
-    max_occupancy: dict[str, int] = field(kw_only=True)
-    #: Whether the run stopped before executing all requested iterations
-    #: because an early-exit condition fired (never set by deadlocks).
-    aborted: bool = False
-    #: Why the run aborted: ``"monitor"`` (the iteration monitor vetoed) or
-    #: ``"cycle"`` (an exact state repeat proved the rest of the run).
-    abort_reason: str | None = None
 
 
 def iteration_finish_times(

@@ -20,15 +20,17 @@ load, so :func:`minimal_period_ns` returns that closed form for two or more
 iterations instead of running the graph.  Such a graph cannot deadlock, so
 the cost charged to a budget is the run's nominal firing count,
 ``iterations x sum(repetitions)``.  Every other graph (feedback, bounded
-edges, initial tokens, fractional rates, one iteration) is run by the max-plus evaluator
-(:func:`~repro.csdf.analysis.maxplus.firing_times`), whose finite-horizon
-estimate and firing count are returned and charged as before.
+edges, initial tokens, fractional rates, one iteration) is run, on the
+feed-forward evaluator when it is feed-forward with no capacity set and on
+the event loop otherwise, and that run's finite-horizon estimate and firing
+count are returned and charged.  :func:`is_period_sustainable` always runs
+the event loop: its iteration monitor needs it, and the buffer minimisation
+asks it only about bounded graphs.
 """
 
 from __future__ import annotations
 
-from repro.csdf.analysis.feedforward import is_feed_forward
-from repro.csdf.analysis.maxplus import firing_times
+from repro.csdf.analysis.feedforward import _self_timed_run, _unbounded_feed_forward
 from repro.csdf.analysis.simulation import simulate
 from repro.csdf.graph import CSDFGraph
 from repro.csdf.repetition import repetition_vector
@@ -54,12 +56,6 @@ def processor_bound_period_ns(graph: CSDFGraph) -> float:
     return max(actor_loads_ns(graph).values())
 
 
-def _has_closed_form_period(graph: CSDFGraph) -> bool:
-    """Whether ``graph`` is feed-forward with every edge unbounded (the
-    class :func:`minimal_period_ns` answers without a run)."""
-    return all(edge.capacity is None for edge in graph.edges) and is_feed_forward(graph)
-
-
 def minimal_period_ns(
     graph: CSDFGraph,
     iterations: int = 10,
@@ -78,12 +74,12 @@ def minimal_period_ns(
     Raises :class:`~repro.exceptions.DeadlockError` when the graph deadlocks
     before completing a single iteration.
     """
-    if iterations >= 2 and _has_closed_form_period(graph):
+    if iterations >= 2 and _unbounded_feed_forward(graph):
         period = processor_bound_period_ns(graph)
         if budget is not None:
             budget.charge_events(iterations * sum(repetition_vector(graph).values()))
         return period
-    result = firing_times(graph, iterations)
+    result = _self_timed_run(graph, iterations)
     if budget is not None:
         budget.charge_events(result.simulated_events)
     if result.deadlocked and result.completed_iterations == 0:

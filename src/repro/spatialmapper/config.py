@@ -77,13 +77,6 @@ class MapperConfig:
         Whether step-4 simulations may stop early (backlog-violation abort,
         state-cycle exit).  Early exits are answer-preserving; disabling them
         exists for differential baselines and benchmarks.
-    analysis_event_budget:
-        Optional ceiling on simulated events per buffer-minimisation call;
-        ``None`` (the default) is unlimited.  An exhausted budget degrades
-        the minimisation gracefully to the sufficient capacities.
-    analysis_probe_budget:
-        Optional ceiling on binary-search probes per buffer-minimisation
-        call; ``None`` is unlimited.
     cost_model:
         Weights of the full energy objective.
     keep_step2_trace:
@@ -120,8 +113,6 @@ class MapperConfig:
     minimize_buffers: bool = False
     analysis_cache_size: int = 256
     analysis_early_exit: bool = True
-    analysis_event_budget: int | None = None
-    analysis_probe_budget: int | None = None
     cost_model: CostModel = field(default_factory=CostModel)
     keep_step2_trace: bool = True
     rescue_searchers: int = 0
@@ -139,10 +130,6 @@ class MapperConfig:
             raise ConfigurationError("analysis_iterations must be at least 1")
         if self.analysis_cache_size < 0:
             raise ConfigurationError("analysis_cache_size must be non-negative")
-        if self.analysis_event_budget is not None and self.analysis_event_budget < 1:
-            raise ConfigurationError("analysis_event_budget must be positive or None")
-        if self.analysis_probe_budget is not None and self.analysis_probe_budget < 1:
-            raise ConfigurationError("analysis_probe_budget must be positive or None")
         if self.rescue_searchers < 0:
             raise ConfigurationError("rescue_searchers must be non-negative")
         if self.rescue_attempts < 1:

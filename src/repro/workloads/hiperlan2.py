@@ -17,7 +17,7 @@ A note on coordinates: Figure 2 is a drawing whose exact tile coordinates are
 not recoverable from the paper text.  The placement chosen here preserves the
 figure's content (tile counts and types) and reproduces the Table 2 cost
 trajectory 11 -> 11 -> 9 -> 7 exactly under the paper's cost metric (the sum
-of Manhattan distances of all data channels); see DESIGN.md.
+of Manhattan distances of all data channels).
 """
 
 from __future__ import annotations

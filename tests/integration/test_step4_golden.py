@@ -8,7 +8,9 @@ and the buffer capacity of every mapped-graph edge.  It is pinned for both
 ``minimize_buffers=False`` (sufficient capacities) and ``True`` (minimised
 capacities).  Each ALS gets a loose 1 s latency bound so that step 4 runs
 its latency analysis too.  Any change to the simulator or the analyses that
-moves one of these numbers by one bit fails here.
+moves one of these numbers by one bit fails here.  The mapped graphs are
+feed-forward and unbounded, so the sufficient case never runs the event
+loop: buffer sizing and latency both come from the feed-forward evaluator.
 """
 
 import dataclasses
@@ -18,6 +20,7 @@ from pathlib import Path
 import pytest
 
 from repro import MapperConfig
+from repro.csdf.analysis.simulation import SelfTimedSimulator
 from repro.spatialmapper.mapper import SpatialMapper
 from repro.workloads import hiperlan2, receivers
 
@@ -42,7 +45,15 @@ def _hex(value):
 
 
 @pytest.mark.parametrize("minimize", [False, True], ids=["sufficient", "minimized"])
-def test_step4_reports_match_golden(minimize):
+def test_step4_reports_match_golden(minimize, monkeypatch):
+    event_loop_runs = []
+    run = SelfTimedSimulator.run
+
+    def counted(self):
+        event_loop_runs.append(self)
+        return run(self)
+
+    monkeypatch.setattr(SelfTimedSimulator, "run", counted)
     apps = _receivers()
     golden = GOLDEN["minimized" if minimize else "sufficient"]
     assert sorted(apps) == sorted(golden)
@@ -60,3 +71,5 @@ def test_step4_reports_match_golden(minimize):
             "buffers": dict(sorted(report.buffer_capacities.items())),
         }
         assert got == golden[label], label
+    if not minimize:
+        assert event_loop_runs == []

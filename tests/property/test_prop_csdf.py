@@ -12,16 +12,13 @@ generated and three invariants checked:
 A differential then pins the simulator to the tests-only naive oracle
 (``tests/simulation_oracle.py``) on random unbounded and bounded,
 multi-phase, multi-rate graphs with forks, joins and feedback cycles, with
-and without periodic sources and under both early exits.  A second one pins
-the max-plus evaluator to the simulator on the same graphs run without
-period or early exit, plus float durations, self-loops and zero-duration
-sources; and the integer repetition-vector solver is checked against a
-``Fraction`` solve.
+and without periodic sources and under both early exits; and the integer
+repetition-vector solver is checked against a ``Fraction`` solve.
 
 The closed-form period of acyclic, unbounded, token-free graphs is pinned
-to a 200-iteration run, its charged cost to the evaluator's firing count
+to a 200-iteration run, its charged cost to the event loop's firing count
 (cache hits included), and every graph outside that class to exactly what
-the evaluator returns.
+the event loop returns.
 
 Finally the feed-forward evaluator is pinned to the event loop on random
 feed-forward graphs with periodic sources: every field of the run, and the
@@ -47,7 +44,6 @@ from repro.csdf.analysis.buffers import (
     sufficient_buffer_capacities,
 )
 from repro.csdf.analysis.feedforward import feed_forward_run
-from repro.csdf.analysis.maxplus import firing_times
 from repro.csdf.analysis.simulation import simulate
 from repro.csdf.analysis.throughput import (
     is_period_sustainable,
@@ -334,24 +330,6 @@ class TestIntegerRepetitionVector:
         assert repetition_vector(graph) == fraction_repetition_vector(graph)
 
 
-class TestMaxPlusMatchesEventLoop:
-    """The evaluator's firing times equal the event loop's under ``==``."""
-
-    @given(random_self_timed_case())
-    @settings(max_examples=300, deadline=None)
-    def test_every_shared_field_matches(self, case):
-        graph, iterations = case
-        result = simulate(graph, iterations=iterations)
-        times = firing_times(graph, iterations)
-        assert times.start_times_ns == result.start_times_ns
-        assert times.finish_times_ns == result.finish_times_ns
-        assert times.iteration_finish_times_ns == result.iteration_finish_times_ns
-        assert times.deadlocked == result.deadlocked
-        assert times.deadlock_time_ns == result.deadlock_time_ns
-        assert times.end_time_ns == result.end_time_ns
-        assert times.simulated_events == result.simulated_events
-
-
 @st.composite
 def random_closed_form_case(draw):
     """A graph of the closed form's class and 2-10 iterations: a
@@ -415,7 +393,7 @@ class TestClosedFormPeriod:
     @settings(max_examples=150, deadline=None)
     def test_equals_the_long_run_period(self, case):
         graph, iterations = case
-        reference = firing_times(graph, 200).steady_state_period_ns()
+        reference = simulate(graph, 200).steady_state_period_ns()
         period = minimal_period_ns(graph, iterations)
         assert period == processor_bound_period_ns(graph)
         assert isclose(period, reference, rel_tol=1e-9, abs_tol=1e-12)
@@ -424,7 +402,7 @@ class TestClosedFormPeriod:
     @settings(max_examples=100, deadline=None)
     def test_charges_the_evaluators_firing_count(self, case):
         graph, iterations = case
-        fired = firing_times(graph, iterations).simulated_events
+        fired = simulate(graph, iterations).simulated_events
         engine = AnalysisEngine()
         miss, hit = AnalysisBudget(), AnalysisBudget()
         period = engine.minimal_period_ns(graph, iterations, budget=miss)
@@ -441,7 +419,7 @@ class TestClosedFormPeriod:
     @settings(max_examples=150, deadline=None)
     def test_graphs_outside_the_class_get_the_evaluators_answer(self, case):
         graph, iterations = case
-        times = firing_times(graph, iterations)
+        times = simulate(graph, iterations)
         budget, engine_budget = AnalysisBudget(), AnalysisBudget()
         if times.completed_iterations == 0:
             with pytest.raises(DeadlockError):

@@ -205,37 +205,41 @@ class TestAnalysisEngine:
         assert engine_result == functional
 
     def test_exhausted_budget_degrades_to_sufficient(self, multirate_csdf):
-        engine = AnalysisEngine(probe_budget=1)
+        engine = AnalysisEngine()
         sufficient = sufficient_buffer_capacities(multirate_csdf, 20.0, iterations=6)
-        degraded = engine.minimize_buffer_capacities(multirate_csdf, 20.0, iterations=6)
+        degraded = engine.minimize_buffer_capacities(
+            multirate_csdf, 20.0, iterations=6, budget=AnalysisBudget(max_probes=1)
+        )
         assert engine.snapshot()["budget_exhausted"] == 1
         for edge_name, capacity in degraded.items():
             assert capacity <= sufficient[edge_name]
         bounded = apply_buffer_capacities(multirate_csdf, degraded)
         assert is_period_sustainable(bounded, 20.0, iterations=6)
 
-    def test_budget_trajectory_is_cache_warmth_independent(self, multirate_csdf):
+    @pytest.mark.parametrize("max_events", [200, 20])
+    def test_budget_trajectory_is_cache_warmth_independent(self, multirate_csdf, max_events):
         # The same finite budget must produce the same capacities whether the
-        # verdict cache is cold or warm: hits charge their stored cost.
-        cold = AnalysisEngine(event_budget=200)
-        cold_result = cold.minimize_buffer_capacities(multirate_csdf, 20.0, iterations=6)
-        warm = AnalysisEngine(event_budget=200)
-        warm.minimize_buffer_capacities(multirate_csdf, 20.0, iterations=6)
-        warm_result = warm.minimize_buffer_capacities(multirate_csdf, 20.0, iterations=6)
-        assert warm_result == cold_result
+        # verdict cache is cold or warm: hits charge their stored cost.  200
+        # events outlast the search; 20 run out after its first probe.
+        def minimize(engine):
+            budget = AnalysisBudget(max_events=max_events)
+            capacities = engine.minimize_buffer_capacities(
+                multirate_csdf, 20.0, iterations=6, budget=budget
+            )
+            return capacities, budget.events_used, budget.probes_used
+
+        cold = AnalysisEngine()
+        cold_result = minimize(cold)
+        warm = AnalysisEngine()
+        minimize(warm)
+        assert minimize(warm) == cold_result
+        assert cold.snapshot()["budget_exhausted"] == (max_events == 20)
 
     def test_from_config_reads_the_analysis_knobs(self):
-        config = MapperConfig(
-            analysis_cache_size=7,
-            analysis_early_exit=False,
-            analysis_event_budget=100,
-            analysis_probe_budget=3,
-        )
+        config = MapperConfig(analysis_cache_size=7, analysis_early_exit=False)
         engine = AnalysisEngine.from_config(config)
         assert engine.cache.maxsize == 7
         assert engine.early_exit is False
-        assert engine.event_budget == 100
-        assert engine.probe_budget == 3
 
 
 class TestEarlyExitSimulation:

@@ -10,7 +10,7 @@ from repro.csdf.analysis.buffers import (
     sufficient_buffer_capacities,
 )
 from repro.csdf.analysis.latency import end_to_end_latency_ns
-from repro.csdf.analysis.maxplus import firing_times
+from repro.csdf.analysis.simulation import simulate
 from repro.csdf.analysis.throughput import (
     actor_loads_ns,
     is_period_sustainable,
@@ -108,11 +108,13 @@ class TestClosedFormPeriod:
     def counted_runs(self, monkeypatch):
         runs = []
 
+        run = throughput._self_timed_run
+
         def counted(graph, iterations):
             runs.append(iterations)
-            return firing_times(graph, iterations)
+            return run(graph, iterations)
 
-        monkeypatch.setattr(throughput, "firing_times", counted)
+        monkeypatch.setattr(throughput, "_self_timed_run", counted)
         return runs
 
     def test_actor_loads(self, multirate_csdf):
@@ -120,7 +122,7 @@ class TestClosedFormPeriod:
 
     def test_unsettled_estimate_no_longer_under_reports(self):
         graph = unsettled_chain()
-        assert firing_times(graph, 6).steady_state_period_ns() == 60.0
+        assert simulate(graph, 6).steady_state_period_ns() == 60.0
         assert minimal_period_ns(graph, iterations=6) == 62.0
         assert AnalysisEngine().minimal_period_ns(graph, iterations=6) == 62.0
 
@@ -130,7 +132,7 @@ class TestClosedFormPeriod:
         assert minimal_period_ns(graph, iterations=6, budget=budget) == 62.0
         assert counted_runs == []
         # Repetitions (firings per iteration): 1, 4, 4, 6, 6.
-        assert budget.events_used == 6 * 21 == firing_times(graph, 6).simulated_events
+        assert budget.events_used == 6 * 21 == simulate(graph, 6).simulated_events
 
     @pytest.mark.parametrize(
         "edge, iterations",
@@ -152,7 +154,7 @@ class TestClosedFormPeriod:
             .build()
         )
         budget = AnalysisBudget()
-        expected = firing_times(graph, iterations)
+        expected = simulate(graph, iterations)
         assert minimal_period_ns(graph, iterations, budget=budget) == (
             expected.steady_state_period_ns()
         )
@@ -170,7 +172,7 @@ class TestClosedFormPeriod:
             .build()
         )
         assert minimal_period_ns(graph, iterations=6) == (
-            firing_times(graph, 6).steady_state_period_ns()
+            simulate(graph, 6).steady_state_period_ns()
         )
         assert counted_runs == [6]
 
@@ -232,6 +234,12 @@ class TestLatency:
         )
         with pytest.raises(CSDFError):
             end_to_end_latency_ns(graph)
+
+    @pytest.mark.parametrize("endpoints", [("zz", "c"), ("a", "zz")], ids=["source", "sink"])
+    def test_unknown_actor_rejected_cached_or_not(self, simple_chain_csdf, endpoints):
+        for latency in (end_to_end_latency_ns, AnalysisEngine().end_to_end_latency_ns):
+            with pytest.raises(CSDFError, match="unknown actor 'zz' in graph 'chain'"):
+                latency(simple_chain_csdf, *endpoints, iterations=3)
 
     def test_periodic_source_latency_not_smaller_than_self_timed(self, simple_chain_csdf):
         self_timed = end_to_end_latency_ns(simple_chain_csdf, "a", "c", iterations=4)

@@ -1,21 +1,20 @@
-"""The max-plus evaluators: the unperiodic run and the feed-forward periodic run."""
+"""The feed-forward evaluator and the analyses' one dispatch rule."""
 
 from dataclasses import replace
 
 import pytest
 
-from repro.csdf.analysis.budget import AnalysisEngine
+from repro.csdf.analysis.budget import AnalysisBudget, AnalysisEngine
 from repro.csdf.analysis.buffers import _lower_bound_capacity, sufficient_buffer_capacities
 from repro.csdf.analysis.feedforward import feed_forward_run, is_feed_forward
 from repro.csdf.analysis.latency import end_to_end_latency_ns
-from repro.csdf.analysis.maxplus import firing_times
 from repro.csdf.analysis.simulation import SelfTimedSimulator, simulate
 from repro.csdf.analysis.throughput import is_period_sustainable, minimal_period_ns
 from repro.csdf.builder import CSDFBuilder
 from repro.exceptions import DeadlockError
 
-#: Every field the evaluator shares with the event loop's result.
-FIELDS = (
+#: Every field the feed-forward evaluator shares with the event loop's result.
+RUN_FIELDS = (
     "repetitions",
     "phase_counts",
     "start_times_ns",
@@ -25,79 +24,10 @@ FIELDS = (
     "deadlock_time_ns",
     "end_time_ns",
     "simulated_events",
+    "max_occupancy",
+    "aborted",
+    "abort_reason",
 )
-
-
-def assert_matches_event_loop(graph, iterations):
-    times = firing_times(graph, iterations)
-    result = simulate(graph, iterations=iterations)
-    for name in FIELDS:
-        assert getattr(times, name) == getattr(result, name), name
-    return times
-
-
-class TestDependencies:
-    def test_consumer_start_decides_producer_start(self):
-        # p -> c holds one token.  c also waits for the slow s, so it starts
-        # at 5; only then is there room for p's second token.  p's second
-        # firing starts at c's *start* (5), not its own finish (1) and not
-        # c's finish (15).
-        graph = (
-            CSDFBuilder("space")
-            .actor("p", [1.0])
-            .actor("s", [5.0])
-            .actor("c", [10.0])
-            .edge("p", "c", production=[1], consumption=[1], capacity=1)
-            .edge("s", "c", production=[1], consumption=[1])
-            .build()
-        )
-        times = assert_matches_event_loop(graph, 3)
-        assert times.start_times_ns["c"][0] == 5.0
-        assert times.start_times_ns["p"][:2] == [0.0, 5.0]
-        assert times.finish_times_ns["c"][0] == 15.0
-
-    def test_feedback_cycle_deadlocks_part_way(self):
-        # a hands b one token per firing, b needs three; b's three feedback
-        # tokens come back only after it fires.  Two initial tokens let a
-        # fire twice, then both wait on each other.
-        graph = (
-            CSDFBuilder("stall")
-            .actor("a", [2.0])
-            .actor("b", [1.0])
-            .edge("a", "b", production=[1], consumption=[3])
-            .edge("b", "a", production=[3], consumption=[1], initial_tokens=2)
-            .build()
-        )
-        times = assert_matches_event_loop(graph, 4)
-        assert times.deadlocked
-        assert times.finish_times_ns == {"a": [2.0, 4.0], "b": []}
-        assert times.deadlock_time_ns == 4.0
-        assert times.end_time_ns == 4.0
-        assert times.simulated_events == 2
-        assert times.completed_iterations == 0
-
-    def test_fractional_rates_match_the_event_loop(self):
-        # The loop admits a firing when tokens + 1e-9 >= the raw rate and
-        # consumes int(rate); the evaluator reproduces both.
-        graph = (
-            CSDFBuilder("fractional")
-            .actor("a", [3.0, 1.0])
-            .actor("b", [2.0, 2.5])
-            .edge("a", "b", production=[2, 1], consumption=[1.5, 0.5])
-            .build()
-        )
-        assert_matches_event_loop(graph, 6)
-
-    def test_no_occupancy_maxima(self, simple_chain_csdf):
-        assert not hasattr(firing_times(simple_chain_csdf, 2), "max_occupancy")
-
-    def test_iterations_must_be_positive(self, simple_chain_csdf):
-        with pytest.raises(ValueError):
-            firing_times(simple_chain_csdf, 0)
-
-
-#: Every field the feed-forward evaluator shares with the event loop's result.
-RUN_FIELDS = FIELDS + ("max_occupancy", "aborted", "abort_reason")
 
 
 def assert_matches_periodic_loop(graph, iterations, period, cycle_exit=False):
@@ -207,10 +137,22 @@ class TestFeedForwardRun:
             feed_forward_run(simple_chain_csdf, 2, 0.0)
 
 
+def feedback_pair():
+    """a -> b -> a with two tokens on the way back: not feed-forward."""
+    return (
+        CSDFBuilder("feedback")
+        .actor("a", [2.0])
+        .actor("b", [1.0])
+        .edge("a", "b", production=[1], consumption=[1])
+        .edge("b", "a", production=[1], consumption=[1], initial_tokens=2)
+        .build()
+    )
+
+
 class TestRouting:
-    """Unperiodic analyses and feed-forward buffer sizing never run the event
-    loop; sustainability probes, periodic latency and the buffer sizing of
-    every other graph do."""
+    """A feed-forward graph with no capacity set never runs the event loop;
+    bounded graphs, sustainability probes and graphs that are not
+    feed-forward do, and charge its firing count."""
 
     @staticmethod
     def refuse_event_loop(monkeypatch):
@@ -242,14 +184,24 @@ class TestRouting:
         expected = simulate(multirate_csdf, iterations=5)
         self.refuse_event_loop(monkeypatch)
         engine = AnalysisEngine()
-        budget = engine.budget()
+        budget = AnalysisBudget()
         period = engine.minimal_period_ns(multirate_csdf, iterations=5, budget=budget)
         assert period == expected.steady_state_period_ns()
         assert engine.simulations_run == 1
         assert engine.simulated_events == expected.simulated_events
         assert budget.events_used == expected.simulated_events
 
-    def test_engine_minimal_period_deadlock(self, no_event_loop):
+    def test_feedback_period_runs_the_event_loop(self, monkeypatch):
+        expected = simulate(feedback_pair(), iterations=4)
+        calls = self.count_event_loop(monkeypatch)
+        budget = AnalysisBudget()
+        assert minimal_period_ns(feedback_pair(), iterations=4, budget=budget) == (
+            expected.steady_state_period_ns()
+        )
+        assert len(calls) == 1
+        assert budget.events_used == expected.simulated_events
+
+    def test_engine_minimal_period_deadlock(self, monkeypatch):
         graph = (
             CSDFBuilder("dead")
             .actor("a", [1.0])
@@ -258,15 +210,41 @@ class TestRouting:
             .edge("b", "a", production=[1], consumption=[1])
             .build()
         )
+        calls = self.count_event_loop(monkeypatch)
         with pytest.raises(DeadlockError, match="deadlocks at t=0.0 ns"):
             AnalysisEngine().minimal_period_ns(graph, iterations=3)
+        assert len(calls) == 1
 
     def test_self_timed_latency(self, simple_chain_csdf, no_event_loop):
         assert end_to_end_latency_ns(simple_chain_csdf, iterations=3) > 0
 
-    def test_periodic_latency_runs_the_event_loop(self, simple_chain_csdf, monkeypatch):
+    def test_periodic_latency_runs_no_event_loop(self, simple_chain_csdf, monkeypatch):
+        expected = simulate(simple_chain_csdf, iterations=3, source_period_ns=50.0)
+        self.refuse_event_loop(monkeypatch)
+        budget = AnalysisBudget()
+        latency = end_to_end_latency_ns(
+            simple_chain_csdf, iterations=3, source_period_ns=50.0, budget=budget
+        )
+        assert latency == max(
+            expected.iteration_latency_ns("a", "c", k) for k in range(3)
+        )
+        assert budget.events_used == expected.simulated_events
+
+    def test_feedback_latency_runs_the_event_loop(self, monkeypatch):
+        expected = simulate(feedback_pair(), iterations=3)
         calls = self.count_event_loop(monkeypatch)
-        end_to_end_latency_ns(simple_chain_csdf, iterations=3, source_period_ns=50.0)
+        budget = AnalysisBudget()
+        latency = end_to_end_latency_ns(feedback_pair(), "a", "b", iterations=3, budget=budget)
+        assert latency == max(expected.iteration_latency_ns("a", "b", k) for k in range(3))
+        assert len(calls) == 1
+        assert budget.events_used == expected.simulated_events
+
+    def test_bounded_latency_runs_the_event_loop(self, simple_chain_csdf, monkeypatch):
+        bounded = simple_chain_csdf.copy()
+        for edge in simple_chain_csdf.edges:
+            bounded.replace_edge(edge.with_capacity(1))
+        calls = self.count_event_loop(monkeypatch)
+        end_to_end_latency_ns(bounded, iterations=3, source_period_ns=50.0)
         assert len(calls) == 1
 
     @pytest.mark.parametrize("early_exit", [False, True])
@@ -274,7 +252,7 @@ class TestRouting:
         graph = lockstep_routers()
         expected = simulate(graph, 6, source_period_ns=400.0, cycle_exit=early_exit)
         self.refuse_event_loop(monkeypatch)
-        budget = AnalysisEngine().budget()
+        budget = AnalysisBudget()
         capacities = sufficient_buffer_capacities(
             graph, 400.0, iterations=6, early_exit=early_exit, budget=budget
         )
@@ -291,7 +269,7 @@ class TestRouting:
         expected = simulate(graph, 6, source_period_ns=400.0, cycle_exit=True)
         self.refuse_event_loop(monkeypatch)
         engine = AnalysisEngine()
-        budget = engine.budget()
+        budget = AnalysisBudget()
         engine.sufficient_buffer_capacities(graph, 400.0, iterations=6, budget=budget)
         assert engine.simulations_run == 1
         assert engine.simulated_events == budget.events_used == expected.simulated_events
@@ -306,16 +284,8 @@ class TestRouting:
         )
 
     def test_feedback_buffer_sizing_runs_the_event_loop(self, monkeypatch):
-        graph = (
-            CSDFBuilder("feedback")
-            .actor("a", [2.0])
-            .actor("b", [1.0])
-            .edge("a", "b", production=[1], consumption=[1])
-            .edge("b", "a", production=[1], consumption=[1], initial_tokens=2)
-            .build()
-        )
         calls = self.count_event_loop(monkeypatch)
-        sufficient_buffer_capacities(graph, 5.0, iterations=3)
+        sufficient_buffer_capacities(feedback_pair(), 5.0, iterations=3)
         assert len(calls) == 1
 
     def test_sustainability_of_bounded_graphs_runs_the_event_loop(

@@ -79,6 +79,26 @@ class TestInitialTokensAndCycles:
         with pytest.raises(DeadlockError):
             result.steady_state_period_ns()
 
+    def test_feedback_cycle_deadlocks_part_way(self):
+        # a hands b one token per firing, b needs three; b's three feedback
+        # tokens come back only after it fires.  Two initial tokens let a
+        # fire twice, then both wait on each other.
+        graph = (
+            CSDFBuilder("stall")
+            .actor("a", [2.0])
+            .actor("b", [1.0])
+            .edge("a", "b", production=[1], consumption=[3])
+            .edge("b", "a", production=[3], consumption=[1], initial_tokens=2)
+            .build()
+        )
+        result = simulate(graph, iterations=4)
+        assert result.deadlocked
+        assert result.finish_times_ns == {"a": [2.0, 4.0], "b": []}
+        assert result.deadlock_time_ns == 4.0
+        assert result.end_time_ns == 4.0
+        assert result.simulated_events == 2
+        assert result.completed_iterations == 0
+
 
 class TestBoundedBuffers:
     def test_capacity_one_serialises_producer_and_consumer(self):
@@ -122,6 +142,25 @@ class TestBoundedBuffers:
         )
         result = simulate(graph, iterations=1)
         assert result.deadlocked
+
+    def test_consumer_start_decides_producer_start(self):
+        # p -> c holds one token.  c also waits for the slow s, so it starts
+        # at 5; only then is there room for p's second token.  p's second
+        # firing starts at c's *start* (5), not its own finish (1) and not
+        # c's finish (15).
+        graph = (
+            CSDFBuilder("space")
+            .actor("p", [1.0])
+            .actor("s", [5.0])
+            .actor("c", [10.0])
+            .edge("p", "c", production=[1], consumption=[1], capacity=1)
+            .edge("s", "c", production=[1], consumption=[1])
+            .build()
+        )
+        result = simulate(graph, iterations=3)
+        assert result.start_times_ns["c"][0] == 5.0
+        assert result.start_times_ns["p"][:2] == [0.0, 5.0]
+        assert result.finish_times_ns["c"][0] == 15.0
 
 
 class TestPeriodicSources:
