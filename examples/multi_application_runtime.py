@@ -164,7 +164,6 @@ def print_telemetry(outcome):
             f"{int(stats.get('requests', 0))}",
             f"{stats.get('snapshot_bytes', 0) / 1024:.1f} KiB",
             f"{stats.get('delta_dispatch_bytes', 0) / 1024:.1f} KiB",
-            f"{stats.get('dispatch_bytes_saved', 0) / 1024:.1f} KiB",
             f"{stats.get('delta_bytes', 0) / 1024:.1f} KiB",
             f"{int(stats.get('stale_redecides', 0))}",
             f"{stats.get('worker_wall_s', 0.0) * 1e3:.2f} ms",
@@ -174,7 +173,7 @@ def print_telemetry(outcome):
     if worker_rows:
         print(format_table(
             ["Drain worker", "Fulls", "Deltas", "Requests", "Snapshots out",
-             "Delta frames out", "Bytes saved", "Deltas in", "Stale", "Wall"],
+             "Delta frames out", "Deltas in", "Stale", "Wall"],
             worker_rows,
             title="Process-executor telemetry (per worker)",
         ))

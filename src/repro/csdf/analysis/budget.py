@@ -168,6 +168,10 @@ class AnalysisEngine:
     answer-preserving; cache entries replay previous answers of the very
     same question).  With finite budgets, results remain deterministic and
     cache-warmth independent because hits charge their stored cost.
+
+    ``early_exit=False`` runs every simulation to completion; it is the
+    reference the early exits are checked against in the property tests,
+    and :meth:`from_config` never sets it.
     """
 
     def __init__(self, *, cache_size: int = 256, early_exit: bool = True) -> None:
@@ -183,7 +187,7 @@ class AnalysisEngine:
     @classmethod
     def from_config(cls, config) -> "AnalysisEngine":
         """Build an engine from a :class:`~repro.spatialmapper.config.MapperConfig`."""
-        return cls(cache_size=config.analysis_cache_size, early_exit=config.analysis_early_exit)
+        return cls(cache_size=config.analysis_cache_size)
 
     # ------------------------------------------------------------------ #
     # Observability

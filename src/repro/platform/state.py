@@ -169,6 +169,11 @@ class RegionDeltaOp:
     target_fingerprint: bytes
 
 
+#: Ops each region journal keeps; a drain worker idle for longer than this
+#: window is re-sent one counted full snapshot.
+JOURNAL_CAPACITY = 512
+
+
 class RegionJournal:
     """Bounded, ordered log of the delta ops committed on one region.
 
@@ -195,7 +200,7 @@ class RegionJournal:
         "resets",
     )
 
-    def __init__(self, scope, base_fingerprint: bytes, capacity: int = 512) -> None:
+    def __init__(self, scope, base_fingerprint: bytes, capacity: int = JOURNAL_CAPACITY) -> None:
         if capacity < 1:
             raise PlatformError("region journal capacity must be >= 1")
         self.scope_name: str = scope.name
@@ -749,7 +754,7 @@ class PlatformState:
     # ------------------------------------------------------------------ #
     # Region delta journals (stateful drain protocol)
     # ------------------------------------------------------------------ #
-    def region_journal(self, scope, capacity: int = 512) -> RegionJournal:
+    def region_journal(self, scope, capacity: int = JOURNAL_CAPACITY) -> RegionJournal:
         """Get or create the delta journal of one region scope.
 
         Created lazily by the stateful process executor; the journal bases

@@ -239,7 +239,7 @@ class ProcessRegionExecutor:
     journal tip *and* the journal tip still matches the live region
     fingerprint; every full dispatch is **counted under its reason**
     (``full_bootstrap``, ``full_watermark_gap``, ``full_journal_stale``,
-    ``full_resync``, ``full_disabled``) — there is no silent fallback.  A
+    ``full_resync``) — there is no silent fallback.  A
     worker that cannot honour a delta (lost resident, base mismatch,
     broken chain) answers *resync* and is re-sent a counted full snapshot
     in a second pass before anything is folded.  All lanes routed to one
@@ -284,15 +284,11 @@ class ProcessRegionExecutor:
     ``full_dispatches`` (with the per-reason fallback counters),
     ``snapshot_bytes`` (full-dispatch frames out),
     ``delta_dispatch_bytes`` (delta frames out), ``delta_bytes`` (worker
-    deltas in), ``dispatch_bytes_saved`` (estimated: last full frame of
-    the lane minus the delta frame that replaced it), plus
-    ``stale_redecides`` and ``worker_wall_s``.
+    deltas in), plus ``stale_redecides`` and ``worker_wall_s``.
 
-    ``delta_dispatch=False`` pins the executor to the PR 6 full-snapshot
-    protocol (every dispatch counted ``full_disabled``) — the comparison
-    baseline of the dispatch-bytes benchmark.  ``journal_capacity`` bounds
-    each region's op window; a worker idle longer than the window falls
-    back to one counted full snapshot.
+    Each region's journal keeps
+    :data:`~repro.platform.state.JOURNAL_CAPACITY` ops; a worker idle
+    longer than that window falls back to one counted full snapshot.
     """
 
     def __init__(
@@ -301,8 +297,6 @@ class ProcessRegionExecutor:
         *,
         workers: int | None = None,
         start_method: str | None = None,
-        delta_dispatch: bool = True,
-        journal_capacity: int = 512,
     ) -> None:
         self.partition = partition
         self.workers = max(
@@ -321,8 +315,6 @@ class ProcessRegionExecutor:
         #: (``"fork"`` where available, else ``"spawn"``) — recorded by the
         #: benchmarks so artifacts state which protocol path they measured.
         self.start_method = start_method
-        self.delta_dispatch = delta_dispatch
-        self.journal_capacity = journal_capacity
         self._context = multiprocessing.get_context(start_method)
         self._pool: list[_DrainWorker] | None = None
         self._finalizer: weakref.finalize | None = None
@@ -338,9 +330,6 @@ class ProcessRegionExecutor:
         #: and hashing happen once per live ALS/library object, not per
         #: dispatch.  Pinning the object keeps the id stable.
         self._payloads: dict[int, tuple[object, bytes, bytes]] = {}
-        #: Last full-dispatch frame size per lane — the honest baseline the
-        #: ``dispatch_bytes_saved`` estimate is computed against.
-        self._last_full_bytes: dict[str, int] = {}
         #: Lifetime totals of worker-side step-4 analysis counters (each
         #: lane result ships its per-lane delta); the engine reports per-run
         #: deltas, exactly like :meth:`worker_stats`.
@@ -437,11 +426,9 @@ class ProcessRegionExecutor:
                 "delta_dispatches": 0,
                 "full_dispatches": 0,
                 "full_bootstrap": 0,
-                "full_disabled": 0,
                 "full_journal_stale": 0,
                 "full_watermark_gap": 0,
                 "full_resync": 0,
-                "dispatch_bytes_saved": 0,
                 "stale_redecides": 0,
                 "worker_wall_s": 0.0,
             },
@@ -525,7 +512,7 @@ class ProcessRegionExecutor:
         full snapshot counted under its reason (never silent)."""
         state = pipeline.state
         region = jobs[0].region
-        journal = state.region_journal(region, self.journal_capacity)
+        journal = state.region_journal(region)
         live = fingerprint_digest(region.fingerprint(state))
         key = (worker.name, lane)
         reason = force_full
@@ -537,8 +524,6 @@ class ProcessRegionExecutor:
             # worker from a snapshot.
             journal.reset(live)
             reason = "journal_stale"
-        if reason is None and not self.delta_dispatch:
-            reason = "disabled"
         if reason is None:
             mark = self._watermarks.get(key)
             if mark is None:
@@ -563,9 +548,6 @@ class ProcessRegionExecutor:
             )
             stats["delta_dispatches"] += 1
             stats["delta_dispatch_bytes"] += len(frame)
-            stats["dispatch_bytes_saved"] += max(
-                0, self._last_full_bytes.get(lane, 0) - len(frame)
-            )
         else:
             self._watermarks.pop(key, None)
             frame = procdrain.dump_frame(
@@ -576,7 +558,6 @@ class ProcessRegionExecutor:
             stats["full_dispatches"] += 1
             stats[f"full_{reason}"] += 1
             stats["snapshot_bytes"] += len(frame)
-            self._last_full_bytes[lane] = len(frame)
         return frame
 
     def _dispatch_round(

@@ -73,10 +73,6 @@ class MapperConfig:
         Capacity of the step-4 simulation-verdict cache
         (:class:`~repro.csdf.analysis.budget.SimulationCache`); ``0``
         disables caching.
-    analysis_early_exit:
-        Whether step-4 simulations may stop early (backlog-violation abort,
-        state-cycle exit).  Early exits are answer-preserving; disabling them
-        exists for differential baselines and benchmarks.
     cost_model:
         Weights of the full energy objective.
     keep_step2_trace:
@@ -112,7 +108,6 @@ class MapperConfig:
     run_feasibility_analysis: bool = True
     minimize_buffers: bool = False
     analysis_cache_size: int = 256
-    analysis_early_exit: bool = True
     cost_model: CostModel = field(default_factory=CostModel)
     keep_step2_trace: bool = True
     rescue_searchers: int = 0

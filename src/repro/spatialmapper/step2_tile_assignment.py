@@ -95,30 +95,6 @@ def _proposed_moves(mapping: Mapping, candidate: "_Move | _Swap") -> dict[str, s
     }
 
 
-def _apply_move(mapping: Mapping, move: _Move) -> Mapping:
-    """A copy of the mapping with the move applied."""
-    candidate = mapping.copy()
-    candidate.assign(candidate.assignment(move.process).moved_to(move.target_tile))
-    return candidate
-
-
-def _apply_swap(mapping: Mapping, swap: _Swap) -> Mapping:
-    """A copy of the mapping with the swap applied."""
-    candidate = mapping.copy()
-    assignment_a = candidate.assignment(swap.process_a)
-    assignment_b = candidate.assignment(swap.process_b)
-    candidate.assign(assignment_a.moved_to(assignment_b.tile))
-    candidate.assign(assignment_b.moved_to(assignment_a.tile))
-    return candidate
-
-
-def _apply_candidate(mapping: Mapping, candidate: "_Move | _Swap") -> Mapping:
-    """A copy of the mapping with the candidate reassignment applied."""
-    if isinstance(candidate, _Move):
-        return _apply_move(mapping, candidate)
-    return _apply_swap(mapping, candidate)
-
-
 def _accept(
     mapping: Mapping, candidate: "_Move | _Swap", residuals: ResidualTracker
 ) -> None:
@@ -306,13 +282,14 @@ def _record(
     """Append one iteration to the trace (when tracing is enabled)."""
     if not config.keep_step2_trace:
         return
-    candidate_mapping = _apply_candidate(mapping_before, candidate)
+    assignment = _assignment_snapshot(mapping_before, als)
+    assignment.update(_proposed_moves(mapping_before, candidate))
     remark = "Improvement, keep" if accepted else "No improvement, revert"
     trace.iterations.append(
         Step2Iteration(
             iteration=iteration,
             description=candidate.describe(mapping_before),
-            assignment=_assignment_snapshot(candidate_mapping, als),
+            assignment=assignment,
             cost=cost,
             accepted=accepted,
             remark=remark,

@@ -17,7 +17,7 @@ These tests pin the equivalence the tentpole promises:
 
 import pytest
 
-from repro.platform.regions import RegionPartition
+from repro.platform.regions import GLOBAL_LANE, RegionPartition
 from repro.runtime.engine import SerialRegionExecutor, WorkloadEngine
 from repro.runtime.manager import RuntimeResourceManager
 from repro.spatialmapper.config import MapperConfig
@@ -116,6 +116,19 @@ class TestSingleRegionIdentity:
             assert outcomes["serial"].departures == outcomes[kind].departures
         multi = outcomes["serial"].telemetry.lanes.get("__multi__")
         assert multi is not None and multi.admitted > 0
+        # Against the same stream without the planner: as many requests are
+        # decided, and the serialized global lane settles strictly fewer.
+        engine = WorkloadEngine(
+            make_manager(planner=False), executor=SerialRegionExecutor(), park_rejections=True
+        )
+        without = engine.run(workload)
+        assert without.decided == outcomes["serial"].decided
+
+        def global_settled(outcome):
+            lane = outcome.telemetry.lanes.get(GLOBAL_LANE)
+            return lane.settled() if lane is not None else 0
+
+        assert global_settled(outcomes["serial"]) < global_settled(without)
 
 
 class TestCrossRegionEquivalence:

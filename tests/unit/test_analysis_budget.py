@@ -236,10 +236,10 @@ class TestAnalysisEngine:
         assert cold.snapshot()["budget_exhausted"] == (max_events == 20)
 
     def test_from_config_reads_the_analysis_knobs(self):
-        config = MapperConfig(analysis_cache_size=7, analysis_early_exit=False)
+        config = MapperConfig(analysis_cache_size=7)
         engine = AnalysisEngine.from_config(config)
         assert engine.cache.maxsize == 7
-        assert engine.early_exit is False
+        assert engine.early_exit is True
 
 
 class TestEarlyExitSimulation:

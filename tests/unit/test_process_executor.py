@@ -271,7 +271,6 @@ def _worker_totals(outcome) -> dict[str, float]:
 def _fallback_reasons(totals: dict[str, float]) -> float:
     return (
         totals["full_bootstrap"]
-        + totals["full_disabled"]
         + totals["full_journal_stale"]
         + totals["full_watermark_gap"]
         + totals["full_resync"]
@@ -307,23 +306,6 @@ class TestStatefulDispatch:
         assert t2["full_dispatches"] == 0
         assert t2["full_dispatches"] == _fallback_reasons(t2)
         assert t2["delta_dispatch_bytes"] > 0
-        executor.close()
-
-    def test_disabled_mode_ships_full_snapshots_and_counts_them(self, manager):
-        executor = ProcessRegionExecutor(
-            manager.partition, workers=1, delta_dispatch=False
-        )
-        engine = WorkloadEngine(manager, executor=executor)
-        apps = [make_app(255, "flat0", "io_l")]
-        first = engine.run(_scenario(apps))
-        manager.stop("flat0")
-        second = engine.run(_scenario(apps))
-        assert second.admitted == ["flat0"]
-        for outcome in (first, second):
-            totals = _worker_totals(outcome)
-            assert totals["delta_dispatches"] == 0
-            assert totals["full_dispatches"] == totals["full_disabled"] >= 1
-            assert totals["full_dispatches"] == _fallback_reasons(totals)
         executor.close()
 
     def test_unjournaled_mutation_falls_back_to_a_counted_full(self, manager):
