@@ -308,6 +308,35 @@ class TestStatefulDispatch:
         assert t2["delta_dispatch_bytes"] > 0
         executor.close()
 
+    def test_evicted_watermark_falls_back_to_a_counted_full(self, manager):
+        """A worker whose watermark fell off the journal window is re-sent a
+        snapshot, counted watermark_gap; the next drain bridges by delta."""
+        region = next(r for r in manager.partition if "io_l" in r.tile_names)
+        # A two-op window instead of JOURNAL_CAPACITY, so a few commits and
+        # releases on the region evict the worker's watermark.
+        journal = manager.state.region_journal(region, capacity=2)
+        executor = ProcessRegionExecutor(manager.partition, workers=1)
+        engine = WorkloadEngine(manager, executor=executor)
+        first = engine.run(_scenario([make_app(290, "gap0", "io_l")]))
+        assert first.admitted == ["gap0"]
+        manager.stop("gap0")
+        bystander = make_app(291, "gap1", "io_l")
+        manager.start(bystander.als, library=bystander.library)
+        manager.stop("gap1")
+        assert journal.evictions >= 1
+        second = engine.run(_scenario([make_app(292, "gap2", "io_l")]))
+        assert second.admitted == ["gap2"]
+        t2 = _worker_totals(second)
+        assert t2["full_watermark_gap"] == t2["full_dispatches"] == 1
+        assert t2["full_dispatches"] == _fallback_reasons(t2)
+        manager.stop("gap2")
+        third = engine.run(_scenario([make_app(293, "gap3", "io_l")]))
+        assert third.admitted == ["gap3"]
+        t3 = _worker_totals(third)
+        assert t3["delta_dispatches"] >= 1
+        assert t3["full_dispatches"] == 0
+        executor.close()
+
     def test_unjournaled_mutation_falls_back_to_a_counted_full(self, manager):
         """State mutated behind the journal's back (tip fingerprint no longer
         the live region fingerprint) must resnapshot, counted journal_stale."""
