@@ -30,7 +30,6 @@ from repro.platform.regions import RegionPartition
 from repro.reporting import format_table
 from repro.runtime import SerialRegionExecutor
 from repro.runtime.admission_control import GovernorConfig, LoadSheddingGovernor
-from repro.spatialmapper.region_score import RegionScorer
 from repro.workloads.arrivals import (
     BurstyArrivals,
     TrafficClass,
@@ -204,10 +203,8 @@ def run_overload(governor):
     """An 8x two-tier overload, with or without the shedding governor.
 
     High-priority (2) and low-priority (0) Poisson classes per region; the
-    manager scores regions adaptively (composite residuals/pressure score
-    plus rejection-feedback memory) and the engine, when given a governor,
-    sheds low-priority arrivals before mapping work once the windowed
-    admission rate drops below the floor.
+    engine, when given a governor, sheds low-priority arrivals before
+    mapping work once the windowed admission rate drops below the floor.
     """
     platform = build_platform()
     partition = RegionPartition.grid(platform, REGIONS, REGIONS)
@@ -215,7 +212,6 @@ def run_overload(governor):
         platform,
         config=MapperConfig(analysis_iterations=3),
         partition=partition,
-        region_scorer=RegionScorer.adaptive(),
     )
     engine = WorkloadEngine(manager, park_rejections=True, governor=governor)
     classes = [
@@ -239,7 +235,7 @@ def run_overload(governor):
 
 def print_shedding_comparison():
     """Governor off vs on under the same 8x overload stream."""
-    print("Load shedding under 8x overload (adaptive region scoring on):")
+    print("Load shedding under 8x overload:")
     rows = []
     for label, governor in (
         ("governor off", None),

@@ -350,7 +350,6 @@ class ProcessRegionExecutor:
                 "ProcessRegionExecutor requires the pipeline's default mapper "
                 "factory: a custom factory cannot cross the process boundary"
             )
-        scorer = pipeline.region_scorer
         settings = procdrain.WorkerSettings(
             platform=pipeline.platform,
             partition=pipeline.partition,
@@ -358,8 +357,6 @@ class ProcessRegionExecutor:
             config=pipeline.config,
             require_feasible=pipeline.require_feasible,
             cache_size=pipeline.cache.maxsize if pipeline.cache is not None else 0,
-            scorer_policy=scorer.policy if scorer is not None else None,
-            scorer_has_feedback=scorer is not None and scorer.feedback is not None,
             obs=pipeline.tracer.config if pipeline.tracer.enabled else None,
         )
         settings_blob = procdrain.dump_frame(settings)
@@ -979,30 +976,39 @@ class EngineOutcome:
 
     @property
     def admission_rate(self) -> float:
-        """Fraction of decided requests that were admitted (cancellations and
-        governor sheds excluded — a shed request was never offered to the
-        mapper, so counting it as a rejection would charge the pipeline for
-        work the governor deliberately avoided)."""
-        return len(self.admitted) / self.decided if self.decided else 0.0
+        """Fraction of offered requests that were admitted.
+
+        Offered covers :attr:`decided` plus the governor's sheds: a shed
+        request was offered and not admitted, so shedding a tier lowers its
+        rate instead of hiding the loss.  Cancellations stay out, because
+        the client withdrew them.
+        """
+        offered = self.decided + len(self.shed)
+        return len(self.admitted) / offered if offered else 0.0
 
     def priority_admission_rate(self, priority: int) -> float:
-        """Admission rate of one priority class (admitted / decided).
+        """Admission rate of one priority class (admitted / offered).
 
-        Decided covers admitted, rejected and expired records of the class;
-        shed and cancelled requests are excluded, exactly as in
+        Offered covers admitted, rejected, expired and shed records of the
+        class; cancelled requests are excluded, exactly as in
         :attr:`admission_rate`.
         """
-        decided = [
+        offered = [
             r
             for r in self.records
             if r.priority == priority
             and r.status
-            in (RequestStatus.ADMITTED, RequestStatus.REJECTED, RequestStatus.EXPIRED)
+            in (
+                RequestStatus.ADMITTED,
+                RequestStatus.REJECTED,
+                RequestStatus.EXPIRED,
+                RequestStatus.SHED,
+            )
         ]
-        if not decided:
+        if not offered:
             return 0.0
-        admitted = sum(1 for r in decided if r.status is RequestStatus.ADMITTED)
-        return admitted / len(decided)
+        admitted = sum(1 for r in offered if r.status is RequestStatus.ADMITTED)
+        return admitted / len(offered)
 
     def decision_log(self) -> list[tuple[str, str, str]]:
         """(application, status, reason) per settled request — the differential key."""

@@ -87,8 +87,9 @@ class RuntimeResourceManager:
         experiments with mappers that skip the QoS analysis).
     partition:
         Optional :class:`~repro.platform.regions.RegionPartition`.  With it,
-        admissions map into the least-filled qualifying region and commit
-        under a region-scoped transaction.
+        admissions map into the application's home region (the one holding
+        its pinned tiles; unpinned applications take the least-filled
+        qualifying region) and commit under a region-scoped transaction.
     mapper_cache_size:
         Capacity of the fingerprint-keyed mapper result cache (0 disables).
     region_fallback:
@@ -101,13 +102,6 @@ class RuntimeResourceManager:
         the planner's region scope instead of the serialized global lane.
     corridor_budget_fraction:
         Fraction of boundary-link capacity corridors may reserve.
-    region_scorer:
-        Optional :class:`~repro.spatialmapper.region_score.RegionScorer`:
-        candidate regions are ordered by the composite residual/pressure/
-        feedback score instead of raw fill level (see
-        :mod:`repro.spatialmapper.region_score`).  Use
-        ``RegionScorer.adaptive()`` for scoring *with* rejection-feedback
-        memory; ``None`` (default) keeps the historic fill-level ordering.
     """
 
     def __init__(
@@ -121,10 +115,8 @@ class RuntimeResourceManager:
         partition: RegionPartition | None = None,
         mapper_cache_size: int = 128,
         region_fallback: bool = True,
-        max_region_attempts: int = 2,
         cross_region_planner: bool = False,
         corridor_budget_fraction: float = 0.5,
-        region_scorer=None,
     ) -> None:
         self.platform = platform
         self.library = library or ImplementationLibrary()
@@ -139,8 +131,6 @@ class RuntimeResourceManager:
             require_feasible=require_feasible,
             cache_size=mapper_cache_size,
             region_fallback=region_fallback,
-            max_region_attempts=max_region_attempts,
-            region_scorer=region_scorer,
         )
         if cross_region_planner:
             if partition is None:
@@ -203,7 +193,6 @@ class RuntimeResourceManager:
             als, library=library, time_ns=time_ns, interregion=interregion, trace=trace
         )
         self.decisions.append((decision.application, decision.admitted, decision.reason))
-        self.pipeline.note_feedback(decision)
         return decision
 
     def adopt_decision(
@@ -223,7 +212,6 @@ class RuntimeResourceManager:
         application was not already running when the worker mapped it.
         """
         self.decisions.append((decision.application, decision.admitted, decision.reason))
-        self.pipeline.note_feedback(decision)
         if decision.admitted:
             assert decision.result is not None
             self._running[als.name] = RunningApplication(
@@ -263,68 +251,20 @@ class RuntimeResourceManager:
         requests: Iterable[StartRequest] | Sequence[StartRequest],
         *,
         time_ns: float = 0.0,
-        all_or_nothing: bool = False,
     ) -> BatchAdmissionOutcome:
         """Admit a workload of applications in one call.
 
         Each request is an :class:`~repro.kpn.als.ApplicationLevelSpec` or an
         ``(als, library)`` pair.  Requests are mapped in order against the
         evolving platform state and each receives its own accept/reject
-        decision; a rejection does not abort the batch.  With
-        ``all_or_nothing=True`` the whole batch runs inside one state
-        transaction and every admission is rolled back when any request is
-        rejected.
+        decision; a rejection does not abort the batch.
         """
         outcome = BatchAdmissionOutcome()
-
-        def admit_all() -> bool:
-            for request in requests:
-                als, library = (
-                    request if isinstance(request, tuple) else (request, None)
-                )
-                # Record immediately, so the audit trail survives a request
-                # that raises later in the batch.
-                decision = self.admit(als, library=library, time_ns=time_ns)
-                outcome.decisions.append(decision)
-                if not decision.admitted and all_or_nothing:
-                    return False
-            return True
-
-        def unwind() -> None:
-            # Only admissions made by this batch are unwound; a request
-            # rejected because its application was already running must not
-            # evict that running application.  Each reversal is appended to
-            # the decision history as its own event.
-            for decision in outcome.decisions:
-                if decision.admitted:
-                    self._running.pop(decision.application, None)
-                    self.pipeline.forget(decision.application)
-                    decision.admitted = False
-                    decision.reason = "rolled back: batch rejected (all-or-nothing)"
-                    self.decisions.append(
-                        (decision.application, False, decision.reason)
-                    )
-
-        if all_or_nothing:
-            try:
-                # Rejection feedback recorded for the batch's decisions must
-                # vanish with the batch: a rolled-back admission never stood,
-                # so the memory must not demote regions for it.
-                with self.pipeline.feedback_transaction() as feedback_txn:
-                    with self.state.transaction() as txn:
-                        if not admit_all():
-                            txn.rollback()
-                            if feedback_txn is not None:
-                                feedback_txn.rollback()
-                            unwind()
-            except BaseException:
-                # The transaction context already rolled the state back; the
-                # manager bookkeeping must follow, or _running would name
-                # applications whose allocations no longer exist.
-                unwind()
-                raise
-        else:
-            admit_all()
+        for request in requests:
+            als, library = request if isinstance(request, tuple) else (request, None)
+            # Record immediately, so the audit trail survives a request
+            # that raises later in the batch.
+            outcome.decisions.append(self.admit(als, library=library, time_ns=time_ns))
         return outcome
 
     def stop(self, application: str) -> None:

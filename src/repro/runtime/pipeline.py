@@ -11,9 +11,11 @@ stages —
    :class:`~repro.spatialmapper.cache.MapperCache` without re-running the
    search;
 2. **region selection** — with a :class:`~repro.platform.regions.RegionPartition`
-   configured, candidate regions are ranked least-filled-first among those
-   that contain the application's pinned tiles and can plausibly host its
-   processes;
+   configured, a region qualifies when it contains the application's pinned
+   tiles and can plausibly host its processes.  A tile lies in exactly one
+   region, so an application with a pinned tile has at most one home
+   region; unpinned applications try the qualifying regions
+   least-filled-first;
 3. **spatial map (region-scoped)** — the four-step mapper runs restricted to
    the selected region's tiles and routers, so the work (and the fingerprint
    that keys its result) is local to the shard;
@@ -29,7 +31,6 @@ feeds it request by request.
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, replace
 
 from repro.appmodel.library import ImplementationLibrary
@@ -45,7 +46,10 @@ from repro.platform.state import LinkAllocation, PlatformState, ProcessAllocatio
 from repro.spatialmapper.cache import MapperCache
 from repro.spatialmapper.config import MapperConfig
 from repro.spatialmapper.mapper import SpatialMapper
-from repro.spatialmapper.region_score import RegionScorer
+
+#: How many qualifying regions an unpinned application tries before the
+#: global fallback (a pinned application has at most one).
+MAX_REGION_ATTEMPTS = 2
 
 
 @dataclass
@@ -62,23 +66,13 @@ class AdmissionDecision:
     #: engine's telemetry attributes settlements by this, not by the
     #: free-text ``reason``.
     origin: str = "pipeline"
-    #: Names of the regions whose in-region mapping attempt failed on the
-    #: way to this decision (empty without a partition, or when the first
-    #: candidate admitted).  Rejection feedback is derived from these at
-    #: the single finalisation point (:meth:`AdmissionPipeline.note_feedback`),
-    #: never inside the possibly-concurrent mapping itself.
-    attempted_regions: tuple[str, ...] = ()
-    #: Shape fingerprint of the application, computed while the library was
-    #: at hand; ``None`` when no rejection feedback is configured.
-    shape: tuple | None = None
 
     def as_transport(self) -> "AdmissionDecision":
         """A transport-safe copy of this decision for crossing process boundaries.
 
         Everything settlement needs — admitted/reason, the mapping and its
-        energy/feasibility figures, the mapper runtime, ``attempted_regions``
-        and ``shape`` (consumed by :meth:`AdmissionPipeline.note_feedback` on
-        the engine process) — is carried verbatim.  The mapped CSDF graph
+        energy/feasibility figures and the mapper runtime — is carried
+        verbatim.  The mapped CSDF graph
         and the mapper's pending step feedback are dropped: both are
         worker-local search artefacts no finalisation or differential key
         reads, and they dominate the pickled size.
@@ -126,15 +120,6 @@ class AdmissionPipeline:
         unrestricted (global) mapping.  The global attempt commits under an
         unscoped transaction, which is the explicit path for cross-region
         allocations.
-    max_region_attempts:
-        How many candidate regions to try before the global fallback.
-    region_scorer:
-        Optional :class:`~repro.spatialmapper.region_score.RegionScorer`.
-        With it, qualifying regions are ordered by the composite score
-        (per-tile-type residuals, routing pressure, rejection feedback)
-        instead of raw fill level, and regions whose feedback penalty
-        crosses the exclusion threshold are skipped without mapping.
-        ``None`` keeps the historic least-filled-first ordering.
     """
 
     def __init__(
@@ -149,8 +134,6 @@ class AdmissionPipeline:
         require_feasible: bool = True,
         cache_size: int = 128,
         region_fallback: bool = True,
-        max_region_attempts: int = 2,
-        region_scorer: RegionScorer | None = None,
     ) -> None:
         self.platform = platform
         self.library = library or ImplementationLibrary()
@@ -159,8 +142,6 @@ class AdmissionPipeline:
         self.partition = partition
         self.require_feasible = require_feasible
         self.region_fallback = region_fallback
-        self.max_region_attempts = max(1, max_region_attempts)
-        self.region_scorer = region_scorer
         #: How many times the mapping stage ran (cache hits included): the
         #: "wasted mapper calls" currency of the load-shedding benchmark.
         self.mapper_invocations = 0
@@ -214,24 +195,21 @@ class AdmissionPipeline:
         self,
         als: ApplicationLevelSpec,
         library: ImplementationLibrary | None = None,
-        *,
-        shape: tuple | None = None,
     ) -> tuple[Region | None, ...]:
         """Regions worth attempting for this application, best first.
 
         A region qualifies when it contains every pinned tile of the
         application, has at least as many free slots as the application has
         mappable processes, and offers — per process — some implementation
-        whose tile type still has a free-slot tile inside the region.
-        Qualifying regions are ordered least-filled-first (ties broken by
-        name) — or, with a :attr:`region_scorer`, by the composite score
-        over per-tile-type residuals, routing pressure and rejection
-        feedback (regions past the feedback exclusion threshold are dropped
-        before scoring); ``None`` (the global, unrestricted attempt) is
-        appended when fallback is enabled, and is the only candidate
-        without a partition.  With fallback disabled and no qualifying
-        region, the tuple is empty and :meth:`decide` rejects the request
-        without mapping.
+        whose tile type still has a free-slot tile inside the region.  A
+        tile lies in exactly one region, so an application with a pinned
+        tile has at most one qualifying region, its home region.  Unpinned
+        applications try up to :data:`MAX_REGION_ATTEMPTS` qualifying
+        regions least-filled-first (ties broken by name).  ``None`` (the
+        global, unrestricted attempt) is appended when fallback is enabled,
+        and is the only candidate without a partition.  With fallback
+        disabled and no qualifying region, the tuple is empty and
+        :meth:`decide` rejects the request without mapping.
         """
         if self.partition is None:
             return (None,)
@@ -240,12 +218,7 @@ class AdmissionPipeline:
         pinned_tiles = [
             p.pinned_tile for p in als.kpn.pinned_processes() if p.pinned_tile
         ]
-        scorer = self.region_scorer
-        if shape is None and scorer is not None:
-            # ``decide`` passes its precomputed fingerprint; other callers
-            # (lane assignment) pay for the digest here, once.
-            shape = scorer.shape_of(als, effective)
-        scored: list[tuple[float, str, Region]] = []
+        qualifying: list[tuple[float, str, Region]] = []
         for region in self.partition:
             if any(tile not in region for tile in pinned_tiles):
                 continue
@@ -265,16 +238,10 @@ class AdmissionPipeline:
                 for process in mappable
             ):
                 continue
-            if scorer is not None:
-                if scorer.excludes(region.name, shape):
-                    continue
-                score = scorer.score(als, effective, region, self.state, shape=shape)
-            else:
-                score = view.fill_level()
-            scored.append((score, region.name, region))
-        scored.sort(key=lambda item: (item[0], item[1]))
+            qualifying.append((view.fill_level(), region.name, region))
+        qualifying.sort(key=lambda item: (item[0], item[1]))
         candidates: list[Region | None] = [
-            region for _, _, region in scored[: self.max_region_attempts]
+            region for _, _, region in qualifying[:MAX_REGION_ATTEMPTS]
         ]
         if self.region_fallback:
             candidates.append(None)
@@ -500,16 +467,9 @@ class AdmissionPipeline:
         tracer = self.tracer
         runtime_s = 0.0
         best: MappingResult | None = None
-        scorer = self.region_scorer
-        shape = (
-            scorer.shape_of(als, library if library is not None else self.library)
-            if scorer is not None
-            else None
-        )
-        attempted: list[str] = []
         if candidates is None:
             selection_start_ns = time.perf_counter_ns() if trace is not None else 0
-            candidates = self.candidate_regions(als, library, shape=shape)
+            candidates = self.candidate_regions(als, library)
             if trace is not None:
                 tracer.record(
                     "region_selection",
@@ -528,7 +488,6 @@ class AdmissionPipeline:
                 als.name,
                 False,
                 "no region can host the application (global fallback disabled)",
-                shape=shape,
             )
         for region in candidates:
             if region is None and use_interregion and self.interregion is not None:
@@ -545,8 +504,6 @@ class AdmissionPipeline:
                 runtime_s += planned.mapping_runtime_s
                 if planned.admitted:
                     planned.mapping_runtime_s = runtime_s
-                    planned.attempted_regions = tuple(attempted)
-                    planned.shape = shape
                     return planned
             map_start_ns = time.perf_counter_ns() if trace is not None else 0
             result = self.map_stage(als, library, region)
@@ -561,8 +518,6 @@ class AdmissionPipeline:
                 else result.status.at_least(MappingStatus.ADHERENT)
             )
             if not admissible:
-                if region is not None:
-                    attempted.append(region.name)
                 if best is None or (
                     result.status.at_least(best.status)
                     and (
@@ -584,15 +539,11 @@ class AdmissionPipeline:
                         time.perf_counter_ns(),
                         attrs={"committed": False},
                     )
-                if region is not None:
-                    attempted.append(region.name)
                 return AdmissionDecision(
                     als.name,
                     False,
                     f"commit failed: {error}",
                     mapping_runtime_s=runtime_s,
-                    attempted_regions=tuple(attempted),
-                    shape=shape,
                 )
             if trace is not None:
                 tracer.record(
@@ -608,8 +559,6 @@ class AdmissionPipeline:
                 "admitted",
                 result=result,
                 mapping_runtime_s=runtime_s,
-                attempted_regions=tuple(attempted),
-                shape=shape,
             )
         assert best is not None  # candidate_regions always yields >= 1 attempt
         reason = (
@@ -622,8 +571,6 @@ class AdmissionPipeline:
             False,
             reason,
             mapping_runtime_s=runtime_s,
-            attempted_regions=tuple(attempted),
-            shape=shape,
         )
 
     def _trace_map_attempt(
@@ -715,54 +662,9 @@ class AdmissionPipeline:
             )
         return self.interregion.decide(als, library, scope=scope)
 
-    def note_feedback(self, decision: AdmissionDecision) -> None:
-        """Fold one finalised decision into the rejection-feedback memory.
-
-        Advances the memory's decay clock by one decision and records every
-        region whose in-region mapping attempt failed
-        (:attr:`AdmissionDecision.attempted_regions`).  Callers — the
-        manager's :meth:`~repro.runtime.manager.RuntimeResourceManager.admit`
-        and :meth:`~repro.runtime.manager.RuntimeResourceManager.adopt_decision`
-        — invoke this at the single finalisation point, in deterministic
-        settlement order: drain worker processes never mutate the memory,
-        which is what keeps the serial and process executors
-        decision-identical with feedback on.
-        """
-        scorer = self.region_scorer
-        if scorer is None or scorer.feedback is None:
-            return
-        scorer.feedback.tick()
-        if decision.shape is None:
-            return
-        for region_name in decision.attempted_regions:
-            scorer.feedback.record(region_name, decision.shape)
-
-    @contextmanager
-    def feedback_transaction(self):
-        """A journaled scope over the rejection-feedback memory (or a no-op).
-
-        Batch admission wraps its state transaction in this, so feedback
-        recorded for a batch that is later rolled back (all-or-nothing)
-        vanishes with the batch — the memory must only remember decisions
-        that actually stood.
-        """
-        scorer = self.region_scorer
-        if scorer is None or scorer.feedback is None:
-            with nullcontext():
-                yield None
-            return
-        with scorer.feedback.transaction() as txn:
-            yield txn
-
     def regions_of(self, application: str) -> tuple[str, ...]:
         """Names of the regions a running application's allocations landed in."""
         return self._regions_of_app.get(application, ())
-
-    def forget(self, application: str) -> None:
-        """Drop the region bookkeeping of an application whose allocations are
-        gone without :meth:`release` having run (e.g. a batch rollback undid
-        the commit wholesale)."""
-        self._regions_of_app.pop(application, None)
 
     def record_commit(self, application: str, mapping: Mapping) -> None:
         """Record a commit performed outside :meth:`commit`.

@@ -49,15 +49,9 @@ turns into the next watermark.
 Worker-side determinism notes:
 
 * The worker's pipeline is rebuilt from :class:`WorkerSettings` (platform,
-  partition, library, mapper config, scorer policy) — all plain picklable
-  data.  A custom ``mapper_factory`` cannot cross the boundary; the
-  executor refuses to start workers for one.
-* The worker's scorer gets a **dummy** rejection memory whenever the
-  engine's scorer has one: with explicit candidates the scorer never
-  scores, but ``decide`` still computes ``decision.shape`` through it, and
-  the engine-side :meth:`~repro.runtime.pipeline.AdmissionPipeline.note_feedback`
-  needs that shape to keep adaptive runs decision-identical to the serial
-  executor.  The worker memory itself is never read.
+  partition, library, mapper config) — all plain picklable data.  A custom
+  ``mapper_factory`` cannot cross the boundary; the executor refuses to
+  start workers for one.
 * The :class:`~repro.spatialmapper.cache.MapperCache` pins ALS/library
   *object identity*; unpickling would break that, so the worker interns
   unpickled objects by payload digest.  Digests are computed once on the
@@ -89,11 +83,6 @@ from repro.platform.state import (
 )
 from repro.runtime.pipeline import AdmissionPipeline
 from repro.spatialmapper.config import MapperConfig
-from repro.spatialmapper.region_score import (
-    RegionScorePolicy,
-    RegionScorer,
-    RejectionMemory,
-)
 
 #: Pickle protocol of every frame (highest shared by 3.11/3.12).
 PICKLE_PROTOCOL = pickle.HIGHEST_PROTOCOL
@@ -118,11 +107,8 @@ INTERN_LIMIT = 4096
 class WorkerSettings:
     """Everything a drain worker needs to rebuild the admission pipeline.
 
-    Plain picklable data only — this is the worker's whole world.  The
-    scorer travels as its (frozen, picklable) policy plus a flag for
-    whether the engine side keeps a rejection memory; see the module
-    docstring for why the worker then builds a dummy one.  ``config``
-    ships the full :class:`~repro.spatialmapper.config.MapperConfig`, so
+    Plain picklable data only — this is the worker's whole world.
+    ``config`` ships the full :class:`~repro.spatialmapper.config.MapperConfig`, so
     worker-side mappers are rescue-enabled exactly when the engine's are
     (rescue seeds derive from request fingerprints, keeping worker and
     serial-reference decisions bit-identical).
@@ -134,8 +120,6 @@ class WorkerSettings:
     config: MapperConfig
     require_feasible: bool
     cache_size: int
-    scorer_policy: RegionScorePolicy | None
-    scorer_has_feedback: bool
     #: Observability config of the run (``None`` = obs off).  Workers build
     #: their own :class:`~repro.obs.trace.Tracer` from it — span ids are
     #: namespaced by process name, so engine and worker spans never collide.
@@ -276,13 +260,7 @@ def load_frame(blob: bytes):
 def build_worker_pipeline(settings: WorkerSettings) -> AdmissionPipeline:
     """The worker's private pipeline, equivalent to the engine's for
     region-restricted decisions (explicit candidates bypass stage 2, so
-    fallback/attempt knobs are irrelevant here)."""
-    scorer = None
-    if settings.scorer_policy is not None:
-        scorer = RegionScorer(
-            settings.scorer_policy,
-            RejectionMemory() if settings.scorer_has_feedback else None,
-        )
+    the fallback knob is irrelevant here)."""
     return AdmissionPipeline(
         settings.platform,
         settings.library,
@@ -291,7 +269,6 @@ def build_worker_pipeline(settings: WorkerSettings) -> AdmissionPipeline:
         partition=settings.partition,
         require_feasible=settings.require_feasible,
         cache_size=settings.cache_size,
-        region_scorer=scorer,
     )
 
 

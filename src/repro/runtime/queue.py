@@ -12,17 +12,10 @@ audit trail as a direct batch call.
 Requests carry a priority (higher drains first) and an optional deadline
 (pending requests past their deadline expire instead of admitting late).
 Each request is assigned to a *lane* — the region the region-selection
-stage would currently place it in — and two draining disciplines are
-offered:
-
-* ``"arrival"`` (default): priority, then submission order, across all
-  lanes.  Draining this way is decision-for-decision identical to calling
-  ``start_many`` with the same requests in the same order.
-* ``"region"``: round-robin over lanes, FIFO (by priority) within each
-  lane.  Requests of one region stay serialised among themselves while
-  independent regions' requests interleave — and because commits are
-  region-scoped transactions, interleaved per-region admissions never touch
-  each other's journals.
+stage would currently place it in.  Requests drain by priority, then
+submission order, across all lanes, so a drain is decision-for-decision
+identical to calling ``start_many`` with the same requests in the same
+order.  The workload engine serves the lanes separately.
 
 The queue also exposes the two-phase primitives the workload engine's
 executors build on — :meth:`take` (claim pending requests, marking them
@@ -137,13 +130,9 @@ class AdmissionQueue:
         self,
         manager: RuntimeResourceManager,
         *,
-        policy: str = "arrival",
         park_rejections: bool = False,
     ) -> None:
-        if policy not in ("arrival", "region"):
-            raise ValueError(f"unknown drain policy {policy!r}")
         self.manager = manager
-        self.policy = policy
         #: Park rejected requests against their lane fingerprint instead of
         #: finalising them (retried only once the fingerprint changes).
         self.park_rejections = park_rejections
@@ -246,18 +235,19 @@ class AdmissionQueue:
         """Claim pending requests for processing: ``(expired, ready)``.
 
         Pending requests past their deadline are finalised as ``EXPIRED``
-        without mapping work.  The rest are returned in policy order and
-        marked ``IN_FLIGHT`` (removed from the pending list) — the caller
-        owns them until it calls :meth:`finalize` (or :meth:`requeue` after
-        a failure).  Parked requests whose lane fingerprint is unchanged
-        since their last rejection are skipped: the pipeline is
-        deterministic, so the answer could not have changed either.
+        without mapping work.  The rest are returned by priority, then
+        submission order, and marked ``IN_FLIGHT`` (removed from the pending
+        list) — the caller owns them until it calls :meth:`finalize` (or
+        :meth:`requeue` after a failure).  Parked requests whose lane
+        fingerprint is unchanged since their last rejection are skipped: the
+        pipeline is deterministic, so the answer could not have changed
+        either.
         """
         with self._lock:
             expired = self._expire(now_ns)
             fingerprints: dict[str, tuple] = {}
             ready: list[QueuedRequest] = []
-            for request in self._ordered_pending():
+            for request in sorted(self._pending, key=lambda request: request._order):
                 if request.parked_fingerprint is not None:
                     lane = request.lane
                     if lane not in fingerprints:
@@ -436,8 +426,8 @@ class AdmissionQueue:
         """Push pending requests through the admission pipeline.
 
         Expired requests are finalised without mapping work; the rest are
-        handed to :meth:`RuntimeResourceManager.start_many` in policy order
-        as one batch.  Returns every request finalised by this call
+        handed to :meth:`RuntimeResourceManager.start_many` in :meth:`take`
+        order as one batch.  Returns every request finalised by this call
         (admitted, rejected, cancelled and expired), in processing order —
         parked rejections stay pending and are not returned.
         """
@@ -499,24 +489,6 @@ class AdmissionQueue:
         ):
             return partition.region(lane).fingerprint(self.manager.state)
         return self.manager.state.fingerprint()
-
-    def _ordered_pending(self) -> list[QueuedRequest]:
-        """Pending requests in drain order for the configured policy."""
-        if self.policy == "arrival":
-            return sorted(self._pending, key=lambda request: request._order)
-        lanes: dict[str, list[QueuedRequest]] = {}
-        for request in sorted(self._pending, key=lambda request: request._order):
-            lanes.setdefault(request.lane, []).append(request)
-        ordered: list[QueuedRequest] = []
-        queues = [lanes[lane] for lane in sorted(lanes)]
-        while queues:
-            next_round = []
-            for queue in queues:
-                ordered.append(queue.pop(0))
-                if queue:
-                    next_round.append(queue)
-            queues = next_round
-        return ordered
 
     def _expire(self, now_ns: float) -> list[QueuedRequest]:
         """Finalise pending requests whose deadline has passed."""

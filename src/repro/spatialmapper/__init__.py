@@ -24,15 +24,14 @@ best feasible mapping found.
 
 from repro.spatialmapper.cache import CacheStats, MapperCache
 from repro.spatialmapper.config import MapperConfig, Step2Strategy
-from repro.spatialmapper.desirability import desirability, assignment_options, tile_type_demands
+from repro.spatialmapper.desirability import desirability, assignment_options
 from repro.spatialmapper.feedback import Feedback, FeedbackKind, ExclusionSet
-from repro.spatialmapper.region_score import (
-    RegionScorePolicy,
-    RegionScorer,
-    RejectionMemory,
+from repro.spatialmapper.rescue import (
+    RescueOutcome,
+    rescue_search,
+    rescue_seed,
     shape_fingerprint,
 )
-from repro.spatialmapper.rescue import RescueOutcome, rescue_search, rescue_seed
 from repro.spatialmapper.trace import Step2Iteration, Step2Trace, MapperTrace
 from repro.spatialmapper.step1_implementation import select_implementations
 from repro.spatialmapper.step2_tile_assignment import refine_tile_assignment
@@ -48,17 +47,13 @@ __all__ = [
     "Step2Strategy",
     "desirability",
     "assignment_options",
-    "tile_type_demands",
-    "RegionScorePolicy",
-    "RegionScorer",
-    "RejectionMemory",
-    "shape_fingerprint",
     "Feedback",
     "FeedbackKind",
     "ExclusionSet",
     "RescueOutcome",
     "rescue_search",
     "rescue_seed",
+    "shape_fingerprint",
     "Step2Iteration",
     "Step2Trace",
     "MapperTrace",

@@ -101,33 +101,6 @@ def _communication_estimate(
     return estimate
 
 
-def tile_type_demands(als: ApplicationLevelSpec, library) -> dict[str, float]:
-    """Fractional process-slot demand per tile type of an application.
-
-    Each mappable process contributes one slot of demand, split evenly over
-    the tile types its implementations cover — the same flexibility notion
-    desirability is built on: a process with a single option is exclusive
-    demand on that type, a flexible process dilutes across its
-    alternatives.  Region scoring compares these demands against a region's
-    residual free slots per type to find the binding tile type before any
-    mapper run is spent.
-    """
-    demands: dict[str, float] = {}
-    for process in als.kpn.mappable_processes():
-        tile_types = sorted(
-            {
-                implementation.tile_type
-                for implementation in library.implementations_for(process.name)
-            }
-        )
-        if not tile_types:
-            continue
-        share = 1.0 / len(tile_types)
-        for tile_type in tile_types:
-            demands[tile_type] = demands.get(tile_type, 0.0) + share
-    return demands
-
-
 def desirability(options: list[AssignmentOption]) -> float:
     """Desirability of a process given its costed assignment options.
 

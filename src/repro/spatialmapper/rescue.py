@@ -41,12 +41,12 @@ Three disciplines keep the lane decision-inert infrastructure-wise:
 
 * **Seeding** — every searcher owns a ``random.Random`` seeded from
   ``crc32`` digests of the *request fingerprint* (the name-free
-  :func:`~repro.spatialmapper.region_score.shape_fingerprint` of the
-  application plus the region/state fingerprint the mapper cache keys on)
-  — the same no-global-RNG-state idiom as obs sampling.  Identical requests
-  draw identical placements on every executor, so serial and process
-  drains stay decision-identical and results stay cacheable; renamed but
-  identically-shaped applications draw the same seeds.
+  :func:`shape_fingerprint` of the application plus the region/state
+  fingerprint the mapper cache keys on) — the same no-global-RNG-state
+  idiom as obs sampling.  Identical requests draw identical placements on
+  every executor, so serial and process drains stay decision-identical and
+  results stay cacheable; renamed but identically-shaped applications draw
+  the same seeds.
 * **Scratch transactions** — each candidate the bound and the floor keep
   is evaluated inside a
   :meth:`~repro.platform.state.PlatformState.transaction` that is rolled
@@ -83,7 +83,6 @@ from repro.mapping.result import MappingResult, MappingStatus
 from repro.platform.platform import Platform
 from repro.platform.state import PlatformState
 from repro.spatialmapper.config import MapperConfig
-from repro.spatialmapper.region_score import shape_fingerprint
 from repro.spatialmapper.residuals import ResidualTracker
 from repro.spatialmapper.step1_implementation import eligible_tiles
 from repro.spatialmapper.step3_routing import route_channels
@@ -91,6 +90,53 @@ from repro.spatialmapper.step4_feasibility import (
     check_feasibility,
     stream_buffer_floor_overflow,
 )
+
+
+def shape_fingerprint(
+    als: ApplicationLevelSpec, library: ImplementationLibrary
+) -> tuple:
+    """Canonical digest of an application's *shape*, stable under renaming.
+
+    Two applications that differ only in process/channel names (and in
+    nothing the mapper can observe) produce equal fingerprints: the digest
+    is built from sorted multisets of per-process signatures — kind, pinned
+    tile, and the sorted (tile type, memory, cycles) triples of the
+    process's implementations — and per-channel signatures (bits per
+    iteration plus the endpoints' pinned tiles), together with the QoS
+    period.  Names never enter the digest, so identically-shaped
+    applications draw identical rescue seeds.
+    """
+    process_signatures = []
+    for process in als.kpn.processes:
+        implementations = tuple(
+            sorted(
+                (
+                    implementation.tile_type,
+                    implementation.memory_bytes,
+                    implementation.total_wcet_cycles,
+                )
+                for implementation in library.implementations_for(process.name)
+            )
+        )
+        process_signatures.append(
+            (process.kind.value, process.pinned_tile or "", implementations)
+        )
+    channel_signatures = []
+    for channel in als.kpn.data_channels():
+        source = als.kpn.process(channel.source)
+        target = als.kpn.process(channel.target)
+        channel_signatures.append(
+            (
+                channel.bits_per_iteration,
+                source.pinned_tile or "",
+                target.pinned_tile or "",
+            )
+        )
+    return (
+        als.period_ns,
+        tuple(sorted(process_signatures)),
+        tuple(sorted(channel_signatures)),
+    )
 
 
 def rescue_seed(

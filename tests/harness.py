@@ -88,7 +88,7 @@ def make_manager(platform=None, **kwargs) -> RuntimeResourceManager:
     """A manager over the two-region platform (fresh by default).
 
     Keyword arguments are forwarded to :class:`RuntimeResourceManager`
-    (e.g. ``region_scorer=...``, ``cross_region_planner=True``); ``config``
+    (e.g. ``cross_region_planner=True``); ``config``
     and ``partition`` default to the harness's fast mapper configuration
     and the two-region grid.
     """

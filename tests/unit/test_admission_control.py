@@ -126,6 +126,20 @@ class TestEngineIntegration:
         assert snapshot["transitions"] >= 1
         assert 2 in snapshot["rate_by_priority"]
 
+    def test_shed_requests_count_as_offered_in_admission_rates(self):
+        outcome = make_engine(
+            make_manager(), governor=LoadSheddingGovernor(FAST), park_rejections=True
+        ).run(overloaded_workload())
+        low = [r.status for r in outcome.records if r.priority == 0]
+        assert low.count(RequestStatus.ADMITTED) == 2
+        assert low.count(RequestStatus.SHED) == 67
+        assert len(low) == 69
+        # The shed tier reads 2 of 69 offered, not 2 of 2 decided.
+        assert outcome.priority_admission_rate(0) == pytest.approx(2 / 69)
+        offered = outcome.decided + len(outcome.shed)
+        assert outcome.admission_rate == pytest.approx(len(outcome.admitted) / offered)
+        assert outcome.admission_rate < len(outcome.admitted) / outcome.decided
+
     def test_governor_saves_mapper_invocations(self):
         workload = overloaded_workload()
         plain_manager = make_manager()

@@ -281,18 +281,6 @@ class TestAdmissionQueue:
         assert drained[0].decision is None
         assert not manager.is_running("deadline")
 
-    def test_region_lanes_interleave(self, manager):
-        queue = AdmissionQueue(manager, policy="region")
-        l0 = make_app(54, "l0", "io_l")
-        l1 = make_app(55, "l1", "io_l")
-        r0 = make_app(56, "r0", "io_r")
-        for app in (l0, l1, r0):
-            queue.submit(app.als, library=app.library)
-        assert set(queue.pending_by_lane()) == {"r0_0", "r1_0"}
-        drained = queue.drain()
-        # Round-robin across lanes: l0 (left), r0 (right), l1 (left).
-        assert [request.application for request in drained] == ["l0", "r0", "l1"]
-
     def test_drain_matches_direct_start_many(self, partition):
         """Queued admissions must decide exactly like a direct batch call."""
         apps = [

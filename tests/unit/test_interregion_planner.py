@@ -110,6 +110,20 @@ class TestAdmission:
         assert manager.state.occupied_tiles() == ()
         assert manager.state.link_loads() == {}
 
+    def test_batch_with_duplicate_keeps_a_releasable_reservation(self):
+        """Every corridor reservation a batch leaves behind belongs to a
+        running application, so stopping it frees the budgets again."""
+        manager = make_manager()
+        planner = manager.pipeline.interregion
+        empty = planner.budgets.fingerprint()
+        app = cross_app(7, "xapp")
+        outcome = manager.start_many([(app.als, app.library)] * 2)
+        assert [d.admitted for d in outcome.decisions] == [True, False]
+        assert planner.budgets.applications() == ("xapp",)
+        manager.stop("xapp")
+        assert planner.budgets.applications() == ()
+        assert planner.budgets.fingerprint() == empty
+
     def test_exhausted_budget_rejects_and_falls_back_globally(self):
         # A vanishingly small corridor budget: the planner cannot reserve,
         # but the admission still succeeds through the global fallback.

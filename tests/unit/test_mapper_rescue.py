@@ -1,7 +1,8 @@
 """The stochastic rescue lane, plus the mapper feedback/trace bugfixes.
 
-Covers the rescue lane itself (seeding, adoption, rollback, replay
-determinism, cacheability, the energy bound before routing), the
+Covers the rescue lane itself (seeding and the name-free shape fingerprint
+it derives from, adoption, rollback, replay determinism, cacheability, the
+energy bound before routing), the
 feedback-recording symmetry of ``_apply_feedback`` (every branch must log
 to *both* the trace and the diagnostics — the INADHERENT branch used to
 record neither), and the
@@ -9,14 +10,18 @@ cache-hit fixes (``last_trace`` resets to a marked empty trace; hits are
 clones whose stored ``runtime_s`` is never overwritten).
 """
 
+import dataclasses
 import random
 from collections import deque
 from dataclasses import replace
 
 import pytest
 
+from repro.appmodel.library import ImplementationLibrary
 from repro.csdf.analysis.budget import AnalysisEngine
 from repro.exceptions import ConfigurationError
+from repro.kpn.als import ApplicationLevelSpec
+from repro.kpn.graph import KPNGraph
 from repro.mapping.assignment import ProcessAssignment
 from repro.mapping.cost import mapping_energy_lower_bound_nj, mapping_energy_nj
 from repro.mapping.mapping import Mapping
@@ -32,7 +37,7 @@ from repro.spatialmapper.cache import MapperCache
 from repro.spatialmapper.config import MapperConfig
 from repro.spatialmapper.feedback import ExclusionSet, Feedback, FeedbackKind
 from repro.spatialmapper.mapper import SpatialMapper
-from repro.spatialmapper.rescue import rescue_search, rescue_seed
+from repro.spatialmapper.rescue import rescue_search, rescue_seed, shape_fingerprint
 from repro.spatialmapper.step4_feasibility import check_feasibility
 from repro.spatialmapper.trace import MapperTrace
 from repro.workloads.synthetic import (
@@ -40,6 +45,7 @@ from repro.workloads.synthetic import (
     generate_application,
     generate_region_mesh,
 )
+from tests.harness import make_app
 
 BASE = MapperConfig(analysis_iterations=3)
 RESCUE = replace(BASE, rescue_searchers=6, rescue_attempts=4)
@@ -158,6 +164,52 @@ class TestRescueSeed:
         app = packing_app(5)
         assert rescue_seed(app.als, app.library, ("state", 1), 0) != rescue_seed(
             app.als, app.library, ("state", 2), 0
+        )
+
+
+def renamed_copy(app, suffix="_renamed"):
+    """The same application with every process (and channel) renamed."""
+    mapping = {p.name: f"{p.name}{suffix}" for p in app.als.kpn.processes}
+    kpn = KPNGraph(f"{app.als.kpn.name}{suffix}")
+    for process in app.als.kpn.processes:
+        kpn.add_process(dataclasses.replace(process, name=mapping[process.name]))
+    for channel in app.als.kpn.channels:
+        kpn.add_channel(
+            dataclasses.replace(
+                channel,
+                name=f"{channel.name}{suffix}",
+                source=mapping[channel.source],
+                target=mapping[channel.target],
+            )
+        )
+    library = ImplementationLibrary(
+        dataclasses.replace(
+            implementation, process=mapping[implementation.process], name=""
+        )
+        for implementation in app.library.implementations()
+    )
+    als = ApplicationLevelSpec(kpn=kpn, qos=app.als.qos, name=f"{app.als.name}{suffix}")
+    return als, library
+
+
+class TestShapeFingerprint:
+    def test_stable_under_renaming(self):
+        app = make_app(7, "original", "io_l")
+        als, library = renamed_copy(app)
+        assert shape_fingerprint(app.als, app.library) == shape_fingerprint(als, library)
+
+    def test_differs_for_different_shapes(self):
+        left = make_app(7, "one", "io_l")
+        right = make_app(8, "two", "io_l")
+        assert shape_fingerprint(left.als, left.library) != shape_fingerprint(
+            right.als, right.library
+        )
+
+    def test_sensitive_to_pinned_tile(self):
+        left = make_app(7, "one", "io_l")
+        right = make_app(7, "one", "io_r")
+        assert shape_fingerprint(left.als, left.library) != shape_fingerprint(
+            right.als, right.library
         )
 
 

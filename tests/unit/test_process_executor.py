@@ -115,7 +115,6 @@ class TestFoldDiscipline:
         )
         # Undo that probe decision's commit so the engine state is clean.
         pipeline.release("squeezed")
-        pipeline.forget("squeezed")
         response = procdrain.JobResponse(
             ticket=job.request.ticket,
             base_fingerprint=fingerprint_digest(job.region.fingerprint(pipeline.state)),

@@ -103,49 +103,21 @@ class TestBatchAdmission:
         assert outcome.decisions[0].admitted
         assert manager.is_running(drm.name)
 
-    def test_all_or_nothing_rolls_back_on_any_rejection(self, manager):
-        rx1 = hiperlan2.build_receiver_als()
-        rx2 = hiperlan2.build_receiver_als()
-        rx2.name = "second_rx"
-        outcome = manager.start_many([rx1, rx2], all_or_nothing=True)
-        # Both decisions read as rejected: rx2 never fit, and rx1's tentative
-        # admission was rolled back with the batch.
-        assert len(outcome.rejected) == 2
-        assert "rolled back" in outcome.decisions[0].reason
-        assert not manager.is_running(rx1.name)
-        assert not manager.is_running(rx2.name)
-        assert manager.state.occupied_tiles() == ()
-        assert manager.state.link_loads() == {}
-        # The platform is untouched, so the same request succeeds afterwards.
-        assert manager.start(rx1).is_feasible
-
-    def test_exception_mid_batch_unwinds_running_bookkeeping(self, manager):
-        """If the mapper blows up mid-batch, the state transaction rolls back
-        and _running must follow — no ghost applications."""
+    def test_exception_mid_batch_keeps_earlier_admissions_consistent(self, manager):
+        """If a request blows up mid-batch, the admissions decided before it
+        stand, in the audit trail and in the state alike."""
         rx1 = hiperlan2.build_receiver_als()
 
         class ExplodingRequest:
             name = "exploder"
 
         with pytest.raises(AttributeError):
-            manager.start_many([rx1, ExplodingRequest()], all_or_nothing=True)
-        assert not manager.is_running(rx1.name)
-        assert manager.state.occupied_tiles() == ()
-        assert manager.state.link_loads() == {}
-
-    def test_all_or_nothing_rollback_spares_preexisting_applications(self, manager):
-        """A duplicate request rejected as already-running must not evict the
-        running application when the batch rolls back."""
-        rx1 = hiperlan2.build_receiver_als()
-        manager.start(rx1)
-        tiles_before = manager.state.occupied_tiles()
-        duplicate = hiperlan2.build_receiver_als()  # same name as rx1
-        outcome = manager.start_many([duplicate], all_or_nothing=True)
-        assert not outcome.decisions[0].admitted
+            manager.start_many([rx1, ExplodingRequest()])
         assert manager.is_running(rx1.name)
-        assert manager.state.occupied_tiles() == tiles_before
+        assert manager.decisions == [(rx1.name, True, "admitted")]
         manager.stop(rx1.name)
         assert manager.state.occupied_tiles() == ()
+        assert manager.state.link_loads() == {}
 
 
 class TestScenario:
