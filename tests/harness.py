@@ -20,6 +20,14 @@ from __future__ import annotations
 
 import pytest
 
+from repro.appmodel.implementation import DEFAULT_PORT, Implementation
+from repro.appmodel.library import ImplementationLibrary
+from repro.csdf.phase import PhaseVector
+from repro.kpn.als import ApplicationLevelSpec
+from repro.kpn.channel import Channel
+from repro.kpn.graph import KPNGraph
+from repro.kpn.process import Process
+from repro.kpn.qos import QoSConstraints
 from repro.platform.builder import PlatformBuilder
 from repro.platform.regions import RegionPartition
 from repro.runtime.engine import (
@@ -82,6 +90,34 @@ def make_app(seed: int, name: str, io_tile: str, config: SyntheticConfig | None 
         source_tile=io_tile,
         sink_tile=io_tile,
     )
+
+
+def make_unpinned_app(name: str):
+    """A two-process GPP application with no pinned tiles (any region may host it).
+
+    Returns ``(als, library)``.  Every workload pins its source and sink, so
+    this shape is the only one whose region selection has more than one
+    region to order.
+    """
+    kpn = KPNGraph(name)
+    kpn.add_process(Process("a"))
+    kpn.add_process(Process("b"))
+    kpn.add_channel(Channel("c0", "a", "b", tokens_per_iteration=4))
+    als = ApplicationLevelSpec(kpn=kpn, qos=QoSConstraints(period_ns=100_000.0))
+    library = ImplementationLibrary()
+    for process in ("a", "b"):
+        library.add(
+            Implementation(
+                process=process,
+                tile_type="GPP",
+                wcet_cycles=PhaseVector([1.0, 50.0, 1.0]),
+                input_rates={DEFAULT_PORT: PhaseVector([4, 0, 0])},
+                output_rates={DEFAULT_PORT: PhaseVector([0, 0, 4])},
+                energy_nj_per_iteration=10.0,
+                memory_bytes=1024,
+            )
+        )
+    return als, library
 
 
 def make_manager(platform=None, **kwargs) -> RuntimeResourceManager:

@@ -10,7 +10,7 @@ from repro.runtime.admission_control import (
     GovernorDecision,
     LoadSheddingGovernor,
 )
-from repro.runtime.engine import EngineOutcome, WorkloadEngine
+from repro.runtime.engine import EngineOutcome, EngineRecord, WorkloadEngine
 from repro.runtime.events import StartEvent
 from repro.runtime.queue import AdmissionQueue, RequestStatus
 from repro.runtime.scenario import Scenario
@@ -297,3 +297,71 @@ class TestEngineGovernorParameter:
         outcome = WorkloadEngine(manager).run(scenario)
         assert outcome.telemetry.governor is None
         assert outcome.shed == []
+
+
+ADMITTED = RequestStatus.ADMITTED
+REJECTED = RequestStatus.REJECTED
+EXPIRED = RequestStatus.EXPIRED
+CANCELLED = RequestStatus.CANCELLED
+SHED = RequestStatus.SHED
+
+
+def outcome_of(*settled):
+    """An engine outcome holding one record per ``(status, priority)``."""
+    return EngineOutcome(
+        workload="rates",
+        records=[
+            EngineRecord(
+                time_ns=float(ticket),
+                ticket=ticket,
+                application=f"app{ticket}",
+                status=status,
+                priority=priority,
+            )
+            for ticket, (status, priority) in enumerate(settled, start=1)
+        ],
+    )
+
+
+class TestOutcomeRates:
+    """Offered = admitted + rejected + expired + shed; cancellations excluded."""
+
+    @pytest.mark.parametrize(
+        "statuses, rate",
+        [
+            ([ADMITTED, ADMITTED], 1.0),
+            ([ADMITTED, SHED], 0.5),
+            ([ADMITTED, REJECTED, EXPIRED, SHED], 0.25),
+            ([ADMITTED, CANCELLED], 1.0),
+            ([SHED, SHED, SHED], 0.0),
+            ([CANCELLED], 0.0),
+            ([], 0.0),
+        ],
+    )
+    def test_admission_rate(self, statuses, rate):
+        outcome = outcome_of(*((status, 0) for status in statuses))
+        assert outcome.admission_rate == pytest.approx(rate)
+
+    @pytest.mark.parametrize("priority, rate", [(0, 1 / 4), (1, 2 / 3), (2, 0.0), (3, 0.0)])
+    def test_priority_admission_rate(self, priority, rate):
+        outcome = outcome_of(
+            (ADMITTED, 0),
+            (SHED, 0),
+            (SHED, 0),
+            (REJECTED, 0),
+            (CANCELLED, 0),
+            (ADMITTED, 1),
+            (ADMITTED, 1),
+            (EXPIRED, 1),
+            (SHED, 2),
+            (CANCELLED, 3),
+        )
+        assert outcome.priority_admission_rate(priority) == pytest.approx(rate)
+
+    def test_decided_leaves_sheds_and_cancellations_out(self):
+        outcome = outcome_of(
+            (ADMITTED, 0), (REJECTED, 0), (EXPIRED, 0), (SHED, 0), (CANCELLED, 0)
+        )
+        assert outcome.decided == 3
+        assert outcome.shed == ["app4"]
+        assert outcome.cancelled == ["app5"]

@@ -4,15 +4,7 @@ import threading
 
 import pytest
 
-from repro.appmodel.implementation import DEFAULT_PORT, Implementation
-from repro.appmodel.library import ImplementationLibrary
-from repro.csdf.phase import PhaseVector
 from repro.exceptions import AdmissionError, AdmissionRejected, UnknownApplication
-from repro.kpn.als import ApplicationLevelSpec
-from repro.kpn.channel import Channel
-from repro.kpn.graph import KPNGraph
-from repro.kpn.process import Process
-from repro.kpn.qos import QoSConstraints
 from repro.platform.builder import PlatformBuilder
 from repro.platform.regions import RegionPartition
 from repro.platform.state import PlatformState
@@ -20,6 +12,7 @@ from repro.runtime.manager import RuntimeResourceManager
 from repro.runtime.queue import AdmissionQueue, RequestStatus
 from repro.spatialmapper.config import MapperConfig
 from repro.workloads.synthetic import SyntheticConfig, generate_application
+from tests.harness import make_unpinned_app
 
 CONFIG = SyntheticConfig(stages=2, period_ns=100_000.0, tile_types=("GPP",))
 
@@ -46,29 +39,6 @@ def make_app(seed, name, io_tile):
     return generate_application(
         seed, CONFIG, name=name, source_tile=io_tile, sink_tile=io_tile
     )
-
-
-def make_unpinned_app(name):
-    """A two-process application with no pinned tiles (any region may host it)."""
-    kpn = KPNGraph(name)
-    kpn.add_process(Process("a"))
-    kpn.add_process(Process("b"))
-    kpn.add_channel(Channel("c0", "a", "b", tokens_per_iteration=4))
-    als = ApplicationLevelSpec(kpn=kpn, qos=QoSConstraints(period_ns=100_000.0))
-    library = ImplementationLibrary()
-    for process in ("a", "b"):
-        library.add(
-            Implementation(
-                process=process,
-                tile_type="GPP",
-                wcet_cycles=PhaseVector([1.0, 50.0, 1.0]),
-                input_rates={DEFAULT_PORT: PhaseVector([4, 0, 0])},
-                output_rates={DEFAULT_PORT: PhaseVector([0, 0, 4])},
-                energy_nj_per_iteration=10.0,
-                memory_bytes=1024,
-            )
-        )
-    return als, library
 
 
 @pytest.fixture()

@@ -10,6 +10,7 @@ from repro.runtime.scenario import Scenario, run_scenario
 from repro.spatialmapper.config import MapperConfig
 from repro.workloads import hiperlan2
 from repro.workloads.receivers import build_drm_library, build_drm_receiver_als
+from tests.harness import make_app, make_manager
 
 
 @pytest.fixture()
@@ -118,6 +119,54 @@ class TestBatchAdmission:
         manager.stop(rx1.name)
         assert manager.state.occupied_tiles() == ()
         assert manager.state.link_loads() == {}
+
+    def test_duplicate_of_a_running_application_leaves_it_in_place(self, manager):
+        rx1 = hiperlan2.build_receiver_als()
+        manager.start(rx1)
+        tiles_before = manager.state.occupied_tiles()
+        links_before = manager.state.link_loads()
+        duplicate = hiperlan2.build_receiver_als()  # same name as rx1
+        outcome = manager.start_many([duplicate])
+        assert not outcome.decisions[0].admitted
+        assert manager.is_running(rx1.name)
+        assert manager.state.occupied_tiles() == tiles_before
+        assert manager.state.link_loads() == links_before
+        manager.stop(rx1.name)
+        assert manager.state.occupied_tiles() == ()
+
+    def test_a_rejection_does_not_end_the_batch(self):
+        manager = make_manager(region_fallback=False)
+        left = [make_app(50 + index, f"left{index}", "io_l") for index in range(3)]
+        right = make_app(60, "right", "io_r")
+        outcome = manager.start_many(
+            [(app.als, app.library) for app in (*left, right)]
+        )
+        admitted = [decision.admitted for decision in outcome.decisions]
+        # The first two-stage application takes two of the left region's
+        # three one-slot GPP tiles, so the next two are rejected; the right
+        # request after them is still decided, and admitted.
+        assert admitted == [True, False, False, True]
+        assert manager.is_running("left0") and manager.is_running("right")
+        assert [entry[0] for entry in manager.decisions] == [
+            "left0",
+            "left1",
+            "left2",
+            "right",
+        ]
+
+    def test_start_many_decides_like_one_admit_per_request(self):
+        apps = [
+            make_app(70 + index, f"app{index}", io_tile)
+            for index, io_tile in enumerate(["io_l", "io_r", "io_l", "io_r", "io_l"])
+        ]
+        batched = make_manager()
+        batched.start_many([(app.als, app.library) for app in apps])
+        looped = make_manager()
+        for app in apps:
+            looped.admit(app.als, library=app.library)
+        assert batched.decisions == looped.decisions
+        assert batched.state.occupied_tiles() == looped.state.occupied_tiles()
+        assert batched.state.link_loads() == looped.state.link_loads()
 
 
 class TestScenario:
