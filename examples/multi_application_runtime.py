@@ -183,12 +183,11 @@ def print_telemetry(outcome):
     }
     if analysis:
         print(format_table(
-            ["Simulations", "Simulated events", "Cache hits", "Budget exhausted"],
+            ["Simulations", "Simulated events", "Cache hits"],
             [(
                 str(int(analysis.get("simulations_run", 0))),
                 str(int(analysis.get("simulated_events", 0))),
                 str(int(analysis.get("cache_hits", 0))),
-                str(int(analysis.get("budget_exhausted", 0))),
             )],
             title="Step-4 analysis telemetry (engine + workers)",
         ))

@@ -23,9 +23,7 @@ from repro.csdf.analysis.throughput import (
 )
 from repro.csdf.analysis.buffers import (
     sufficient_buffer_capacities,
-    minimize_buffer_capacities,
     apply_buffer_capacities,
-    probe_order,
 )
 from repro.csdf.analysis.latency import end_to_end_latency_ns
 from repro.csdf.analysis.budget import (
@@ -47,9 +45,7 @@ __all__ = [
     "is_period_sustainable",
     "processor_bound_period_ns",
     "sufficient_buffer_capacities",
-    "minimize_buffer_capacities",
     "apply_buffer_capacities",
-    "probe_order",
     "end_to_end_latency_ns",
     "AnalysisBudget",
     "AnalysisEngine",

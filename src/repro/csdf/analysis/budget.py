@@ -1,31 +1,28 @@
 """Budgeted, cached dataflow analysis: the simulation-budget layer of step 4.
 
-After the process-parallel drain removed the GIL ceiling, profiles show the
-admission path is simulation-bound: ``minimize_buffer_capacities`` runs an
-independent full-restart binary search per edge, each probe simulating every
-iteration even when backlog divergence is obvious after two.  This module is
-the shared layer that makes those simulations stop paying for work they
-don't need:
+Step 4 asks three questions of every mapped graph (period, sufficient
+buffer capacities, latency), and the mapper's refinement loop and the rescue
+lane ask them again of structurally equal graphs.  This module is the
+shared layer that keeps those simulations from paying twice:
 
-* :class:`AnalysisBudget` — a per-call ceiling on simulated events and
-  probes.  Budgets default to *unlimited*; a finite budget degrades the
-  buffer minimisation gracefully to the (always sustainable) sufficient
-  capacities instead of failing.  Cache hits charge the *stored* cost of the
-  entry they reuse, so the budget trajectory — and therefore every decision
-  taken under a finite budget — is identical whether the cache is cold or
-  warm.  That is what keeps the serial and process executors
-  bit-identical even with budgets configured.
+* :class:`AnalysisBudget` — a ceiling on simulated events.  Budgets default
+  to *unlimited*; the rescue lane charges all its feasibility checks
+  against one finite ledger and stops proposing candidates once it runs
+  out.  Cache hits charge the *stored* cost of the entry they reuse, so the
+  budget trajectory — and therefore every decision taken under a finite
+  budget — is identical whether the cache is cold or warm.  That is what
+  keeps the serial and process executors bit-identical even with budgets
+  configured.
 * :class:`SimulationCache` — an LRU over simulation verdicts keyed by
-  ``(kind, structural fingerprint, capacity vector, period, iterations)``.
+  ``(kind, structural fingerprint, capacity vector, analysis parameters)``.
   Invalidation follows the :class:`~repro.spatialmapper.cache.MapperCache`
   discipline: the key *is* the invalidation (a structurally different graph
   or capacity vector can never match), and the LRU bound retires superseded
   entries.  Values are name-free (indexed by actor/edge insertion position),
   so equivalent mapped graphs of renamed applications share entries.
 * :class:`AnalysisEngine` — the façade step 4 and the mapper call instead of
-  the raw analysis functions.  It adds early-exit simulation, caching,
-  gain-ordered budgeted buffer minimisation with a monotone warm-start
-  ledger, and the observability counters surfaced by ``MapperTrace`` and
+  the raw analysis functions.  It adds the cycle exit to buffer sizing,
+  caching, and the observability counters surfaced by ``MapperTrace`` and
   ``EngineTelemetry``.
 """
 
@@ -35,58 +32,40 @@ from collections import OrderedDict
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from repro.csdf.analysis.buffers import (
-    _lower_bound_capacity,
-    apply_buffer_capacities,
-    probe_order,
-    sufficient_buffer_capacities,
-)
+from repro.csdf.analysis.buffers import sufficient_buffer_capacities
 from repro.csdf.analysis.latency import end_to_end_latency_ns
-from repro.csdf.analysis.throughput import is_period_sustainable, minimal_period_ns
+from repro.csdf.analysis.throughput import minimal_period_ns
 from repro.csdf.graph import CSDFGraph
 from repro.exceptions import DeadlockError
 
 
 class AnalysisBudget:
-    """A ceiling on the simulation work one analysis call may spend.
+    """A ceiling on the simulation work a series of analysis calls may spend.
 
-    ``None`` limits mean unlimited (the default everywhere).  The budget is
-    charged *after* each simulation with that simulation's event count — a
-    run is never torn down halfway — and checked *before* the next probe
-    starts, which keeps the probe sequence deterministic.  Cache hits charge
-    the stored cost of the entry they reuse (see module docstring).
+    ``max_events=None`` means unlimited (the default everywhere).  The
+    budget is charged *after* each simulation with that simulation's event
+    count — a run is never torn down halfway — and a caller checks
+    :attr:`exhausted` before it starts the next one, which keeps the call
+    sequence deterministic.  Cache hits charge the stored cost of the entry
+    they reuse (see module docstring).
     """
 
-    __slots__ = ("max_events", "max_probes", "events_used", "probes_used")
+    __slots__ = ("max_events", "events_used")
 
-    def __init__(
-        self, max_events: int | None = None, max_probes: int | None = None
-    ) -> None:
+    def __init__(self, max_events: int | None = None) -> None:
         if max_events is not None and max_events < 1:
             raise ValueError("max_events must be positive or None")
-        if max_probes is not None and max_probes < 1:
-            raise ValueError("max_probes must be positive or None")
         self.max_events = max_events
-        self.max_probes = max_probes
         self.events_used = 0
-        self.probes_used = 0
 
     @property
     def exhausted(self) -> bool:
-        """Whether either ceiling has been reached."""
-        if self.max_events is not None and self.events_used >= self.max_events:
-            return True
-        if self.max_probes is not None and self.probes_used >= self.max_probes:
-            return True
-        return False
+        """Whether the event ceiling has been reached."""
+        return self.max_events is not None and self.events_used >= self.max_events
 
     def charge_events(self, events: int) -> None:
         """Account for one simulation's events (real or replayed from cache)."""
         self.events_used += events
-
-    def charge_probe(self) -> None:
-        """Account for one buffer-minimisation probe."""
-        self.probes_used += 1
 
 
 @dataclass
@@ -155,34 +134,28 @@ class SimulationCache:
 
 
 class AnalysisEngine:
-    """Cached, budgeted, early-exiting front end to the dataflow analyses.
+    """Cached, budgeted front end to the dataflow analyses.
 
     One engine is shared per admission pipeline (and per drain worker): its
-    cache accumulates verdicts across probes, refinement iterations and
-    admission requests, and its counters are the source of the
-    ``simulations_run`` / ``simulated_events`` / ``cache_hits`` /
-    ``budget_exhausted`` observability surfaced in traces and telemetry.
+    cache accumulates verdicts across refinement iterations, rescue
+    candidates and admission requests, and its counters are the source of
+    the ``simulations_run`` / ``simulated_events`` / ``cache_hits``
+    observability surfaced in traces and telemetry.
 
-    Decision identity: with unlimited budgets every method returns exactly
-    what the underlying uncached analysis returns (early exits are
+    Decision identity: every method returns exactly what the underlying
+    uncached analysis returns (the cycle exit of buffer sizing is
     answer-preserving; cache entries replay previous answers of the very
-    same question).  With finite budgets, results remain deterministic and
-    cache-warmth independent because hits charge their stored cost.
-
-    ``early_exit=False`` runs every simulation to completion; it is the
-    reference the early exits are checked against in the property tests,
-    and :meth:`from_config` never sets it.
+    same question).  Charges are deterministic and cache-warmth independent
+    because hits charge their stored cost.
     """
 
-    def __init__(self, *, cache_size: int = 256, early_exit: bool = True) -> None:
-        self.early_exit = early_exit
+    def __init__(self, *, cache_size: int = 256) -> None:
         self.cache: SimulationCache | None = (
             SimulationCache(cache_size) if cache_size else None
         )
         self.simulations_run = 0
         self.simulated_events = 0
         self.cache_hits = 0
-        self.budget_exhausted = 0
 
     @classmethod
     def from_config(cls, config) -> "AnalysisEngine":
@@ -198,7 +171,6 @@ class AnalysisEngine:
             "simulations_run": self.simulations_run,
             "simulated_events": self.simulated_events,
             "cache_hits": self.cache_hits,
-            "budget_exhausted": self.budget_exhausted,
         }
 
     def publish_metrics(self, registry, counters: dict[str, int] | None = None) -> None:
@@ -250,7 +222,6 @@ class AnalysisEngine:
         self,
         graph: CSDFGraph,
         iterations: int = 10,
-        warmup: int | None = None,
         *,
         budget: AnalysisBudget | None = None,
     ) -> float:
@@ -260,43 +231,9 @@ class AnalysisEngine:
             graph.structural_fingerprint(),
             graph.capacity_vector(),
             iterations,
-            warmup,
         )
         return self._cached(
-            key,
-            budget,
-            lambda tally: minimal_period_ns(graph, iterations, warmup, budget=tally),
-        )
-
-    def is_period_sustainable(
-        self,
-        graph: CSDFGraph,
-        period_ns: float,
-        iterations: int = 10,
-        tolerance: float = 1e-9,
-        *,
-        budget: AnalysisBudget | None = None,
-    ) -> bool:
-        """Cached, early-exiting sustainability verdict."""
-        key = (
-            "sustainable",
-            graph.structural_fingerprint(),
-            graph.capacity_vector(),
-            period_ns,
-            iterations,
-            tolerance,
-        )
-        return self._cached(
-            key,
-            budget,
-            lambda tally: is_period_sustainable(
-                graph,
-                period_ns,
-                iterations=iterations,
-                tolerance=tolerance,
-                early_exit=self.early_exit,
-                budget=tally,
-            ),
+            key, budget, lambda tally: minimal_period_ns(graph, iterations, budget=tally)
         )
 
     def sufficient_buffer_capacities(
@@ -309,10 +246,12 @@ class AnalysisEngine:
     ) -> dict[str, int]:
         """Cached sufficient capacities (values keyed back to edge names).
 
-        A feed-forward graph is answered without the event loop (see
-        :func:`~repro.csdf.analysis.buffers.sufficient_buffer_capacities`).
-        It still counts as one simulation and charges the loop's firing
-        count, so budgets and cache entries do not depend on the engine.
+        The run takes the cycle exit, so it charges at most the full run's
+        firings and returns the full run's capacities.  A feed-forward graph
+        is answered without the event loop (see
+        :func:`~repro.csdf.analysis.buffers.sufficient_buffer_capacities`);
+        it still counts as one simulation and charges the loop's firing
+        count, so budgets and cache entries do not depend on the evaluator.
         """
         key = (
             "sufficient",
@@ -324,7 +263,7 @@ class AnalysisEngine:
 
         def compute(tally: AnalysisBudget) -> tuple[int, ...]:
             capacities = sufficient_buffer_capacities(
-                graph, period_ns, iterations=iterations, early_exit=self.early_exit, budget=tally
+                graph, period_ns, iterations=iterations, early_exit=True, budget=tally
             )
             return tuple(capacities[edge.name] for edge in graph.edges)
 
@@ -371,111 +310,6 @@ class AnalysisEngine:
                 budget=tally,
             ),
         )
-
-    # ------------------------------------------------------------------ #
-    # Budgeted buffer minimisation
-    # ------------------------------------------------------------------ #
-    def minimize_buffer_capacities(
-        self,
-        graph: CSDFGraph,
-        period_ns: float,
-        iterations: int = 8,
-        edges: tuple[str, ...] | None = None,
-        *,
-        budget: AnalysisBudget | None = None,
-    ) -> dict[str, int]:
-        """Budgeted, cached, warm-started buffer minimisation.
-
-        Identical to the functional
-        :func:`~repro.csdf.analysis.buffers.minimize_buffer_capacities` with
-        ``order="gain"`` as long as the budget lasts, and provably no worse
-        than the sufficient capacities once it runs out:
-
-        * one bounded graph is mutated in place; each probe swaps only the
-          probed edge's capacity (capacity-only ``replace_edge``, so the
-          cached structural fingerprint survives every probe);
-        * edges are processed by descending potential gain (``high - low``),
-          so an exhausted budget leaves the least reduction unexplored;
-        * a per-call monotone ledger of proven (un)sustainable capacity
-          vectors answers dominated probes without simulating: any vector
-          pointwise at or above a sustainable one is sustainable, any vector
-          pointwise at or below an unsustainable one is unsustainable —
-          the same monotonicity the binary search itself rests on;
-        * probes the ledger cannot answer go through the
-          :class:`SimulationCache`, charging their (stored or fresh) event
-          cost against the per-call :class:`AnalysisBudget`.
-
-        When the budget exhausts mid-search, the edge under search keeps the
-        smallest capacity already *proven* sustainable and every unprocessed
-        edge keeps its sufficient capacity, so the returned vector always
-        sustains ``period_ns``.
-
-        Without ``budget`` the search is unlimited.  A caller that wants a
-        ceiling passes its own — the rescue lane uses this to charge all its
-        feasibility checks against a single shared ledger.
-        """
-        if budget is None:
-            budget = AnalysisBudget()
-        capacities = self.sufficient_buffer_capacities(
-            graph, period_ns, iterations=iterations, budget=budget
-        )
-        if edges is None:
-            edges = tuple(capacities.keys())
-        edges = probe_order(graph, capacities, edges, "gain")
-        edge_names = [edge.name for edge in graph.edges]
-
-        bounded = apply_buffer_capacities(graph, capacities)
-        ledger_sustainable: list[tuple[int, ...]] = []
-        ledger_unsustainable: list[tuple[int, ...]] = []
-
-        def vector_with(edge_name: str, capacity: int) -> tuple[int, ...]:
-            return tuple(
-                capacity if name == edge_name else capacities[name]
-                for name in edge_names
-            )
-
-        def probe(edge_name: str, candidate: int) -> bool:
-            vector = vector_with(edge_name, candidate)
-            for proven in ledger_sustainable:
-                if all(v >= p for v, p in zip(vector, proven)):
-                    return True
-            for proven in ledger_unsustainable:
-                if all(v <= p for v, p in zip(vector, proven)):
-                    return False
-            bounded.replace_edge(bounded.edge(edge_name).with_capacity(candidate))
-            verdict = self.is_period_sustainable(
-                bounded, period_ns, iterations=iterations, budget=budget
-            )
-            (ledger_sustainable if verdict else ledger_unsustainable).append(vector)
-            return verdict
-
-        exhausted = False
-        for edge_name in edges:
-            low = _lower_bound_capacity(graph, edge_name)
-            high = capacities[edge_name]
-            if high <= low:
-                capacities[edge_name] = low
-                bounded.replace_edge(bounded.edge(edge_name).with_capacity(low))
-                continue
-            best = high
-            while low <= high:
-                if budget.exhausted:
-                    exhausted = True
-                    break
-                budget.charge_probe()
-                candidate = (low + high) // 2
-                if probe(edge_name, candidate):
-                    best = candidate
-                    high = candidate - 1
-                else:
-                    low = candidate + 1
-            capacities[edge_name] = best
-            bounded.replace_edge(bounded.edge(edge_name).with_capacity(best))
-            if exhausted:
-                break
-        if exhausted:
-            self.budget_exhausted += 1
-        return capacities
 
 
 __all__ = [

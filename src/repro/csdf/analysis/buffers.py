@@ -15,16 +15,16 @@ module provides a functional substitute built on the self-timed run:
   :func:`~repro.csdf.analysis.feedforward.feed_forward_run`, with no event
   loop; any other graph runs on the event loop.  Both give the same
   capacities and charge the same firing count.
-* :func:`minimize_buffer_capacities` additionally shrinks each capacity by
-  binary search, re-validating the throughput with bounded buffers after each
-  trial.  This yields smaller (though not necessarily globally minimal)
-  capacities and is used by the ablation benchmarks.
+* :func:`apply_buffer_capacities` turns the result into a bounded graph.
+
+Like the paper, which needs capacities that *sustain* the required period
+and not the smallest such capacities, step 4 never shrinks the sufficient
+capacities.
 """
 
 from __future__ import annotations
 
 from repro.csdf.analysis.feedforward import _self_timed_run
-from repro.csdf.analysis.throughput import is_period_sustainable
 from repro.csdf.graph import CSDFGraph
 from repro.exceptions import DeadlockError
 
@@ -88,83 +88,3 @@ def apply_buffer_capacities(graph: CSDFGraph, capacities: dict[str, int]) -> CSD
         edge = graph.edge(edge_name)
         bounded.replace_edge(edge.with_capacity(int(capacity)))
     return bounded
-
-
-def probe_order(
-    graph: CSDFGraph,
-    capacities: dict[str, int],
-    edges: tuple[str, ...],
-    order: str,
-) -> tuple[str, ...]:
-    """Edge processing order of the buffer minimisation.
-
-    ``"graph"`` keeps insertion order; ``"gain"`` sorts by descending search
-    range (``high - low``, ties broken by insertion order), so the edges
-    with the most capacity to win are shrunk first — the order the budgeted
-    scheduler uses so that an exhausted probe budget leaves the least
-    reduction on the table.
-    """
-    if order == "graph":
-        return edges
-    if order != "gain":
-        raise ValueError(f"unknown probe order {order!r}")
-    position = {name: i for i, name in enumerate(edges)}
-    return tuple(
-        sorted(
-            edges,
-            key=lambda name: (
-                -(capacities[name] - _lower_bound_capacity(graph, name)),
-                position[name],
-            ),
-        )
-    )
-
-
-def minimize_buffer_capacities(
-    graph: CSDFGraph,
-    period_ns: float,
-    iterations: int = 8,
-    edges: tuple[str, ...] | None = None,
-    *,
-    order: str = "graph",
-    early_exit: bool = False,
-) -> dict[str, int]:
-    """Shrink buffer capacities while keeping ``period_ns`` sustainable.
-
-    Starting from :func:`sufficient_buffer_capacities`, each edge capacity is
-    reduced by binary search, one edge at a time, in :func:`probe_order`
-    order.  The result is a per-edge capacity vector under which
-    :func:`~repro.csdf.analysis.throughput.is_period_sustainable` still holds.
-
-    One bounded graph is built up front and each probe swaps only the probed
-    edge's capacity (a capacity-only ``replace_edge``), instead of copying
-    the whole graph per trial; the probe sequence and the resulting vector
-    are unchanged.
-    """
-    capacities = sufficient_buffer_capacities(graph, period_ns, iterations=iterations)
-    if edges is None:
-        edges = tuple(capacities.keys())
-    edges = probe_order(graph, capacities, edges, order)
-
-    bounded = apply_buffer_capacities(graph, capacities)
-    for edge_name in edges:
-        low = _lower_bound_capacity(graph, edge_name)
-        high = capacities[edge_name]
-        if high <= low:
-            capacities[edge_name] = low
-            bounded.replace_edge(bounded.edge(edge_name).with_capacity(low))
-            continue
-        best = high
-        while low <= high:
-            candidate = (low + high) // 2
-            bounded.replace_edge(bounded.edge(edge_name).with_capacity(candidate))
-            if is_period_sustainable(
-                bounded, period_ns, iterations=iterations, early_exit=early_exit
-            ):
-                best = candidate
-                high = candidate - 1
-            else:
-                low = candidate + 1
-        capacities[edge_name] = best
-        bounded.replace_edge(bounded.edge(edge_name).with_capacity(best))
-    return capacities

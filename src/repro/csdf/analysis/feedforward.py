@@ -551,7 +551,6 @@ def feed_forward_run(
         end_time_ns=end,
         simulated_events=sum(fired),
         aborted=aborted,
-        abort_reason="cycle" if aborted else None,
     )
 
 

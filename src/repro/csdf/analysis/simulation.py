@@ -32,7 +32,7 @@ from bisect import insort
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import inf
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from repro.csdf.graph import CSDFGraph
 from repro.csdf.repetition import repetition_vector
@@ -83,12 +83,10 @@ class SimulationResult:
     #: Number of completed firings — the currency of the analysis budget
     #: (see :mod:`repro.csdf.analysis.budget`).
     simulated_events: int = 0
-    #: Whether the run stopped before executing all requested iterations
-    #: because an early-exit condition fired (never set by deadlocks).
+    #: Whether the cycle exit stopped the run before all requested
+    #: iterations: an exact state repeat proved the rest of the run (never
+    #: set by deadlocks).
     aborted: bool = False
-    #: Why the run aborted: ``"monitor"`` (the iteration monitor vetoed) or
-    #: ``"cycle"`` (an exact state repeat proved the rest of the run).
-    abort_reason: str | None = None
 
     @property
     def completed_iterations(self) -> int:
@@ -175,20 +173,12 @@ class SelfTimedSimulator:
     periodic_actors:
         Names of the actors the period constraint applies to.  Defaults to
         all source actors when a period is given.
-    iteration_monitor:
-        Optional ``(iteration_index, finish_ns) -> bool`` hook, called the
-        moment each graph iteration completes (with the same finish time the
-        post-hoc ``iteration_finish_times_ns`` would report).  Returning
-        ``False`` aborts the run (``aborted=True, abort_reason="monitor"``);
-        the throughput check uses this to stop the instant the backlog
-        criterion is violated.
     cycle_exit:
         When ``True``, the simulator snapshots its complete relative state at
-        every iteration boundary and stops (``abort_reason="cycle"``) as soon
-        as a state repeats exactly: from a repeated state the execution
+        every iteration boundary and stops (``aborted=True``) as soon as a
+        state repeats exactly: from a repeated state the execution
         replays the observed cycle shifted in time, so the occupancy maxima
-        and the per-iteration backlog spread of the remaining iterations are
-        already known (see ARCHITECTURE.md, "Analysis budget & simulation
+        of the remaining iterations are already known (see ARCHITECTURE.md, "Analysis budget & simulation
         cache" for the soundness argument, including why the target-truncated
         tail of the full run cannot exceed the recorded maxima).
     """
@@ -200,7 +190,6 @@ class SelfTimedSimulator:
         *,
         source_period_ns: float | None = None,
         periodic_actors: tuple[str, ...] | None = None,
-        iteration_monitor: Callable[[int, float], bool] | None = None,
         cycle_exit: bool = False,
     ) -> None:
         if iterations < 1:
@@ -211,7 +200,6 @@ class SelfTimedSimulator:
         self._iterations = iterations
         self._repetitions = repetition_vector(graph)
         self._source_period_ns = source_period_ns
-        self._iteration_monitor = iteration_monitor
         self._cycle_exit = cycle_exit
         if source_period_ns is None:
             self._periodic_actors: frozenset[str] = frozenset()
@@ -322,16 +310,13 @@ class SelfTimedSimulator:
         deadlocked = False
         deadlock_time: float | None = None
         aborted = False
-        abort_reason: str | None = None
 
-        # Online iteration-boundary tracking (only when an early-exit hook is
-        # active): the event processed when ``min(fired // reps)`` advances is
-        # by construction the latest-finishing firing of the completed
+        # Online iteration-boundary tracking (only with the cycle exit): the
+        # event processed when ``min(fired // reps)`` advances is by
+        # construction the latest-finishing firing of the completed
         # iteration, so ``now`` at that moment equals the post-hoc
         # ``iteration_finish_times_ns`` entry bit for bit.
-        monitor = self._iteration_monitor
         cycle_exit = self._cycle_exit
-        track_iterations = monitor is not None or cycle_exit
         online_completed = 0
         seen_states: set[tuple] = set()
         crossed_boundary = False
@@ -393,7 +378,6 @@ class SelfTimedSimulator:
                 )
                 if state in seen_states:
                     aborted = True
-                    abort_reason = "cycle"
                     break
                 seen_states.add(state)
 
@@ -416,18 +400,11 @@ class SelfTimedSimulator:
                 current[a] = table[a][count % phase_counts[a]]
                 if count < target[a]:
                     earliest[a] = (count // reps[a]) * period if periodic[a] else 0.0
-                if track_iterations and count % reps[a] == 0:
+                if cycle_exit and count % reps[a] == 0:
                     completed_now = min(fired[b] // reps[b] for b in actor_range)
-                    while online_completed < completed_now:
-                        k = online_completed
-                        online_completed += 1
-                        crossed_boundary = cycle_exit
-                        if monitor is not None and monitor(k, now) is False:
-                            aborted = True
-                            abort_reason = "monitor"
-                            break
-                    if aborted:
-                        break
+                    if online_completed < completed_now:
+                        online_completed = completed_now
+                        crossed_boundary = True
                 candidates = affected[a]
                 continue
 
@@ -460,7 +437,6 @@ class SelfTimedSimulator:
             end_time_ns=now,
             simulated_events=sum(map(len, finishes)),
             aborted=aborted,
-            abort_reason=abort_reason,
         )
 
     # ------------------------------------------------------------------ #
@@ -504,7 +480,6 @@ def simulate(
     *,
     source_period_ns: float | None = None,
     periodic_actors: tuple[str, ...] | None = None,
-    iteration_monitor: Callable[[int, float], bool] | None = None,
     cycle_exit: bool = False,
 ) -> SimulationResult:
     """Convenience wrapper: build a :class:`SelfTimedSimulator` and run it."""
@@ -513,7 +488,6 @@ def simulate(
         iterations,
         source_period_ns=source_period_ns,
         periodic_actors=periodic_actors,
-        iteration_monitor=iteration_monitor,
         cycle_exit=cycle_exit,
     )
     return simulator.run()

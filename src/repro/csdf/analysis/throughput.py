@@ -23,9 +23,12 @@ the cost charged to a budget is the run's nominal firing count,
 edges, initial tokens, fractional rates, one iteration) is run, on the
 feed-forward evaluator when it is feed-forward with no capacity set and on
 the event loop otherwise, and that run's finite-horizon estimate and firing
-count are returned and charged.  :func:`is_period_sustainable` always runs
-the event loop: its iteration monitor needs it, and the buffer minimisation
-asks it only about bounded graphs.
+count are returned and charged.
+
+:func:`is_period_sustainable` runs the event loop to completion and checks
+the backlog criterion on the whole run.  No step of the mapper calls it:
+it is the independent check that the capacities step 4 reserves sustain
+the required period.
 """
 
 from __future__ import annotations
@@ -59,7 +62,6 @@ def processor_bound_period_ns(graph: CSDFGraph) -> float:
 def minimal_period_ns(
     graph: CSDFGraph,
     iterations: int = 10,
-    warmup: int | None = None,
     *,
     budget=None,
 ) -> float:
@@ -67,7 +69,9 @@ def minimal_period_ns(
 
     With ``iterations >= 2`` on an acyclic, unbounded, token-free graph this
     is the busiest actor's load (see the module docstring); otherwise it is
-    the period of ``iterations`` evaluated iterations after ``warmup``.
+    the period of ``iterations`` evaluated iterations after discarding the
+    first half as warm-up (see
+    :meth:`~repro.csdf.analysis.simulation.SimulationResult.steady_state_period_ns`).
     ``budget`` is an optional :class:`~repro.csdf.analysis.budget.AnalysisBudget`
     charged with the run's firings (nominal ones for the closed form).
 
@@ -86,7 +90,7 @@ def minimal_period_ns(
         raise DeadlockError(
             f"graph {graph.name!r} deadlocks at t={result.deadlock_time_ns} ns"
         )
-    return result.steady_state_period_ns(warmup)
+    return result.steady_state_period_ns()
 
 
 def is_period_sustainable(
@@ -94,9 +98,6 @@ def is_period_sustainable(
     period_ns: float,
     iterations: int = 10,
     tolerance: float = 1e-9,
-    *,
-    early_exit: bool = False,
-    budget=None,
 ) -> bool:
     """Whether the graph can sustain one iteration every ``period_ns`` nanoseconds.
 
@@ -108,52 +109,12 @@ def is_period_sustainable(
     shifted finish — not iteration 0's — is the latency reference, so a
     warmup transient that delays the first iteration cannot mask a later
     backlog.
-
-    With ``early_exit`` the simulation aborts the instant the spread is
-    exceeded (the spread over a prefix only grows as more iterations are
-    observed, so the first violation already decides the verdict) and stops
-    early on an exact state cycle (from which the remaining iterations
-    provably replay the observed spread).  Both exits are answer-preserving:
-    the verdict is identical to the full run's.
-
-    ``budget`` is an optional :class:`~repro.csdf.analysis.budget.AnalysisBudget`
-    charged with the simulated events of the run.
     """
     if period_ns <= 0:
         raise ValueError("period_ns must be positive")
-    slack = period_ns * (1 + tolerance)
-
-    monitor = None
-    if early_exit:
-        shifted_min = [float("inf")]
-        shifted_max = [float("-inf")]
-
-        def monitor(k: int, finish_ns: float) -> bool:
-            shifted = finish_ns - k * period_ns
-            if shifted < shifted_min[0]:
-                shifted_min[0] = shifted
-            if shifted > shifted_max[0]:
-                shifted_max[0] = shifted
-            return shifted_max[0] - shifted_min[0] <= slack
-
-    result = simulate(
-        graph,
-        iterations=iterations,
-        source_period_ns=period_ns,
-        iteration_monitor=monitor,
-        cycle_exit=early_exit,
-    )
-    if budget is not None:
-        budget.charge_events(result.simulated_events)
-    if result.aborted:
-        # "monitor" aborts on the first spread violation (verdict False);
-        # "cycle" proves the remaining iterations repeat the already-checked
-        # spread without deadlocking (verdict True).
-        return result.abort_reason == "cycle"
+    result = simulate(graph, iterations=iterations, source_period_ns=period_ns)
     if result.deadlocked:
-        return False
-    if result.completed_iterations < iterations:
         return False
     finishes = result.iteration_finish_times_ns
     shifted = [finish - k * period_ns for k, finish in enumerate(finishes)]
-    return max(shifted) - min(shifted) <= slack
+    return max(shifted) - min(shifted) <= period_ns * (1 + tolerance)

@@ -23,9 +23,9 @@ Threading contract
 ------------------
 
 The engine is one decider thread: every mutation of the platform state,
-the caches, the rejection memory, the corridor budgets and the tracer
-happens on the thread that calls :meth:`WorkloadEngine.run`.  Other threads
-may only submit, cancel and poll through the
+the caches, the corridor budgets and the tracer happens on the thread
+that calls :meth:`WorkloadEngine.run`.  Other threads may only submit,
+cancel and poll through the
 :class:`~repro.runtime.queue.AdmissionQueue`, whose lock (and the
 :class:`~repro.obs.metrics.MetricsRegistry` lock ``submit`` counts under)
 makes that safe.  Parallelism lives in the process executor's worker
@@ -846,9 +846,8 @@ class EngineTelemetry:
     #: in-worker wall-clock, keyed by worker name.
     workers: dict[str, dict[str, float]] = field(default_factory=dict)
     #: Step-4 analysis work of this run: ``simulations_run`` /
-    #: ``simulated_events`` (real simulations only), ``cache_hits`` (verdicts
-    #: replayed without simulating) and ``budget_exhausted`` (minimisations
-    #: degraded to sufficient capacities), as the delta of the engine-side
+    #: ``simulated_events`` (real simulations only) and ``cache_hits``
+    #: (verdicts replayed without simulating), as the delta of the engine-side
     #: pipeline's :class:`~repro.csdf.analysis.budget.AnalysisEngine`
     #: counters around the run.  Process workers run their own pipelines;
     #: their per-lane counter deltas travel back in each

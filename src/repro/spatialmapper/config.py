@@ -66,9 +66,6 @@ class MapperConfig:
         their own feasibility analysis on a composed graph, e.g. the
         inter-region planner validating whole applications after mapping
         their per-region segments.
-    minimize_buffers:
-        When ``True``, step 4 additionally shrinks buffer capacities by
-        binary search (slower, smaller buffers).
     analysis_cache_size:
         Capacity of the step-4 simulation-verdict cache
         (:class:`~repro.csdf.analysis.budget.SimulationCache`); ``0``
@@ -106,7 +103,6 @@ class MapperConfig:
     max_feedback_iterations: int = 8
     analysis_iterations: int = 6
     run_feasibility_analysis: bool = True
-    minimize_buffers: bool = False
     analysis_cache_size: int = 256
     cost_model: CostModel = field(default_factory=CostModel)
     keep_step2_trace: bool = True

@@ -60,7 +60,7 @@ class SpatialMapper:
         #: serves repeated (application, region, state-fingerprint) questions
         #: without re-running the search.
         self.cache = cache
-        #: Shared step-4 analysis engine (simulation cache, early exits,
+        #: Shared step-4 analysis engine (simulation cache, cycle exit,
         #: budgets).  Passing one in shares its verdict cache across mappers;
         #: by default each mapper owns a fresh engine built from its config.
         self.analysis = analysis if analysis is not None else AnalysisEngine.from_config(self.config)
@@ -176,7 +176,6 @@ class SpatialMapper:
         trace.simulations_run = analysis_after["simulations_run"] - analysis_before["simulations_run"]
         trace.simulated_events = analysis_after["simulated_events"] - analysis_before["simulated_events"]
         trace.analysis_cache_hits = analysis_after["cache_hits"] - analysis_before["cache_hits"]
-        trace.budget_exhausted = analysis_after["budget_exhausted"] - analysis_before["budget_exhausted"]
         self.last_trace = trace
         if cache_key is not None:
             self.cache.store(cache_key, als, self.library, best)

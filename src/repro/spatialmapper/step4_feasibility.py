@@ -97,7 +97,7 @@ def check_feasibility(
     """Run the step-4 dataflow feasibility check on a routed mapping.
 
     ``analysis`` is the shared :class:`~repro.csdf.analysis.budget.AnalysisEngine`
-    all simulations go through (early exit, verdict cache, budgets); when
+    all simulations go through (cycle exit, verdict cache, budgets); when
     omitted a fresh engine is built from ``config``, which preserves the
     analysis behaviour but starts with a cold cache.  ``budget`` optionally
     charges every analysis call of this check (cache hits at their stored
@@ -165,14 +165,9 @@ def check_feasibility(
         return result
 
     try:
-        if config.minimize_buffers:
-            capacities = analysis.minimize_buffer_capacities(
-                graph, als.period_ns, iterations=config.analysis_iterations, budget=budget
-            )
-        else:
-            capacities = analysis.sufficient_buffer_capacities(
-                graph, als.period_ns, iterations=config.analysis_iterations, budget=budget
-            )
+        capacities = analysis.sufficient_buffer_capacities(
+            graph, als.period_ns, iterations=config.analysis_iterations, budget=budget
+        )
     except DeadlockError as error:
         report.reason = f"buffer analysis failed: {error}"
         result.feedback.append(

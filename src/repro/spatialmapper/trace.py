@@ -75,9 +75,8 @@ class Step2Trace:
 class MapperTrace:
     """Trace of one complete mapper run (all refinement iterations).
 
-    The ``simulations_run`` / ``simulated_events`` / ``analysis_cache_hits`` /
-    ``budget_exhausted`` counters are the step-4 analysis work this run
-    caused, measured as the delta of the shared
+    The ``simulations_run`` / ``simulated_events`` / ``analysis_cache_hits``
+    counters are the step-4 analysis work this run caused, measured as the delta of the shared
     :class:`~repro.csdf.analysis.budget.AnalysisEngine` counters around the
     run (cache hits are answered without simulating, so a warm cache shows up
     as hits instead of events).
@@ -89,7 +88,6 @@ class MapperTrace:
     simulations_run: int = 0
     simulated_events: int = 0
     analysis_cache_hits: int = 0
-    budget_exhausted: int = 0
     #: Step-4 checks of this run whose stream-buffer floor already
     #: overflowed, so no buffer sizing ran (rescue candidates excluded).
     step4_floor_rejections: int = 0

@@ -4,13 +4,12 @@
 on the idle Figure-2 MPSoC covers (the seven HiperLAN/2 modes, the DRM
 receiver and the image pipeline), the mapping status and the step-4
 ``FeasibilityReport``: achieved period and latency as ``float.hex`` strings,
-and the buffer capacity of every mapped-graph edge.  It is pinned for both
-``minimize_buffers=False`` (sufficient capacities) and ``True`` (minimised
-capacities).  Each ALS gets a loose 1 s latency bound so that step 4 runs
-its latency analysis too.  Any change to the simulator or the analyses that
-moves one of these numbers by one bit fails here.  The mapped graphs are
-feed-forward and unbounded, so the sufficient case never runs the event
-loop: buffer sizing and latency both come from the feed-forward evaluator.
+and the sufficient buffer capacity of every mapped-graph edge, under its
+``"sufficient"`` block.  Each ALS gets a loose 1 s latency bound so that
+step 4 runs its latency analysis too.  Any change to the simulator or the
+analyses that moves one of these numbers by one bit fails here.  The mapped
+graphs are feed-forward and unbounded, so step 4 never runs the event loop:
+buffer sizing and latency both come from the feed-forward evaluator.
 """
 
 import dataclasses
@@ -44,8 +43,8 @@ def _hex(value):
     return None if value is None else float(value).hex()
 
 
-@pytest.mark.parametrize("minimize", [False, True], ids=["sufficient", "minimized"])
-def test_step4_reports_match_golden(minimize, monkeypatch):
+@pytest.mark.parametrize("block", sorted(GOLDEN))
+def test_step4_reports_match_golden(block, monkeypatch):
     event_loop_runs = []
     run = SelfTimedSimulator.run
 
@@ -55,13 +54,11 @@ def test_step4_reports_match_golden(minimize, monkeypatch):
 
     monkeypatch.setattr(SelfTimedSimulator, "run", counted)
     apps = _receivers()
-    golden = GOLDEN["minimized" if minimize else "sufficient"]
+    golden = GOLDEN[block]
     assert sorted(apps) == sorted(golden)
     for label, (als, library) in apps.items():
         als.qos = dataclasses.replace(als.qos, max_latency_ns=1e9)
-        mapper = SpatialMapper(
-            hiperlan2.build_mpsoc(), library, MapperConfig(minimize_buffers=minimize)
-        )
+        mapper = SpatialMapper(hiperlan2.build_mpsoc(), library, MapperConfig())
         result = mapper.map(als)
         report = result.feasibility
         got = {
@@ -71,5 +68,4 @@ def test_step4_reports_match_golden(minimize, monkeypatch):
             "buffers": dict(sorted(report.buffer_capacities.items())),
         }
         assert got == golden[label], label
-    if not minimize:
-        assert event_loop_runs == []
+    assert event_loop_runs == []

@@ -1,22 +1,22 @@
 """Property-based tests of the analysis-budget subsystem.
 
 Random CSDF chains (with initial tokens, so head-start transients occur) pin
-the three decision-identity claims of :mod:`repro.csdf.analysis.budget`:
+two decision-identity claims of :mod:`repro.csdf.analysis.budget`:
 
-* the cached, budgeted, gain-ordered engine minimisation is bit-identical to
-  the functional ``minimize_buffer_capacities(order="gain")``;
+* a warm verdict cache answers the engine's sizing and latency questions
+  exactly as a cold one, moving only the hit and simulation counters;
 * the structural fingerprint is stable under rename-preserving copies and
-  capacity changes never leak into it;
-* the early-exit sustainability check returns the same verdict as the full
-  simulation for periods below, at and above the feasible rate.
+  capacity changes never leak into it.
+
+That the engine's cycle-exiting sizing equals the full run's is pinned in
+``test_prop_csdf.py`` (``TestCycleExitSizing``).
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.csdf.analysis.budget import AnalysisEngine
-from repro.csdf.analysis.buffers import minimize_buffer_capacities
-from repro.csdf.analysis.throughput import is_period_sustainable, minimal_period_ns
+from repro.csdf.analysis.throughput import minimal_period_ns
 from repro.csdf.builder import CSDFBuilder
 
 
@@ -64,26 +64,25 @@ def renamed_copy(graph):
 
 class TestEngineIdentity:
     @given(random_chain(), st.floats(min_value=1.02, max_value=1.5))
-    @settings(max_examples=25, deadline=None)
-    def test_engine_minimize_matches_functional(self, graph, factor):
-        period = minimal_period_ns(graph, iterations=8) * factor
-        engine = AnalysisEngine()
-        assert engine.minimize_buffer_capacities(
-            graph, period, iterations=6
-        ) == minimize_buffer_capacities(graph, period, iterations=6, order="gain")
-
-    @given(random_chain(), st.floats(min_value=1.02, max_value=1.5))
     @settings(max_examples=15, deadline=None)
     def test_warm_cache_changes_nothing_but_the_counters(self, graph, factor):
         period = minimal_period_ns(graph, iterations=8) * factor
         engine = AnalysisEngine()
-        cold = engine.minimize_buffer_capacities(graph, period, iterations=6)
+
+        def ask():
+            return (
+                engine.sufficient_buffer_capacities(graph, period, iterations=6),
+                engine.end_to_end_latency_ns(graph, iterations=6, source_period_ns=period),
+            )
+
+        cold = ask()
         after_cold = engine.snapshot()
-        warm = engine.minimize_buffer_capacities(graph, period, iterations=6)
+        warm = ask()
         after_warm = engine.snapshot()
         assert warm == cold
         assert after_warm["simulations_run"] == after_cold["simulations_run"]
-        assert after_warm["cache_hits"] > after_cold["cache_hits"]
+        assert after_warm["simulated_events"] == after_cold["simulated_events"]
+        assert after_warm["cache_hits"] == after_cold["cache_hits"] + 2
 
 
 class TestFingerprintProperties:
@@ -103,19 +102,3 @@ class TestFingerprintProperties:
             bounded.replace_edge(edge.with_capacity(floor))
         assert bounded.structural_fingerprint() == before
         assert graph.capacity_vector() == tuple(None for _ in graph.edges)
-
-
-class TestEarlyExitVerdictIdentity:
-    @given(
-        random_chain(),
-        st.sampled_from([0.7, 0.95, 1.0, 1.05, 1.5]),
-        st.integers(min_value=4, max_value=10),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_early_exit_matches_full_run(self, graph, factor, iterations):
-        period = minimal_period_ns(graph, iterations=8) * factor
-        full = is_period_sustainable(graph, period, iterations=iterations)
-        early = is_period_sustainable(
-            graph, period, iterations=iterations, early_exit=True
-        )
-        assert early == full

@@ -12,7 +12,7 @@ generated and three invariants checked:
 A differential then pins the simulator to the tests-only naive oracle
 (``tests/simulation_oracle.py``) on random unbounded and bounded,
 multi-phase, multi-rate graphs with forks, joins and feedback cycles, with
-and without periodic sources and under both early exits; and the integer
+and without periodic sources and with and without the cycle exit; and the integer
 repetition-vector solver is checked against a ``Fraction`` solve.
 
 The closed-form period of acyclic, unbounded, token-free graphs is pinned
@@ -20,12 +20,17 @@ to a 200-iteration run, its charged cost to the event loop's firing count
 (cache hits included), and every graph outside that class to exactly what
 the event loop returns.
 
-Finally the feed-forward evaluator is pinned to the event loop on random
+The feed-forward evaluator is pinned to the event loop on random
 feed-forward graphs with periodic sources: every field of the run, and the
 capacities and charged firings of the buffer sizing, with the cycle exit on
 and off.  Integer durations make ties frequent; zero-duration actors, a
 period equal to the source's busy time and actors declared before their
 producers are all drawn.
+
+Finally, on graphs the feed-forward evaluator does not take (an initial
+token or a feedback edge), the engine's buffer sizing runs the event loop
+with the cycle exit and must return the full run's capacities, or raise
+the same deadlock, while charging no more than the full run.
 """
 
 from dataclasses import replace
@@ -43,8 +48,8 @@ from repro.csdf.analysis.buffers import (
     apply_buffer_capacities,
     sufficient_buffer_capacities,
 )
-from repro.csdf.analysis.feedforward import feed_forward_run
-from repro.csdf.analysis.simulation import simulate
+from repro.csdf.analysis.feedforward import feed_forward_run, is_feed_forward
+from repro.csdf.analysis.simulation import SelfTimedSimulator, simulate
 from repro.csdf.analysis.throughput import (
     is_period_sustainable,
     minimal_period_ns,
@@ -101,7 +106,7 @@ def random_simulation_case(draw):
     (fork/join) edge and a backward (feedback) edge whose rates are derived
     from the chain's repetition vector so the graph stays consistent.  The
     graph is either unbounded or has random capacities (some too small, so
-    deadlocks occur); the options draw a periodic source and an early exit.
+    deadlocks occur); the options draw a periodic source and the cycle exit.
     """
     length = draw(st.integers(min_value=2, max_value=6))
     bounded = draw(st.booleans())
@@ -154,18 +159,8 @@ def random_simulation_case(draw):
         "iterations": draw(st.integers(min_value=1, max_value=10)),
         "source_period_ns": draw(st.sampled_from([None, 3.0, 7.0, 15.0])),
     }
-    exit_kind = draw(
-        st.sampled_from(["none", "monitor_iteration", "monitor_time", "cycle", "both"])
-    )
-    if exit_kind == "monitor_iteration":
-        limit = draw(st.integers(min_value=0, max_value=4))
-        options["iteration_monitor"] = lambda k, _finish: k < limit
-    elif exit_kind == "monitor_time":
-        options["iteration_monitor"] = lambda _k, finish: finish < 40.0
-    elif exit_kind in ("cycle", "both"):
+    if draw(st.booleans()):
         options["cycle_exit"] = True
-        if exit_kind == "both":
-            options["iteration_monitor"] = lambda _k, finish: finish < 60.0
     return graph, options
 
 
@@ -348,12 +343,14 @@ def random_closed_form_case(draw):
 
 
 @st.composite
-def random_outside_class_case(draw):
-    """A closed-form-class graph with one change that takes it out of the
-    class: a bounded edge, an initial token, a balanced feedback edge from
-    the last actor to the first, or a single iteration."""
+def random_outside_class_case(
+    draw, changes=("bounded", "token", "feedback", "one_iteration")
+):
+    """A closed-form-class graph with one of ``changes`` that takes it out
+    of the class: a bounded edge, an initial token, a balanced feedback edge
+    from the last actor to the first, or a single iteration."""
     graph, iterations = draw(random_closed_form_case())
-    change = draw(st.sampled_from(["bounded", "token", "feedback", "one_iteration"]))
+    change = draw(st.sampled_from(changes))
     if change == "one_iteration":
         return graph, 1
     variant = CSDFGraph("outside_class_case")
@@ -412,7 +409,6 @@ class TestClosedFormPeriod:
             "simulations_run": 1,
             "simulated_events": fired,
             "cache_hits": 1,
-            "budget_exhausted": 0,
         }
 
     @given(random_outside_class_case())
@@ -497,7 +493,6 @@ class TestFeedForwardMatchesEventLoop:
             "simulated_events",
             "max_occupancy",
             "aborted",
-            "abort_reason",
         ):
             assert getattr(run, name) == getattr(expected, name), name
 
@@ -525,12 +520,75 @@ class TestFeedForwardMatchesEventLoop:
             == capacities
         )
         assert budget.events_used == expected.simulated_events
-        engine = AnalysisEngine(early_exit=early_exit)
+        # The engine always takes the cycle exit: the same capacities, at the
+        # cycle-exiting loop's firing count.
+        cycle_exit_run = simulate(unbounded, iterations, source_period_ns=period, cycle_exit=True)
+        engine = AnalysisEngine()
         miss, hit = AnalysisBudget(), AnalysisBudget()
         for charged in (miss, hit):
             assert (
                 engine.sufficient_buffer_capacities(graph, period, iterations, budget=charged)
                 == capacities
             )
-        assert miss.events_used == hit.events_used == expected.simulated_events
+        assert miss.events_used == hit.events_used == cycle_exit_run.simulated_events
         assert engine.simulations_run == 1
+
+
+@st.composite
+def random_event_loop_sizing_case(draw):
+    """A graph buffer sizing runs on the event loop (an initial token or a
+    feedback edge, which may deadlock it), some edges bounded (sizing strips
+    capacities), plus an iteration count and a period or none."""
+    graph, iterations = draw(random_outside_class_case(changes=("token", "feedback")))
+    variant = CSDFGraph("event_loop_sizing_case")
+    for actor in graph.actors:
+        variant.add_actor(actor)
+    for edge in graph.edges:
+        if draw(st.integers(min_value=0, max_value=3)) == 0:
+            edge = edge.with_capacity(max(edge.initial_tokens, 1) + draw(st.integers(0, 4)))
+        variant.add_edge(edge)
+    period = draw(st.sampled_from([None, 3.0, 7.0, 15.0, 40.0]))
+    return variant, iterations, period
+
+
+def capacities_or_deadlock(size):
+    """What ``size()`` returns, or :class:`DeadlockError` if it raises one."""
+    try:
+        return size()
+    except DeadlockError:
+        return DeadlockError
+
+
+class TestCycleExitSizing:
+    """The engine's sizing takes the cycle exit; the full run is the reference."""
+
+    @given(random_event_loop_sizing_case())
+    @settings(max_examples=150, deadline=None)
+    def test_engine_sizing_matches_the_full_run(self, case):
+        graph, iterations, period = case
+        assert not is_feed_forward(graph)
+        full, charged = AnalysisBudget(), AnalysisBudget()
+        expected = capacities_or_deadlock(
+            lambda: sufficient_buffer_capacities(
+                graph, period, iterations=iterations, early_exit=False, budget=full
+            )
+        )
+        engine = AnalysisEngine()
+        loop_runs = []
+        run = SelfTimedSimulator.run
+
+        def counted(simulator):
+            loop_runs.append(simulator)
+            return run(simulator)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(SelfTimedSimulator, "run", counted)
+            got = capacities_or_deadlock(
+                lambda: engine.sufficient_buffer_capacities(
+                    graph, period, iterations, budget=charged
+                )
+            )
+        assert got == expected
+        assert len(loop_runs) == 1
+        assert charged.events_used <= full.events_used
+        assert engine.simulated_events == charged.events_used

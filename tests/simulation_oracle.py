@@ -4,9 +4,9 @@
 simulator in :mod:`repro.csdf.analysis.simulation` must stay bit-identical
 to: after every event it tries to start *every* actor in declaration order,
 re-reading rates and capacities from the graph, until a full pass starts
-nothing.  It also implements both early exits (``iteration_monitor`` and
-``cycle_exit``) the plain way, so the differentials can compare every field
-of a :class:`~repro.csdf.analysis.simulation.SimulationResult`.
+nothing.  It also implements the cycle exit the plain way, so the
+differentials can compare every field of a
+:class:`~repro.csdf.analysis.simulation.SimulationResult`.
 """
 
 from __future__ import annotations
@@ -16,9 +16,7 @@ import heapq
 from repro.csdf.repetition import repetition_vector
 
 
-def naive_reference_run(
-    graph, iterations, source_period_ns=None, iteration_monitor=None, cycle_exit=False
-):
+def naive_reference_run(graph, iterations, source_period_ns=None, cycle_exit=False):
     """Run ``graph`` with a full fixpoint readiness scan; return every observable.
 
     The returned dict has the keys of :func:`observe`.  Periodic actors are
@@ -42,7 +40,7 @@ def naive_reference_run(
     remaining = sum(target)
     pending, sequence, now, events = [], 0, 0.0, 0
     completed, seen_states = 0, set()
-    deadlocked, deadlock_time, aborted, abort_reason = False, None, False, None
+    deadlocked, deadlock_time, aborted = False, None, False
 
     def try_start(a):
         nonlocal sequence
@@ -105,11 +103,6 @@ def naive_reference_run(
             while completed < min(fired[b] // reps[b] for b in range(count)):
                 completed += 1
                 boundary = True
-                if iteration_monitor is not None and iteration_monitor(completed - 1, now) is False:
-                    aborted, abort_reason = True, "monitor"
-                    break
-            if aborted:
-                break
             scan_all()
             if cycle_exit and boundary and remaining:
                 state = (
@@ -122,7 +115,7 @@ def naive_reference_run(
                     ),
                 )
                 if state in seen_states:
-                    aborted, abort_reason = True, "cycle"
+                    aborted = True
                     break
                 seen_states.add(state)
             continue
@@ -146,7 +139,6 @@ def naive_reference_run(
         "deadlocked": deadlocked,
         "deadlock_time_ns": deadlock_time,
         "aborted": aborted,
-        "abort_reason": abort_reason,
     }
 
 
@@ -164,5 +156,4 @@ def observe(result):
         "deadlocked": result.deadlocked,
         "deadlock_time_ns": result.deadlock_time_ns,
         "aborted": result.aborted,
-        "abort_reason": result.abort_reason,
     }

@@ -5,6 +5,7 @@ import threading
 
 import pytest
 
+from repro.platform.regions import RegionPartition
 from repro.runtime.admission_control import (
     GovernorConfig,
     GovernorDecision,
@@ -14,6 +15,8 @@ from repro.runtime.engine import EngineOutcome, EngineRecord, WorkloadEngine
 from repro.runtime.events import StartEvent
 from repro.runtime.queue import AdmissionQueue, RequestStatus
 from repro.runtime.scenario import Scenario
+from repro.workloads.arrivals import generate_workload, priority_overload_mix
+from repro.workloads.synthetic import SyntheticConfig, generate_region_mesh
 from tests.harness import (
     MILLISECOND,
     make_app,
@@ -106,7 +109,45 @@ def overloaded_workload(seed=77):
     return two_region_workload(seed, 10 * MILLISECOND, classes, name="overload")
 
 
+def shared_region_overload(governor, seed=1):
+    """Both tiers of :func:`priority_overload_mix` in every region of a 2x2
+    region mesh, scaled 8x for 15 ms: the shape the governor exists for.
+
+    Protected (priority 2) and sheddable (priority 0) requests compete for
+    the same tiles, so shedding the low tier frees capacity the high tier
+    can use.  Returns the engine outcome with the given governor (or none).
+    """
+    platform = generate_region_mesh(2, 3, name="shared_region_overload")
+    manager = make_manager(platform, partition=RegionPartition.grid(platform, 2, 2))
+    classes = [
+        traffic.scaled(8.0)
+        for traffic in priority_overload_mix(
+            2,
+            high_rate_per_s=80.0,
+            low_rate_per_s=240.0,
+            config=SyntheticConfig(stages=2, period_ns=100_000.0, tile_types=("GPP", "DSP")),
+            admission_window_ns=5 * MILLISECOND,
+            hold_range_ns=(3 * MILLISECOND, 8 * MILLISECOND),
+        )
+    ]
+    workload = generate_workload(
+        seed=seed, horizon_ns=15 * MILLISECOND, classes=classes, name="shared_overload"
+    )
+    return make_engine(manager, governor=governor, park_rejections=True).run(workload)
+
+
 class TestEngineIntegration:
+    def test_governor_protects_the_high_tier_in_shared_regions(self):
+        config = GovernorConfig(rate_floor=0.5)
+        ungoverned = shared_region_overload(None)
+        governed = shared_region_overload(LoadSheddingGovernor(config))
+        assert not ungoverned.shed
+        assert ungoverned.priority_admission_rate(2) < 1.0
+        assert governed.priority_admission_rate(2) > ungoverned.priority_admission_rate(2)
+        shed = [r for r in governed.records if r.status is RequestStatus.SHED]
+        assert shed
+        assert all(r.priority <= config.shed_max_priority for r in shed)
+
     def test_governor_sheds_only_low_priority_and_journals_telemetry(self):
         workload = overloaded_workload()
         manager = make_manager()

@@ -4,11 +4,7 @@ import pytest
 
 from repro.csdf.analysis import throughput
 from repro.csdf.analysis.budget import AnalysisBudget, AnalysisEngine
-from repro.csdf.analysis.buffers import (
-    apply_buffer_capacities,
-    minimize_buffer_capacities,
-    sufficient_buffer_capacities,
-)
+from repro.csdf.analysis.buffers import apply_buffer_capacities, sufficient_buffer_capacities
 from repro.csdf.analysis.latency import end_to_end_latency_ns
 from repro.csdf.analysis.simulation import simulate
 from repro.csdf.analysis.throughput import (
@@ -52,6 +48,24 @@ class TestThroughput:
     def test_unsustainable_period(self, simple_chain_csdf):
         assert not is_period_sustainable(simple_chain_csdf, 15.0)
 
+    def test_deadlocked_graph_is_unsustainable(self):
+        graph = (
+            CSDFBuilder("deadlock")
+            .actor("a", [1.0])
+            .actor("b", [1.0])
+            .edge("a", "b", production=[1], consumption=[1])
+            .edge("b", "a", production=[1], consumption=[1])
+            .build()
+        )
+        assert not is_period_sustainable(graph, 100.0)
+
+    def test_verdict_covers_every_requested_iteration(self, simple_chain_csdf):
+        # b needs 20 ns per 15 ns period, so each iteration finishes 5 ns
+        # later than the one before: the spread reaches the 15 ns slack at
+        # iteration 4 and exceeds it at iteration 5.
+        assert is_period_sustainable(simple_chain_csdf, 15.0, iterations=4)
+        assert not is_period_sustainable(simple_chain_csdf, 15.0, iterations=5)
+
     def test_period_must_be_positive(self, simple_chain_csdf):
         with pytest.raises(ValueError):
             is_period_sustainable(simple_chain_csdf, 0.0)
@@ -77,10 +91,8 @@ class TestThroughput:
             .build()
         )
         assert not is_period_sustainable(graph, 10.0, iterations=8)
-        assert not is_period_sustainable(graph, 10.0, iterations=8, early_exit=True)
         # A period generous enough to absorb the transient is accepted.
         assert is_period_sustainable(graph, 13.0, iterations=8)
-        assert is_period_sustainable(graph, 13.0, iterations=8, early_exit=True)
 
 
 def unsettled_chain():
@@ -189,17 +201,6 @@ class TestBufferSizing:
             assert capacities[edge.name] >= max(
                 edge.production_rates.max(), edge.consumption_rates.max()
             )
-
-    def test_minimized_capacities_not_larger_than_sufficient(self, simple_chain_csdf):
-        sufficient = sufficient_buffer_capacities(simple_chain_csdf, period_ns=25.0)
-        minimal = minimize_buffer_capacities(simple_chain_csdf, period_ns=25.0)
-        for edge_name, capacity in minimal.items():
-            assert capacity <= sufficient[edge_name]
-
-    def test_minimized_capacities_still_sustain_period(self, simple_chain_csdf):
-        minimal = minimize_buffer_capacities(simple_chain_csdf, period_ns=25.0)
-        bounded = apply_buffer_capacities(simple_chain_csdf, minimal)
-        assert is_period_sustainable(bounded, 25.0)
 
     def test_slower_period_never_needs_bigger_buffers(self, multirate_csdf):
         fast = sufficient_buffer_capacities(multirate_csdf, period_ns=18.0)

@@ -179,17 +179,6 @@ class TestFeasibility:
         assert tight.feedback[0].culprit_tile == "gpp0"
         assert f"{2 * tokens} bytes of stream buffers needed" in tight.report.reason
 
-    def test_minimize_buffers_option_gives_no_larger_capacities(self, routed):
-        als, platform, library, mapping = routed
-        default = check_feasibility(mapping, als, platform, library)
-        minimized = check_feasibility(
-            mapping, als, platform, library, config=MapperConfig(minimize_buffers=True,
-                                                                 analysis_iterations=4)
-        )
-        assert minimized.feasible
-        for channel, capacity in minimized.mapping.buffer_capacities.items():
-            assert capacity <= default.mapping.buffer_capacities[channel]
-
 
 @pytest.fixture()
 def sizings(monkeypatch):
@@ -203,6 +192,30 @@ def sizings(monkeypatch):
 
     monkeypatch.setattr(AnalysisEngine, "sufficient_buffer_capacities", counted)
     return calls
+
+
+class TestAnalysisTrace:
+    """A mapper run's trace counts the step-4 analysis work it caused."""
+
+    def test_trace_counts_the_runs_analysis_work(self, case_study):
+        als, platform, library = case_study
+        mapper = SpatialMapper(platform, library)
+        assert mapper.map(als).status is MappingStatus.FEASIBLE
+        trace, engine = mapper.last_trace, mapper.analysis
+        assert trace.simulations_run == engine.simulations_run > 0
+        assert trace.simulated_events == engine.simulated_events > 0
+        assert trace.analysis_cache_hits == engine.cache_hits
+
+    def test_warm_engine_answers_a_repeat_map_from_its_cache(self, case_study):
+        als, platform, library = case_study
+        mapper = SpatialMapper(platform, library)
+        first = mapper.map(als)
+        asked = mapper.last_trace.simulations_run + mapper.last_trace.analysis_cache_hits
+        second = mapper.map(als)
+        trace = mapper.last_trace
+        assert (trace.simulations_run, trace.simulated_events) == (0, 0)
+        assert trace.analysis_cache_hits == asked
+        assert second.feasibility == first.feasibility
 
 
 class TestBufferFloor:
