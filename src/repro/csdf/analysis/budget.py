@@ -253,13 +253,10 @@ class AnalysisEngine:
         it still counts as one simulation and charges the loop's firing
         count, so budgets and cache entries do not depend on the evaluator.
         """
-        key = (
-            "sufficient",
-            graph.structural_fingerprint(),
-            graph.capacity_vector(),
-            period_ns,
-            iterations,
-        )
+        # No capacity vector in the key: the sizing strips every capacity
+        # before it runs and its lower bounds read only rates and initial
+        # tokens, so a bounded graph shares the entry of its unbounded twin.
+        key = ("sufficient", graph.structural_fingerprint(), period_ns, iterations)
 
         def compute(tally: AnalysisBudget) -> tuple[int, ...]:
             capacities = sufficient_buffer_capacities(

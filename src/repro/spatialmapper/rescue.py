@@ -1,4 +1,4 @@
-"""Stochastic placement rescue lane: budgeted random search after refinement.
+"""Stochastic placement rescue lane: best-first random search after refinement.
 
 The greedy steps 1-3 plus the refinement loop reject applications that a
 better placement would admit — at high fill the first-fit packing and the
@@ -7,35 +7,40 @@ Following gerbmerge's ``TileSearch`` ("random placement + evaluation with a
 shared best-score works surprisingly well" for tile packing), this module
 runs K seeded random-placement searchers when the refinement loop ends
 without a :attr:`~repro.mapping.result.MappingStatus.FEASIBLE` result and
-adopts the best feasible mapping found within an event budget.
+adopts the feasible placement of least energy, the earliest draw among
+equal energies.
 
-Each candidate runs the pipeline place → bound → floor → route → adhere →
-cost → step 4, and leaves it as soon as it cannot beat the shared best or
-cannot be feasible:
+A call runs in three phases:
 
-* **place** — a full random placement, drawn from the platform's per-scope
-  tile tables against a copy of one residual tracker seeded per call;
-* **bound** — once a feasible best exists, a lower bound on the candidate's
-  energy (:func:`~repro.mapping.cost.mapping_energy_lower_bound_nj`: every
-  channel at the fewest NoC hops between its endpoint routers) is compared
-  with the best energy before any routing.  This is the branch-and-bound
-  prune of the shared-best cut: a route is never shorter than the hop
-  distance, so a candidate the bound cuts would have been cut after
-  routing too;
-* **floor** — the stream buffers at their smallest possible capacities
-  (:func:`~repro.spatialmapper.step4_feasibility.stream_buffer_floor_overflow`)
-  must fit the consuming tiles' memory.  The floor needs no routes and is
-  exactly the capacity step 4's sizing starts from, so a candidate it cuts
-  would have ended in a step-4 buffer overflow after its sizing run;
-* **route / adhere / cost** — step 3 in a scratch transaction, the
-  adherence check and the exact energy, which repeats the shared-best cut
-  on the routed hop counts;
-* **step 4** — the feasibility analysis, charged to the call's ledger.
+* **draw all** — every searcher draws its placements (full random
+  placements from the platform's per-scope tile tables, each against a copy
+  of one residual tracker seeded per call), and each placement gets a lower
+  bound on its energy
+  (:func:`~repro.mapping.cost.mapping_energy_lower_bound_nj`: every channel
+  at the fewest NoC hops between its endpoint routers);
+* **bound order** — the placements are evaluated in ``(bound, draw index)``
+  order.  A reached placement first meets the stream-buffer **floor**
+  (:func:`~repro.spatialmapper.step4_feasibility.stream_buffer_floor_overflow`:
+  the stream buffers at their smallest possible capacities must fit the
+  consuming tiles' memory; a placement it cuts would have ended in a step-4
+  buffer overflow after its sizing run).  The rest is **route / adhere /
+  cost / step 4**: step 3 in a scratch transaction, the adherence check,
+  the exact energy and the feasibility analysis, charged to the call's
+  ledger.  A routed energy that cannot beat the best feasible one
+  skips step 4; an equal energy beats it only from an earlier draw;
+* **stop** — at the first placement whose ``(bound, draw index)`` is above
+  the best's ``(energy, draw index)``.  A route is never shorter than the
+  hop distance, so the bound never exceeds the routed energy, and every
+  placement past the stop has a higher energy or an equal one from a later
+  draw: none of them can win.
 
-A candidate cut before step 4 charges the ledger nothing.  The bound
-therefore changes none of the lane's decisions or charges.  The floor
-changes charges only: the sizing runs it skips would have charged the
-ledger, so a ledger that used to run out can now last for more candidates.
+Drawing first is sound because no placement depends on how an earlier
+candidate fared: the seeds are fixed per (request, searcher), every draw
+starts from the same residual tracker, and each evaluated candidate is
+rolled back.  With an unlimited ledger the lane therefore adopts exactly
+what an exhaustive evaluation in draw order adopts.  On the packing
+benchmark each call routes and analyses a single placement: the first one
+past the floor is feasible and wins.
 
 Three disciplines keep the lane decision-inert infrastructure-wise:
 
@@ -47,11 +52,11 @@ Three disciplines keep the lane decision-inert infrastructure-wise:
   every executor, so serial and process drains stay decision-identical and
   results stay cacheable; renamed but identically-shaped applications draw
   the same seeds.
-* **Scratch transactions** — each candidate the bound and the floor keep
-  is evaluated inside a
-  :meth:`~repro.platform.state.PlatformState.transaction` that is rolled
-  back before the next candidate (the ``step3_routing``/``interregion``
-  scratch discipline), so the platform state is bit-identical afterwards.
+* **Scratch transactions** — each candidate the floor keeps is evaluated
+  inside a :meth:`~repro.platform.state.PlatformState.transaction` that is
+  rolled back before the next candidate (the
+  ``step3_routing``/``interregion`` scratch discipline), so the platform
+  state is bit-identical afterwards.
 * **Budget charging** — all feasibility analysis of one rescue call is
   charged against a single :class:`~repro.csdf.analysis.budget.AnalysisBudget`
   ledger threaded through the shared
@@ -167,8 +172,9 @@ class RescueOutcome:
     feasible_found: int = 0
     budget_exhausted: bool = False
     events_used: int = 0
-    #: Candidates cut by the energy bound and by the stream-buffer floor,
-    #: before routing; every other candidate is routed.
+    #: Candidates never reached (past the stop at the energy bound, or left
+    #: when the ledger ran out) and candidates cut by the stream-buffer
+    #: floor; every other candidate is routed.
     energy_cut: int = 0
     floor_cut: int = 0
 
@@ -235,7 +241,7 @@ def rescue_search(
     allowed_tiles = frozenset(region.tile_names) if region is not None else None
     allowed_positions = region.positions if region is not None else None
     ledger = AnalysisBudget(max_events=config.rescue_budget)
-    outcome = RescueOutcome()
+    outcome = RescueOutcome(searchers_run=config.rescue_searchers)
     best: MappingResult | None = None
     # The scratch transactions roll every candidate back, so the state and
     # with it the residuals left by the pinned processes are the same for
@@ -245,51 +251,63 @@ def rescue_search(
         pinned.assign(ProcessAssignment(process.name, process.pinned_tile))
     pinned_residuals = ResidualTracker.for_mapping(platform, state, pinned)
 
+    # Draw the whole portfolio first: the seeds are fixed per (request,
+    # searcher) and every placement draws against a copy of the same
+    # residuals, so no placement depends on how an earlier one fared.
+    drawn: list[tuple[float, int, Mapping]] = []
     for searcher in range(config.rescue_searchers):
-        if ledger.exhausted:
-            break
         rng = Random(rescue_seed(als, library, fingerprint, searcher))
-        outcome.searchers_run += 1
         for _ in range(config.rescue_attempts):
-            if ledger.exhausted:
-                break
             mapping = _random_placement(
                 rng, als, platform, library, state, pinned, pinned_residuals,
                 allowed_tiles,
             )
-            if mapping is None:
-                continue
-            outcome.candidates += 1
-            # Bound before routing.  The bound costs each channel at the
-            # NoC's BFS hop distance, which no route undercuts on any
-            # topology; a Manhattan bound would be valid on a mesh only, as
-            # a torus's wrap-around links route shorter than Manhattan.
-            if best is not None and mapping_energy_lower_bound_nj(
-                mapping, als, platform, config.cost_model
-            ) >= best.energy_nj_per_iteration:
-                outcome.energy_cut += 1
-                continue
-            if stream_buffer_floor_overflow(mapping, als, platform, state):
-                outcome.floor_cut += 1
-                continue
-            with state.transaction() as txn:
-                candidate = _evaluate(
-                    mapping,
-                    als,
-                    platform,
-                    library,
-                    state,
-                    config=config,
-                    analysis=analysis,
-                    allowed_positions=allowed_positions,
-                    ledger=ledger,
-                    best=best,
+            if mapping is not None:
+                # The bound costs each channel at the NoC's BFS hop
+                # distance, which no route undercuts on any topology; a
+                # Manhattan bound would be valid on a mesh only, as a
+                # torus's wrap-around links route shorter than Manhattan.
+                bound = mapping_energy_lower_bound_nj(
+                    mapping, als, platform, config.cost_model
                 )
-                txn.rollback()
-            if candidate is not None:
-                outcome.feasible_found += 1
-                best = candidate
+                drawn.append((bound, len(drawn), mapping))
+    outcome.candidates = len(drawn)
+    drawn.sort(key=lambda candidate: candidate[:2])
 
+    # Best first.  ``best_key`` is the best's (energy, draw index); a
+    # candidate wins only with a smaller key, and its bound never exceeds
+    # its energy, so the first (bound, draw index) above ``best_key`` stops
+    # the call: every later candidate's key is larger still.
+    best_key: tuple[float, int] | None = None
+    routed = 0
+    for bound, index, mapping in drawn:
+        if ledger.exhausted or (best_key is not None and (bound, index) > best_key):
+            break
+        if stream_buffer_floor_overflow(mapping, als, platform, state):
+            outcome.floor_cut += 1
+            continue
+        routed += 1
+        with state.transaction() as txn:
+            candidate = _evaluate(
+                mapping,
+                als,
+                platform,
+                library,
+                state,
+                config=config,
+                analysis=analysis,
+                allowed_positions=allowed_positions,
+                ledger=ledger,
+                best_key=best_key,
+                index=index,
+            )
+            txn.rollback()
+        if candidate is not None:
+            outcome.feasible_found += 1
+            best = candidate
+            best_key = (candidate.energy_nj_per_iteration, index)
+
+    outcome.energy_cut = outcome.candidates - outcome.floor_cut - routed
     outcome.budget_exhausted = ledger.exhausted
     outcome.events_used = ledger.events_used
     outcome.result = best
@@ -307,10 +325,16 @@ def _evaluate(
     analysis: AnalysisEngine,
     allowed_positions,
     ledger: AnalysisBudget,
-    best: MappingResult | None,
+    best_key: tuple[float, int] | None,
+    index: int,
 ) -> MappingResult | None:
     """Route, adherence-check and analyse one candidate; ``None`` unless it
-    is feasible *and* beats the shared best on energy."""
+    is feasible *and* beats the best so far.
+
+    ``best_key`` is the best's (energy, draw index), ``None`` before a
+    feasible best exists, and ``index`` the candidate's draw index: the
+    candidate beats the best with a lower energy, or an equal one from an
+    earlier draw."""
     step3 = route_channels(
         mapping, als, platform,
         state=state, config=config, allowed_positions=allowed_positions,
@@ -320,11 +344,9 @@ def _evaluate(
     if adherence_violations(step3.mapping, platform, library, state, als):
         return None
     energy = mapping_energy_nj(step3.mapping, als, platform, config.cost_model)
-    # Shared-best cut on the routed hop counts: a candidate that cannot
-    # improve on the best feasible energy found so far is not worth a step-4
-    # analysis.  The cut depends only on earlier (deterministic) candidates,
-    # so it is replay-stable.
-    if best is not None and energy >= best.energy_nj_per_iteration:
+    # A candidate that cannot beat the best on the routed hop counts is not
+    # worth a step-4 analysis.
+    if best_key is not None and (energy, index) > best_key:
         return None
     step4 = check_feasibility(
         step3.mapping, als, platform, library,

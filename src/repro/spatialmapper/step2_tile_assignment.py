@@ -17,8 +17,9 @@ one it already occupies, this step maintains adequacy by construction
 Candidates are scored *incrementally*: a move or swap only changes the
 distances of the channels incident to the touched processes, so the search
 evaluates a cost delta over those channels (exact — the distances are
-integral) instead of recomputing the full metric, and only materialises a
-candidate mapping when it is accepted or traced.  Residual slot/memory checks
+integral) instead of recomputing the full metric, and only applies a
+candidate to the mapping when it is accepted; the trace keeps just each
+evaluated candidate's moves.  Residual slot/memory checks
 likewise run against an O(1) :class:`~repro.spatialmapper.residuals.ResidualTracker`
 seeded from the platform state's cached aggregates.
 """
@@ -45,9 +46,6 @@ class _Move:
     process: str
     target_tile: str
 
-    def describe(self, mapping: Mapping) -> str:
-        return f"move {self.process} from {mapping.tile_of(self.process)} to {self.target_tile}"
-
 
 @dataclass(frozen=True)
 class _Swap:
@@ -55,12 +53,6 @@ class _Swap:
 
     process_a: str
     process_b: str
-
-    def describe(self, mapping: Mapping) -> str:
-        return (
-            f"swap {self.process_a} ({mapping.tile_of(self.process_a)}) with "
-            f"{self.process_b} ({mapping.tile_of(self.process_b)})"
-        )
 
 
 @dataclass
@@ -275,24 +267,30 @@ def _record(
     iteration: int,
     candidate: _Move | _Swap,
     mapping_before: Mapping,
-    als: ApplicationLevelSpec,
     cost: float,
     accepted: bool,
 ) -> None:
-    """Append one iteration to the trace (when tracing is enabled)."""
+    """Append one iteration to the trace (when tracing is enabled).
+
+    Stores the candidate's moves only; :class:`Step2Iteration` derives the
+    full assignment on read from the last accepted iteration before it."""
     if not config.keep_step2_trace:
         return
-    assignment = _assignment_snapshot(mapping_before, als)
-    assignment.update(_proposed_moves(mapping_before, candidate))
-    remark = "Improvement, keep" if accepted else "No improvement, revert"
+    previous = trace.iterations[-1] if trace.iterations else None
+    if previous is not None and not previous.accepted:
+        previous = previous.previous_accepted
+    moves = tuple(
+        (process, mapping_before.tile_of(process), tile)
+        for process, tile in _proposed_moves(mapping_before, candidate).items()
+    )
     trace.iterations.append(
         Step2Iteration(
             iteration=iteration,
-            description=candidate.describe(mapping_before),
-            assignment=assignment,
+            moves=moves,
             cost=cost,
             accepted=accepted,
-            remark=remark,
+            previous_accepted=previous,
+            initial_assignment=trace.initial_assignment,
         )
     )
 
@@ -328,7 +326,7 @@ def _first_improvement(
             iteration += 1
             candidate_cost = current_cost + delta_of(candidate)
             accepted = candidate_cost <= current_cost - min_gain
-            _record(trace, config, iteration, candidate, current, als, candidate_cost, accepted)
+            _record(trace, config, iteration, candidate, current, candidate_cost, accepted)
             if accepted:
                 _accept(current, candidate, residuals)
                 # Resync from scratch so delta rounding (possible with
@@ -371,7 +369,7 @@ def _best_improvement(
         if best_candidate is None:
             break
         iteration += 1
-        _record(trace, config, iteration, best_candidate, current, als, best_cost, True)
+        _record(trace, config, iteration, best_candidate, current, best_cost, True)
         _accept(current, best_candidate, residuals)
         # Resync from scratch so delta rounding (possible with fractional
         # token weights) never compounds; with integral weights this equals

@@ -10,15 +10,54 @@ class Step2Iteration:
     """One evaluated reassignment in step 2 of the algorithm.
 
     Mirrors a row of Table 2 of the paper: the candidate assignment that was
-    evaluated, the resulting cost and whether it was kept or reverted.
+    evaluated, the resulting cost and whether it was kept or reverted.  Only
+    the candidate's moves are stored, as ``(process, from tile, to tile)``:
+    one for a move, two for a swap.  The description and the full
+    assignment are derived when read, the latter by replaying the moves of
+    the accepted iterations before this one on the initial assignment.
     """
 
     iteration: int
-    description: str
-    assignment: dict[str, str]
+    moves: tuple[tuple[str, str, str], ...]
     cost: float
     accepted: bool
-    remark: str
+    #: The last accepted iteration before this one (``None`` before the
+    #: first) and the trace's initial assignment, which :attr:`assignment`
+    #: replays; shared, not copied.
+    previous_accepted: "Step2Iteration | None" = field(
+        default=None, repr=False, compare=False
+    )
+    initial_assignment: dict[str, str] = field(
+        default_factory=dict, repr=False, compare=False
+    )
+
+    @property
+    def description(self) -> str:
+        """The candidate in words, as in Table 2."""
+        if len(self.moves) == 1:
+            ((process, source, target),) = self.moves
+            return f"move {process} from {source} to {target}"
+        (process_a, tile_a, _), (process_b, tile_b, _) = self.moves
+        return f"swap {process_a} ({tile_a}) with {process_b} ({tile_b})"
+
+    @property
+    def remark(self) -> str:
+        """Table 2's remark: whether the candidate was kept."""
+        return "Improvement, keep" if self.accepted else "No improvement, revert"
+
+    @property
+    def assignment(self) -> dict[str, str]:
+        """Process-to-tile assignment of the evaluated candidate."""
+        chain = []
+        node: Step2Iteration | None = self
+        while node is not None:
+            chain.append(node.moves)
+            node = node.previous_accepted
+        assignment = dict(self.initial_assignment)
+        for moves in reversed(chain):
+            for process, _, tile in moves:
+                assignment[process] = tile
+        return assignment
 
     def as_row(self) -> tuple:
         """Row form used by the reporting tables."""
@@ -100,8 +139,9 @@ class MapperTrace:
     #: searchers actually run, full placements proposed, feasible placements
     #: found, whether the best one replaced the refinement loop's result and
     #: whether the lane's event budget ran out (anytime cut-off).  Of the
-    #: candidates, ``rescue_energy_cut`` fell to the energy bound and
-    #: ``rescue_floor_cut`` to the stream-buffer floor before routing.
+    #: candidates, ``rescue_energy_cut`` were never reached (past the stop
+    #: at the energy bound, or left when the budget ran out) and
+    #: ``rescue_floor_cut`` fell to the stream-buffer floor before routing.
     rescue_searchers_run: int = 0
     rescue_candidates: int = 0
     rescue_energy_cut: int = 0

@@ -12,7 +12,7 @@ energy of the unrouted placement (Manhattan hops).
 
 from random import Random
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.mapping.assignment import ProcessAssignment
@@ -25,8 +25,13 @@ from repro.spatialmapper.step3_routing import route_channels
 from repro.workloads.synthetic import SyntheticConfig, generate_application
 
 
+#: Tiles whose type is not drawn, so that every platform has both types.
+FIXED_TILES = {(1, 0): "GPP", (0, 1): "DSP"}
+
+
 def random_platform(topology: str, width: int, height: int, seed: int):
-    """A mesh or torus with I/O tiles in opposite corners and GPP/DSP elsewhere."""
+    """A mesh or torus with I/O tiles in opposite corners and GPP/DSP
+    elsewhere; (1, 0) is a GPP and (0, 1) a DSP, so both types exist."""
     build = build_torus_noc if topology == "torus" else build_mesh_noc
     builder = (
         PlatformBuilder(f"{topology}_{width}x{height}")
@@ -42,7 +47,7 @@ def random_platform(topology: str, width: int, height: int, seed: int):
         for x in range(width):
             if (x, y) in ((0, 0), (width - 1, height - 1)):
                 continue
-            tile_type = "GPP" if (x, y) == (1, 0) else rng.choice(("GPP", "DSP"))
+            tile_type = FIXED_TILES.get((x, y)) or rng.choice(("GPP", "DSP"))
             builder.tile(f"t{x}_{y}", tile_type, (x, y), max_processes=8)
     return builder.build()
 
@@ -70,6 +75,12 @@ def random_full_placement(rng: Random, app, platform) -> Mapping:
     hop_nj=st.sampled_from((0.0, 0.001, 0.37)),
     local_nj=st.sampled_from((0.0, 0.0001, 0.5)),
     activation_nj=st.sampled_from((0.0, 2.5)),
+)
+# Without FIXED_TILES this example draws every random tile as a GPP, and
+# a DSP-only process has no tile to draw.
+@example(
+    topology="mesh", width=3, height=3, seed=143, stages=5, blocked_fraction=0.0,
+    hop_nj=0.0, local_nj=0.0, activation_nj=0.0,
 )
 @settings(max_examples=300, deadline=None)
 def test_bound_never_exceeds_the_routed_energy(

@@ -203,6 +203,25 @@ class TestAnalysisEngine:
         }
         assert twin_latency == latency
 
+    def test_sizing_ignores_the_capacities_it_strips(self):
+        """Sizing a bounded graph strips its capacities first, so it shares
+        the cache entry of the unbounded graph of the same structure."""
+        chain = (
+            CSDFBuilder("pair")
+            .actor("a", [10.0])
+            .actor("b", [20.0])
+            .edge("a", "b", production=[1], consumption=[1])
+            .build()
+        )
+        bounded = apply_buffer_capacities(chain, {edge.name: 3 for edge in chain.edges})
+        assert bounded.capacity_vector() != chain.capacity_vector()
+        engine = AnalysisEngine()
+        unbounded_capacities = engine.sufficient_buffer_capacities(chain, 25.0, iterations=6)
+        bounded_capacities = engine.sufficient_buffer_capacities(bounded, 25.0, iterations=6)
+        assert bounded_capacities == unbounded_capacities
+        assert engine.simulations_run == 1
+        assert engine.cache_hits == 1
+
     def test_deadlock_is_cached_and_reraised(self):
         engine = AnalysisEngine()
         graph = deadlocked_graph()

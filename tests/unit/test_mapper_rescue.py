@@ -2,7 +2,8 @@
 
 Covers the rescue lane itself (seeding and the name-free shape fingerprint
 it derives from, adoption, rollback, replay determinism, cacheability, the
-energy bound before routing), the
+best-first energy-bound order with its ties and ledger, the stream-buffer
+floor), the
 feedback-recording symmetry of ``_apply_feedback`` (every branch must log
 to *both* the trace and the diagnostics — the INADHERENT branch used to
 record neither), and the
@@ -29,8 +30,8 @@ from repro.mapping.result import MappingStatus
 from repro.obs.metrics import MetricsRegistry
 from repro.platform.builder import PlatformBuilder
 from repro.platform.regions import RegionPartition
-from repro.platform.state import PlatformState
-from repro.platform.topology import build_torus_noc
+from repro.platform.state import LinkAllocation, PlatformState
+from repro.platform.topology import build_mesh_noc, build_torus_noc
 from repro.runtime.manager import RuntimeResourceManager
 from repro.spatialmapper import rescue as rescue_module
 from repro.spatialmapper.cache import MapperCache
@@ -298,18 +299,29 @@ def run_rescue(platform, state, region, app, config=RESCUE):
 
 
 class TestBoundBeforeRouting:
-    """The energy bound cuts candidates before routing without changing
-    what the lane decides, counts or charges."""
+    """The lane evaluates its placements in ``(bound, draw index)`` order
+    and stops at the first bound that cannot win: a placement past the
+    stop is never routed, and the adopted mapping is the one the draw-order
+    lane adopted."""
 
     def test_outcome_equals_the_values_pinned_before_the_bound(self, rescue_case):
-        """Captured on the lane that routed every candidate and cut only
-        after costing the routed mapping."""
+        """The adopted assignments, routes and energy were captured on the
+        lane that routed every candidate in draw order and cut only after
+        costing the routed mapping.  On this idle-enough region every route
+        takes a shortest path, so each bound equals its routed energy.
+        Draw 19 has the lowest bound, is reached first and is feasible; the
+        next bound (draw 8) is above its energy, so the call stops there.
+        It analyses one candidate: one feasible found (the draw-order lane
+        found draws 0, 1, 8 and 19 feasible in turn), 2,420 events (draw
+        19's analysis alone; draw order charged 12,227) and 23 candidates
+        never reached."""
         platform, state, region, app = rescue_case
         outcome = run_rescue(platform, state, region, app)
         assert outcome.searchers_run == 6
         assert outcome.candidates == 24
-        assert outcome.feasible_found == 4
-        assert outcome.events_used == 12227
+        assert outcome.feasible_found == 1
+        assert outcome.events_used == 2420
+        assert (outcome.energy_cut, outcome.floor_cut) == (23, 0)
         assert not outcome.budget_exhausted
         result = outcome.result
         assert assignments_of(result) == [
@@ -333,52 +345,56 @@ class TestBoundBeforeRouting:
         ]
 
     def test_a_cut_candidate_never_reaches_routing(self, rescue_case, monkeypatch):
+        """A candidate whose bound lies above the adopted energy can never
+        win, and no such candidate is routed; every other one is, in
+        ascending bound order.  Here only draw 19 lies at or below the
+        adopted energy, so 23 of the 24 candidates are cut (20 in draw
+        order, which routed draws 0, 1, 8 and 19)."""
         platform, state, region, app = rescue_case
-        candidates: list[dict] = []
-        best: list[float] = []
+        drawn: list[Mapping] = []
+        bounds: dict[int, float] = {}
+        routed: list[Mapping] = []
 
         def placement(*args, **kwargs):
             mapping = real_placement(*args, **kwargs)
             if mapping is not None:
-                candidates.append({"routed": False, "cut": False})
+                drawn.append(mapping)
             return mapping
 
-        def bound(*args, **kwargs):
-            value = real_bound(*args, **kwargs)
-            candidates[-1]["cut"] = value >= best[-1]
+        def bound(mapping, *args, **kwargs):
+            value = real_bound(mapping, *args, **kwargs)
+            bounds[id(mapping)] = value
             return value
 
-        def route(*args, **kwargs):
-            candidates[-1]["routed"] = True
-            return real_route(*args, **kwargs)
-
-        def evaluate(*args, **kwargs):
-            result = real_evaluate(*args, **kwargs)
-            if result is not None:
-                best.append(result.energy_nj_per_iteration)
-            return result
+        def route(mapping, *args, **kwargs):
+            routed.append(mapping)
+            return real_route(mapping, *args, **kwargs)
 
         real_placement = rescue_module._random_placement
         real_bound = rescue_module.mapping_energy_lower_bound_nj
         real_route = rescue_module.route_channels
-        real_evaluate = rescue_module._evaluate
         monkeypatch.setattr(rescue_module, "_random_placement", placement)
         monkeypatch.setattr(rescue_module, "mapping_energy_lower_bound_nj", bound)
         monkeypatch.setattr(rescue_module, "route_channels", route)
-        monkeypatch.setattr(rescue_module, "_evaluate", evaluate)
         outcome = run_rescue(platform, state, region, app)
 
-        assert len(candidates) == outcome.candidates == 24
-        cut = [c for c in candidates if c["cut"]]
-        assert len(cut) == 20
-        assert not any(c["routed"] for c in cut)
-        assert all(c["routed"] for c in candidates if not c["cut"])
+        assert len(drawn) == len(bounds) == outcome.candidates == 24
+        adopted = outcome.result.energy_nj_per_iteration
+        cut = [m for m in drawn if bounds[id(m)] > adopted]
+        assert len(cut) == outcome.energy_cut == 23
+        assert not any(m in routed for m in cut)
+        assert all(m in routed for m in drawn if m not in cut)
+        assert routed == [drawn[19]]
+        routed_bounds = [bounds[id(m)] for m in routed]
+        assert routed_bounds == sorted(routed_bounds)
 
     def test_a_wrapped_route_below_manhattan_is_not_cut(self, monkeypatch):
         """On a torus the wrap-around link makes ``far`` one hop from the
-        I/O tile, three fewer than Manhattan.  Placed second, behind a
-        feasible placement on ``near`` (two hops), it is cheaper once
-        routed, so the bound must keep it; a Manhattan bound would cut it."""
+        I/O tile, three fewer than Manhattan, and two hops ``near`` needs.
+        Its bound is therefore the lower one, so ``far`` is routed first
+        and adopted although ``near`` was drawn first, and ``near`` is cut
+        by the bound without routing.  A Manhattan bound would have put
+        ``far`` last."""
         platform = (
             PlatformBuilder("torus")
             .noc(build_torus_noc(5, 3))
@@ -395,34 +411,14 @@ class TestBoundBeforeRouting:
             source_tile="io",
             sink_tile="io",
         )
-
-        def placed_on(tile):
-            mapping = Mapping(app.als.name)
-            for process in app.als.kpn.pinned_processes():
-                mapping.assign(ProcessAssignment(process.name, process.pinned_tile))
-            for process in app.als.kpn.mappable_processes():
-                (implementation,) = app.library.implementations_for(process.name)
-                mapping.assign(ProcessAssignment(process.name, tile, implementation))
-            return mapping
-
-        near, far = placed_on("near"), placed_on("far")
-        proposals = iter([near, far])
-        monkeypatch.setattr(
-            rescue_module, "_random_placement", lambda *args: next(proposals, None)
-        )
-        routed = []
-        real_route = rescue_module.route_channels
-        monkeypatch.setattr(
-            rescue_module,
-            "route_channels",
-            lambda mapping, *args, **kwargs: routed.append(mapping)
-            or real_route(mapping, *args, **kwargs),
-        )
+        near, far = placed_on(app, "near"), placed_on(app, "far")
+        routed = propose_and_watch_routing(monkeypatch, [near, far])
         config = replace(BASE, rescue_searchers=1, rescue_attempts=2)
         outcome = run_rescue(platform, PlatformState(platform), None, app, config)
 
-        assert routed == [near, far]
-        assert outcome.feasible_found == 2
+        assert routed == [far]
+        assert outcome.feasible_found == 1
+        assert (outcome.energy_cut, outcome.floor_cut) == (1, 0)
         assert {a.tile for a in outcome.result.mapping.assignments} == {"io", "far"}
         near_energy = mapping_energy_nj(near, app.als, platform, config.cost_model)
         # On the idle torus every channel routes on a shortest path, so the
@@ -433,6 +429,178 @@ class TestBoundBeforeRouting:
         assert mapping_energy_nj(far, app.als, platform, config.cost_model) > near_energy
 
 
+def placed_on(app, tile):
+    """Every mappable process of ``app`` on ``tile``, with its only
+    implementation; pinned processes on their pinned tiles."""
+    mapping = Mapping(app.als.name)
+    for process in app.als.kpn.pinned_processes():
+        mapping.assign(ProcessAssignment(process.name, process.pinned_tile))
+    for process in app.als.kpn.mappable_processes():
+        (implementation,) = app.library.implementations_for(process.name)
+        mapping.assign(ProcessAssignment(process.name, tile, implementation))
+    return mapping
+
+
+def propose_and_watch_routing(monkeypatch, proposals):
+    """Make the lane draw ``proposals`` in order and return the list that
+    collects every mapping it routes."""
+    proposals = iter(proposals)
+    monkeypatch.setattr(
+        rescue_module, "_random_placement", lambda *args: next(proposals, None)
+    )
+    routed = []
+    real_route = rescue_module.route_channels
+    monkeypatch.setattr(
+        rescue_module,
+        "route_channels",
+        lambda mapping, *args, **kwargs: routed.append(mapping)
+        or real_route(mapping, *args, **kwargs),
+    )
+    return routed
+
+
+class TestBestFirstOrder:
+    """Ties keep the earliest draw, and an exhausted ledger still returns
+    the best found so far."""
+
+    @staticmethod
+    def line_platform():
+        """Three routers in a row, the I/O tile in the middle: ``west`` and
+        ``east`` lie one hop from it, mirror images of each other."""
+        return (
+            PlatformBuilder("line")
+            .noc(build_mesh_noc(3, 1))
+            .tile_type("IO", is_processing=False)
+            .tile_type("GPP")
+            .tile("io", "IO", (1, 0))
+            .tile("west", "GPP", (0, 0), max_processes=4)
+            .tile("east", "GPP", (2, 0), max_processes=4)
+            .build()
+        )
+
+    @pytest.mark.parametrize("first", ["west", "east"])
+    def test_the_earlier_of_two_equal_energies_is_adopted(self, first, monkeypatch):
+        """``west`` and ``east`` cost the same energy and are both feasible;
+        whichever was drawn first is adopted, and the other is skipped on
+        its tie without routing."""
+        platform = self.line_platform()
+        app = generate_application(
+            3,
+            SyntheticConfig(stages=2, period_ns=1e6, tile_types=("GPP",)),
+            source_tile="io",
+            sink_tile="io",
+        )
+        second = "east" if first == "west" else "west"
+        mappings = [placed_on(app, first), placed_on(app, second)]
+        energies = {
+            mapping_energy_nj(m, app.als, platform, BASE.cost_model) for m in mappings
+        }
+        assert len(energies) == 1
+        routed = propose_and_watch_routing(monkeypatch, mappings)
+        config = replace(BASE, rescue_searchers=1, rescue_attempts=2)
+        outcome = run_rescue(platform, PlatformState(platform), None, app, config)
+
+        assert routed == mappings[:1]
+        assert outcome.feasible_found == 1
+        assert (outcome.energy_cut, outcome.floor_cut) == (1, 0)
+        assert {a.tile for a in outcome.result.mapping.assignments} == {"io", first}
+        assert outcome.result.energy_nj_per_iteration in energies
+
+    @staticmethod
+    def detour_case(tokens_range=(8, 64)):
+        """A 2x2 mesh with the I/O tile at (0, 0), ``near`` one hop and
+        ``far`` two hops away, and the link from ``near`` back to the I/O
+        tile loaded to capacity.  ``near``'s return channel detours over
+        three hops, so its bound lies below ``far``'s and its routed
+        energy is not below it: above with the default token counts,
+        equal with equal ones."""
+        platform = (
+            PlatformBuilder("square")
+            .noc(build_mesh_noc(2, 2))
+            .tile_type("IO", is_processing=False)
+            .tile_type("GPP")
+            .tile("io", "IO", (0, 0))
+            .tile("near", "GPP", (1, 0), max_processes=4)
+            .tile("far", "GPP", (1, 1), max_processes=4)
+            .build()
+        )
+        state = PlatformState(platform)
+        link = platform.noc.link_by_name("L1_0__0_0")
+        state.allocate_link(
+            LinkAllocation("background", "b", link.name, link.capacity_bits_per_s)
+        )
+        app = generate_application(
+            3,
+            SyntheticConfig(
+                stages=1, period_ns=1e6, tile_types=("GPP",), tokens_range=tokens_range
+            ),
+            source_tile="io",
+            sink_tile="io",
+        )
+        return platform, state, app
+
+    def run_detour(self, monkeypatch, rescue_budget, tokens_range=(8, 64)):
+        """The lane on :meth:`detour_case`, drawing ``far`` before ``near``;
+        returns the outcome, the routed mappings, ``far``, ``near`` and
+        ``near``'s routed energy minus ``far``'s."""
+        platform, state, app = self.detour_case(tokens_range)
+        far, near = placed_on(app, "far"), placed_on(app, "near")
+        model = BASE.cost_model
+        near_routed = rescue_module.route_channels(near, app.als, platform, state=state)
+        far_energy = mapping_energy_nj(far, app.als, platform, model)
+        near_energy = mapping_energy_nj(near_routed.mapping, app.als, platform, model)
+        assert (
+            mapping_energy_lower_bound_nj(near, app.als, platform, model)
+            < mapping_energy_lower_bound_nj(far, app.als, platform, model)
+            == far_energy
+            <= near_energy
+        )
+        routed = propose_and_watch_routing(monkeypatch, [far, near])
+        config = replace(
+            BASE, rescue_searchers=1, rescue_attempts=2, rescue_budget=rescue_budget
+        )
+        outcome = run_rescue(platform, state, None, app, config)
+        return outcome, routed, far, near, near_energy - far_energy
+
+    def test_a_loose_bound_reaches_the_next_candidate(self, monkeypatch):
+        """With an unlimited ledger ``near`` is routed first (lowest bound)
+        and found feasible; ``far``'s bound lies below ``near``'s routed
+        energy, so ``far`` is routed too and wins."""
+        outcome, routed, far, near, gap = self.run_detour(monkeypatch, None)
+        assert gap > 0
+        assert routed == [near, far]
+        assert outcome.feasible_found == 2
+        assert not outcome.budget_exhausted
+        assert {a.tile for a in outcome.result.mapping.assignments} == {"io", "far"}
+
+    def test_an_exhausted_ledger_returns_the_best_so_far(self, monkeypatch):
+        """A one-event ledger runs out on ``near``'s analysis.  The lane
+        stops before ``far`` although its bound could still win, and
+        returns ``near``, the best found so far, with the ledger marked
+        exhausted.  ``far`` counts as never reached."""
+        outcome, routed, far, near, _ = self.run_detour(monkeypatch, 1)
+        assert routed == [near]
+        assert outcome.budget_exhausted
+        assert outcome.events_used > 1
+        assert outcome.feasible_found == 1
+        assert (outcome.energy_cut, outcome.floor_cut) == (1, 0)
+        assert {a.tile for a in outcome.result.mapping.assignments} == {"io", "near"}
+
+    def test_an_equal_energy_reached_later_wins_from_an_earlier_draw(self, monkeypatch):
+        """With equal token counts on both channels ``near``'s detoured
+        energy equals ``far``'s bound and energy.  ``near`` (drawn second)
+        is reached first and found feasible.  ``far``'s bound ties with the
+        best energy from an earlier draw, so ``far`` is reached, routed and
+        adopted: the earlier draw wins the tie, as in draw order."""
+        outcome, routed, far, near, gap = self.run_detour(
+            monkeypatch, None, tokens_range=(32, 32)
+        )
+        assert gap == 0
+        assert routed == [near, far]
+        assert outcome.feasible_found == 2
+        assert {a.tile for a in outcome.result.mapping.assignments} == {"io", "far"}
+
+
 #: Arrival 35's rescue call under :data:`LEDGER` when every candidate past
 #: the energy bound reached step 4: it analysed 11 candidates before the
 #: ledger ran out and adopted this energy.
@@ -441,21 +609,29 @@ LEDGER_ENERGY_WITHOUT_FLOOR = float.fromhex("0x1.542a4ca0e2154p+10")
 
 
 class TestFloorBeforeRouting:
-    """The stream-buffer floor cuts placements whose buffers cannot fit
-    before routing them, so the ledger pays only for candidates that can
-    still be feasible."""
+    """The stream-buffer floor cuts a reached placement whose buffers
+    cannot fit before routing it, so the ledger pays only for candidates
+    that can still be feasible."""
 
     def test_the_ledger_lasts_for_more_candidates(self, exhausting_case):
+        """In bound order the first five placements (draws 1, 6, 15, 5 and
+        21) fail the floor and draw 11 is reached next, feasible at the
+        energy draw order adopted.  Draw 13's bound lies above it, so the
+        call stops: one feasible found (draw order found draws 2 and 11)
+        and 4,374 events (draw 11's analysis; draw order also paid 2,886
+        for draw 2, 7,260 in all)."""
         outcome = run_rescue(*exhausting_case, config=LEDGER)
         assert not outcome.budget_exhausted
         assert outcome.candidates == 24 >= LEDGER_CANDIDATES_WITHOUT_FLOOR
         energy = outcome.result.energy_nj_per_iteration
         assert energy == float.fromhex("0x1.384c2946adb38p+10")
         assert energy <= LEDGER_ENERGY_WITHOUT_FLOOR
-        assert outcome.feasible_found == 2
-        assert outcome.events_used == 7260
+        assert outcome.feasible_found == 1
+        assert outcome.events_used == 4374
 
     def test_cuts_and_analysed_candidates_add_up(self, exhausting_case, monkeypatch):
+        """Five floor cuts, one analysed candidate (draw 11) and 18 never
+        reached (draw order: 8 floor cuts, 2 analysed, 14 bound cuts)."""
         analysed = []
         real_evaluate = rescue_module._evaluate
         monkeypatch.setattr(
@@ -465,28 +641,34 @@ class TestFloorBeforeRouting:
             or real_evaluate(*args, **kwargs),
         )
         outcome = run_rescue(*exhausting_case, config=LEDGER)
-        assert (outcome.energy_cut, outcome.floor_cut, len(analysed)) == (14, 8, 2)
+        assert (outcome.energy_cut, outcome.floor_cut, len(analysed)) == (18, 5, 1)
         assert outcome.energy_cut + outcome.floor_cut + len(analysed) == outcome.candidates
 
     def test_a_floor_cut_candidate_never_reaches_routing(
         self, exhausting_case, monkeypatch
     ):
-        candidates: list[dict] = []
+        """The floor is taken when a candidate is reached, so only the five
+        placements ahead of draw 11 in bound order meet it and fail (draw
+        order met 8 failures).  None of them is routed, and each that
+        routes ends in step 4's floor overflow on the tile the cut named."""
+        drawn: list[Mapping] = []
+        floors: dict[int, object] = {}
+        routed: list[Mapping] = []
 
         def placement(*args, **kwargs):
             mapping = real_placement(*args, **kwargs)
             if mapping is not None:
-                candidates.append({"mapping": mapping, "floor": None, "routed": False})
+                drawn.append(mapping)
             return mapping
 
-        def floor(*args, **kwargs):
-            overflow = real_floor(*args, **kwargs)
-            candidates[-1]["floor"] = overflow or False
+        def floor(mapping, *args, **kwargs):
+            overflow = real_floor(mapping, *args, **kwargs)
+            floors[id(mapping)] = overflow
             return overflow
 
-        def route(*args, **kwargs):
-            candidates[-1]["routed"] = True
-            return real_route(*args, **kwargs)
+        def route(mapping, *args, **kwargs):
+            routed.append(mapping)
+            return real_route(mapping, *args, **kwargs)
 
         real_placement = rescue_module._random_placement
         real_floor = rescue_module.stream_buffer_floor_overflow
@@ -496,20 +678,21 @@ class TestFloorBeforeRouting:
         monkeypatch.setattr(rescue_module, "route_channels", route)
         outcome = run_rescue(*exhausting_case, config=LEDGER)
 
-        assert len(candidates) == outcome.candidates
-        cut = [c for c in candidates if c["floor"]]
-        assert len(cut) == outcome.floor_cut == 8
-        assert not any(c["routed"] for c in cut)
-        assert all(c["routed"] for c in candidates if c["floor"] is False)
+        assert len(drawn) == outcome.candidates
+        cut = [m for m in drawn if floors.get(id(m))]
+        assert cut == [drawn[i] for i in (1, 5, 6, 15, 21)]
+        assert len(cut) == outcome.floor_cut == 5
+        assert not any(m in routed for m in cut)
+        assert routed == [m for m in drawn if id(m) in floors and not floors[id(m)]]
 
         # Every cut placement that routes ends in step 4's floor overflow,
         # on the tile the cut named.
         platform, state, region, app = exhausting_case
         monkeypatch.undo()
         checked = 0
-        for candidate in cut:
+        for mapping in cut:
             step3 = real_route(
-                candidate["mapping"], app.als, platform,
+                mapping, app.als, platform,
                 state=state, allowed_positions=region.positions,
             )
             if not step3.succeeded:
@@ -520,11 +703,14 @@ class TestFloorBeforeRouting:
             if step4.report.achieved_period_ns > app.als.period_ns:
                 continue
             assert step4.floor_overflow
-            assert step4.feedback[0].culprit_tile == candidate["floor"][0]
+            assert step4.feedback[0].culprit_tile == floors[id(mapping)][0]
             checked += 1
         assert checked
 
     def test_trace_and_pipeline_count_the_cuts(self, exhausting_case):
+        """The trace and the pipeline's metrics carry the counts of
+        :meth:`test_cuts_and_analysed_candidates_add_up` (draw order:
+        14 energy cuts, 8 floor cuts)."""
         platform, state, region, app = exhausting_case
         mapper = SpatialMapper(platform, app.library, LEDGER)
         result = mapper.map(app.als, state, region=region)
@@ -535,7 +721,7 @@ class TestFloorBeforeRouting:
             trace.rescue_candidates,
             trace.rescue_energy_cut,
             trace.rescue_floor_cut,
-        ) == (24, 14, 8)
+        ) == (24, 18, 5)
 
         pipeline = RuntimeResourceManager(platform, config=LEDGER).pipeline
         pipeline.metrics = MetricsRegistry()
@@ -545,7 +731,7 @@ class TestFloorBeforeRouting:
             for name in ("candidates", "energy_cut", "floor_cut", "adopted")
         }
         assert counters == {
-            "candidates": 24.0, "energy_cut": 14.0, "floor_cut": 8.0, "adopted": 1.0,
+            "candidates": 24.0, "energy_cut": 18.0, "floor_cut": 5.0, "adopted": 1.0,
         }
 
 

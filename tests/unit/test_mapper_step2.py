@@ -6,7 +6,9 @@ from repro.mapping.cost import manhattan_cost
 from repro.spatialmapper.config import MapperConfig, Step2Strategy
 from repro.spatialmapper.feedback import ExclusionSet
 from repro.spatialmapper.step1_implementation import select_implementations
+from repro.spatialmapper import step2_tile_assignment as step2_module
 from repro.spatialmapper.step2_tile_assignment import refine_tile_assignment
+from repro.workloads.synthetic import SyntheticConfig, generate_application, generate_platform
 
 
 @pytest.fixture()
@@ -118,3 +120,46 @@ class TestStrategiesAndConfig:
         trace = refine_tile_assignment(mapping, als, platform).trace
         accepted_costs = [row.cost for row in trace.accepted_iterations]
         assert accepted_costs == sorted(accepted_costs, reverse=True)
+
+
+class TestLazyTrace:
+    """A trace row stores only the candidate's moves; its description and
+    assignment, derived on read, equal what the mapping said when the row
+    was recorded."""
+
+    @pytest.mark.parametrize("strategy", list(Step2Strategy))
+    @pytest.mark.parametrize("seed", [0, 1, 4])
+    def test_derived_rows_equal_the_mapping_at_record_time(
+        self, seed, strategy, monkeypatch
+    ):
+        platform = generate_platform(seed, width=4, height=4)
+        app = generate_application(seed, SyntheticConfig(stages=6))
+        initial = select_implementations(app.als, platform, app.library).mapping
+        mappable = [p.name for p in app.als.kpn.mappable_processes()]
+        recorded = []
+
+        def record(trace, config, iteration, candidate, mapping_before, cost, accepted):
+            moves = step2_module._proposed_moves(mapping_before, candidate)
+            assignment = {p: mapping_before.tile_of(p) for p in mappable}
+            assignment.update(moves)
+            tiles = {p: mapping_before.tile_of(p) for p in moves}
+            recorded.append((assignment, tiles, moves))
+            real_record(trace, config, iteration, candidate, mapping_before, cost, accepted)
+
+        real_record = step2_module._record
+        monkeypatch.setattr(step2_module, "_record", record)
+        trace = refine_tile_assignment(
+            initial, app.als, platform, config=MapperConfig(step2_strategy=strategy)
+        ).trace
+
+        assert len(trace.iterations) == len(recorded) > 0
+        assert any(row.accepted for row in trace.iterations)
+        for row, (assignment, tiles, moves) in zip(trace.iterations, recorded):
+            assert row.assignment == assignment
+            assert row.moves == tuple((p, tiles[p], moves[p]) for p in moves)
+            if len(moves) == 1:
+                ((process, target),) = moves.items()
+                assert row.description == f"move {process} from {tiles[process]} to {target}"
+            else:
+                a, b = moves
+                assert row.description == f"swap {a} ({tiles[a]}) with {b} ({tiles[b]})"
