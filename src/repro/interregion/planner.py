@@ -134,7 +134,9 @@ class InterRegionPlanner:
         # Segments skip the per-segment step-4 analysis: feasibility is
         # decided once, on the composed whole-application graph, so running
         # it per sub-graph would only pay the dataflow simulation twice.
-        self._segment_config = replace(pipeline.config, run_feasibility_analysis=False)
+        self._segment_config = replace(
+            pipeline.mapper_config, run_feasibility_analysis=False
+        )
         self._segment_mappers: dict[int, SpatialMapper] = {}
 
     # ------------------------------------------------------------------ #
@@ -676,17 +678,16 @@ class InterRegionPlanner:
         status = MappingStatus.FEASIBLE if step4.feasible else MappingStatus.ADHERENT
         if pipeline.require_feasible and not step4.feasible:
             raise PlanRejected(step4.report.reason or "QoS constraints not satisfied")
-        result = MappingResult(
+        # A planner result is a runtime decision: settled, without its graph.
+        return MappingResult(
             mapping=step4.mapping,
             status=status,
             energy_nj_per_iteration=mapping_energy_nj(
                 step4.mapping, als, pipeline.platform, pipeline.config.cost_model
             ),
             manhattan_cost=manhattan_cost(step4.mapping, als, pipeline.platform),
+            feasibility=step4.report,
         )
-        result.feasibility = step4.report
-        result.mapped_csdf = step4.mapped_csdf
-        return result
 
     # ------------------------------------------------------------------ #
     # Atomic commit

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
 from repro.csdf.graph import CSDFGraph
@@ -69,7 +69,9 @@ class MappingResult:
         Step-4 analysis report, when the analysis ran.
     mapped_csdf:
         The mapped CSDF graph (application actors + router actors), when
-        constructed — this is the paper's Figure 3 artefact.
+        constructed — this is the paper's Figure 3 artefact.  Only a direct
+        :meth:`~repro.spatialmapper.mapper.SpatialMapper.map` call returns
+        it; the :meth:`settled` form the runtime keeps drops it.
     iterations:
         Number of outer feedback iterations the mapper performed.
     runtime_s:
@@ -92,6 +94,22 @@ class MappingResult:
     runtime_s: float = 0.0
     diagnostics: list[str] = field(default_factory=list)
     pending_feedback: list["Feedback"] = field(default_factory=list)
+
+    def settled(self) -> "MappingResult":
+        """This result without its search artefacts: the form the runtime keeps.
+
+        The mapped CSDF graph and the pending step feedback are dropped;
+        the mapping, status, energy and Manhattan figures, feasibility
+        report, iterations, runtime and (copied) diagnostics are kept.  No
+        settlement, cache hit or differential key reads the dropped two,
+        and a kept graph would make memory grow with every settled request.
+        """
+        return replace(
+            self,
+            mapped_csdf=None,
+            pending_feedback=[],
+            diagnostics=list(self.diagnostics),
+        )
 
     @property
     def is_feasible(self) -> bool:

@@ -119,7 +119,7 @@ class RuntimeResourceManager:
         corridor_budget_fraction: float = 0.5,
     ) -> None:
         self.platform = platform
-        self.library = library or ImplementationLibrary()
+        self.library = library if library is not None else ImplementationLibrary()
         self.config = config or MapperConfig()
         self.require_feasible = require_feasible
         self.pipeline = AdmissionPipeline(

@@ -54,7 +54,16 @@ MAX_REGION_ATTEMPTS = 2
 
 @dataclass
 class AdmissionDecision:
-    """Per-application outcome of one trip through the admission pipeline."""
+    """Per-application outcome of one trip through the admission pipeline.
+
+    :meth:`AdmissionPipeline.decide` returns every decision in its
+    :meth:`settled` form: an admitted decision carries the mapping with its
+    status, energy, feasibility report, diagnostics and runtime, but not
+    the mapped CSDF graph or the mapper's pending feedback.  The same
+    object settles the request on the serial executor, in the engine's
+    lanes and, pickled, across the process boundary; the queue and the
+    running registry keep it for as long as they keep the request.
+    """
 
     application: str
     admitted: bool
@@ -67,25 +76,14 @@ class AdmissionDecision:
     #: free-text ``reason``.
     origin: str = "pipeline"
 
-    def as_transport(self) -> "AdmissionDecision":
-        """A transport-safe copy of this decision for crossing process boundaries.
+    def settled(self) -> "AdmissionDecision":
+        """This decision with its result in :meth:`MappingResult.settled` form.
 
-        Everything settlement needs — admitted/reason, the mapping and its
-        energy/feasibility figures and the mapper runtime — is carried
-        verbatim.  The mapped CSDF graph
-        and the mapper's pending step feedback are dropped: both are
-        worker-local search artefacts no finalisation or differential key
-        reads, and they dominate the pickled size.
+        A decision without a result (every rejection) is returned as is.
         """
-        result = self.result
-        if result is not None:
-            result = replace(
-                result,
-                mapped_csdf=None,
-                pending_feedback=[],
-                diagnostics=list(result.diagnostics),
-            )
-        return replace(self, result=result)
+        if self.result is None:
+            return self
+        return replace(self, result=self.result.settled())
 
 
 class AdmissionPipeline:
@@ -107,6 +105,7 @@ class AdmissionPipeline:
         "region" of ``None``).
     mapper_factory:
         ``(platform, library, config) -> mapper`` hook, e.g. for baselines.
+        It receives :attr:`mapper_config`.
         Region-scoped mapping requires the produced mapper to accept
         ``map(als, state, region=...)``; factories used without a partition
         only need the plain ``map(als, state)`` interface.
@@ -136,8 +135,11 @@ class AdmissionPipeline:
         region_fallback: bool = True,
     ) -> None:
         self.platform = platform
-        self.library = library or ImplementationLibrary()
+        self.library = library if library is not None else ImplementationLibrary()
         self.config = config or MapperConfig()
+        #: What the pipeline's mappers are built with: its config without
+        #: the step-2 trace, which no runtime stage reads.
+        self.mapper_config = replace(self.config, keep_step2_trace=False)
         self.state = state if state is not None else PlatformState(platform)
         self.partition = partition
         self.require_feasible = require_feasible
@@ -256,13 +258,13 @@ class AdmissionPipeline:
         if effective is self.library:
             if self._default_mapper is None:
                 self._default_mapper = self._mapper_factory(
-                    self.platform, effective, self.config
+                    self.platform, effective, self.mapper_config
                 )
             return self._default_mapper
         custom = self._custom_mapper
         if custom is not None and custom[0] is effective:
             return custom[1]
-        mapper = self._mapper_factory(self.platform, effective, self.config)
+        mapper = self._mapper_factory(self.platform, effective, self.mapper_config)
         self._custom_mapper = (effective, mapper)
         return mapper
 
@@ -420,6 +422,9 @@ class AdmissionPipeline:
         emits a ``decide`` span with region-selection / per-attempt map /
         cache-lookup / mapper-step / commit children.  Tracing only ever
         observes — decisions are bit-identical with it on or off.
+
+        The decision comes back in its :meth:`AdmissionDecision.settled`
+        form on every path (region attempt, global fallback, planner).
         """
         tracer = self.tracer
         metrics = self.metrics
@@ -431,7 +436,7 @@ class AdmissionPipeline:
         if span is None and metrics is None:
             return self._decide(
                 als, library, candidates=candidates, use_interregion=use_interregion
-            )
+            ).settled()
         start_ns = span.start_ns if span is not None else time.perf_counter_ns()
         decision = self._decide(
             als,
@@ -439,7 +444,7 @@ class AdmissionPipeline:
             candidates=candidates,
             use_interregion=use_interregion,
             trace=span.context() if span is not None else None,
-        )
+        ).settled()
         end_ns = time.perf_counter_ns()
         if span is not None:
             span.attrs["admitted"] = decision.admitted
@@ -654,13 +659,14 @@ class AdmissionPipeline:
 
         The engine's multi-region lane calls this with the request's
         planner scope; a rejection is final for this stage only — the
-        caller retries through the serialized global lane.
+        caller retries through the serialized global lane.  Like
+        :meth:`decide`, it returns the settled form.
         """
         if self.interregion is None:
             return AdmissionDecision(
                 als.name, False, "inter-region: no planner configured"
             )
-        return self.interregion.decide(als, library, scope=scope)
+        return self.interregion.decide(als, library, scope=scope).settled()
 
     def regions_of(self, application: str) -> tuple[str, ...]:
         """Names of the regions a running application's allocations landed in."""

@@ -345,7 +345,7 @@ def decide_jobs(
             JobResponse(
                 ticket=job.ticket,
                 base_fingerprint=base,
-                decision_blob=dump_frame(decision.as_transport()),
+                decision_blob=dump_frame(decision),
                 delta_blob=delta_blob,
                 mapper_invocations=pipeline.mapper_invocations - invocations_before,
                 wall_s=wall_s,

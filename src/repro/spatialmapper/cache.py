@@ -64,10 +64,14 @@ class CacheStats:
 class MapperCache:
     """LRU cache of :class:`~repro.mapping.result.MappingResult` objects.
 
-    Results are stored once and *cloned* on every hit: the clone shares the
-    immutable pieces (assignments, routes, feasibility report, mapped CSDF
-    graph) but carries fresh containers, so a caller mutating its result
-    (e.g. appending diagnostics) cannot corrupt later hits.
+    Results are stored once, in their
+    :meth:`~repro.mapping.result.MappingResult.settled` form (no mapped CSDF
+    graph, no pending feedback), and *cloned* on every hit: the clone shares
+    the immutable pieces (assignments, routes, feasibility report) but
+    carries fresh containers, so a caller mutating its result (e.g.
+    appending diagnostics) cannot corrupt later hits.  The admission
+    pipeline settles every decision anyway, so a hit answers it exactly as
+    the fresh map did.
 
     The cache takes no lock: only the engine's decider thread uses it
     (drain worker processes keep their own caches).
@@ -102,8 +106,8 @@ class MapperCache:
         return self._clone(entry.result)
 
     def store(self, key: tuple, als: Any, library: Any, result: MappingResult) -> None:
-        """Memoise a freshly computed result (a private clone is kept)."""
-        clone = self._clone(result)
+        """Memoise a freshly computed result (a private settled copy is kept)."""
+        clone = replace(result.settled(), mapping=result.mapping.copy())
         self._entries[key] = _CacheEntry(als=als, library=library, result=clone)
         self._entries.move_to_end(key)
         while len(self._entries) > self.maxsize:

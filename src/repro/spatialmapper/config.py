@@ -73,7 +73,12 @@ class MapperConfig:
     cost_model:
         Weights of the full energy objective.
     keep_step2_trace:
-        Record every step-2 iteration (needed to regenerate Table 2).
+        Record every step-2 iteration (needed to regenerate Table 2).  The
+        admission pipeline and the inter-region planner build their mappers
+        with it off, since no runtime stage reads a step-2 trace; Table 2,
+        the benchmark's ``paper_cold`` check and direct
+        :class:`~repro.spatialmapper.mapper.SpatialMapper` callers keep the
+        default and their rows.
     rescue_searchers:
         Number of seeded random-placement searchers the rescue lane runs
         when the refinement loop ends without a feasible mapping; ``0``

@@ -158,8 +158,19 @@ def rescue_seed(
     under process/channel renaming and across executors, so the whole lane
     replays bit-identically for identical requests.
     """
-    base = zlib.crc32(repr((shape_fingerprint(als, library), fingerprint)).encode())
-    return zlib.crc32(f"{base}:{searcher}".encode())
+    return _searcher_seed(_request_digest(als, library, fingerprint), searcher)
+
+
+def _request_digest(
+    als: ApplicationLevelSpec, library: ImplementationLibrary, fingerprint: object
+) -> int:
+    """The per-request half of :func:`rescue_seed`, shared by every searcher."""
+    return zlib.crc32(repr((shape_fingerprint(als, library), fingerprint)).encode())
+
+
+def _searcher_seed(request_digest: int, searcher: int) -> int:
+    """The seed of one searcher from its request's digest."""
+    return zlib.crc32(f"{request_digest}:{searcher}".encode())
 
 
 @dataclass
@@ -255,8 +266,9 @@ def rescue_search(
     # searcher) and every placement draws against a copy of the same
     # residuals, so no placement depends on how an earlier one fared.
     drawn: list[tuple[float, int, Mapping]] = []
+    request_digest = _request_digest(als, library, fingerprint)
     for searcher in range(config.rescue_searchers):
-        rng = Random(rescue_seed(als, library, fingerprint, searcher))
+        rng = Random(_searcher_seed(request_digest, searcher))
         for _ in range(config.rescue_attempts):
             mapping = _random_placement(
                 rng, als, platform, library, state, pinned, pinned_residuals,

@@ -35,7 +35,9 @@ from repro.runtime.engine import (
     SerialRegionExecutor,
     WorkloadEngine,
 )
+from repro.runtime.events import StartEvent, StopEvent
 from repro.runtime.manager import RuntimeResourceManager
+from repro.runtime.scenario import Scenario
 from repro.spatialmapper.config import MapperConfig
 from repro.workloads import hiperlan2
 from repro.workloads.arrivals import (
@@ -44,7 +46,11 @@ from repro.workloads.arrivals import (
     TrafficClass,
     generate_workload,
 )
-from repro.workloads.synthetic import SyntheticConfig, generate_application
+from repro.workloads.synthetic import (
+    SyntheticConfig,
+    generate_application,
+    generate_region_mesh,
+)
 
 MILLISECOND = 1e6
 
@@ -225,6 +231,71 @@ def two_region_workload(
     return generate_workload(
         seed, horizon_ns, classes if classes is not None else two_region_classes(), name=name
     )
+
+
+# --------------------------------------------------------------------------- #
+# The packing regime: a memory-tight multi-slot mesh with the rescue lane
+# --------------------------------------------------------------------------- #
+#: Mapper configuration of the packing regime: the rescue lane under a
+#: 20 000-event ledger.
+PACKING_CONFIG = MapperConfig(
+    analysis_iterations=3, rescue_searchers=6, rescue_attempts=4, rescue_budget=20_000
+)
+PACKING_CELLS = ((0, 0), (1, 0), (0, 1), (1, 1))
+
+
+def packing_app(seed, name="app", io_tile="io_r0_0", stages=4):
+    """A memory-heavy application for the packing regime."""
+    config = SyntheticConfig(
+        stages=stages,
+        period_ns=60_000.0,
+        tokens_range=(16, 64),
+        tile_types=("GPP", "DSP"),
+        memory_choices=(2048, 4096, 8192, 12288),
+    )
+    return generate_application(
+        seed, config, name=name, source_tile=io_tile, sink_tile=io_tile
+    )
+
+
+def packing_manager(**kwargs) -> RuntimeResourceManager:
+    """A manager over a fresh 2x2-region packing mesh (4 slots, 16 kB per tile).
+
+    Keyword arguments are forwarded to :class:`RuntimeResourceManager`;
+    ``config`` defaults to :data:`PACKING_CONFIG`.
+    """
+    platform = generate_region_mesh(
+        2, 3, max_processes_per_tile=4, tile_memory_bytes=16 * 1024
+    )
+    kwargs.setdefault("config", PACKING_CONFIG)
+    return RuntimeResourceManager(
+        platform, partition=RegionPartition.grid(platform, 2, 2), **kwargs
+    )
+
+
+def packing_workload(probes: int, seed: int = 7) -> Scenario:
+    """Four residents fill the mesh, then one probe per millisecond.
+
+    Regions take turns; each probe stays 0.5 ms, so every probe meets the
+    residents alone, and its stage count cycles through 3-6.
+    """
+    events = []
+    for index in range(4 + probes):
+        resident = index < 4
+        cell = PACKING_CELLS[index % 4]
+        app = packing_app(
+            (900 if resident else seed * 1000) + index,
+            name=f"resident{index}" if resident else f"probe{index - 4}",
+            io_tile=f"io_r{cell[0]}_{cell[1]}",
+            stages=3 + index // 4 % 4,
+        )
+        arrival = index * MILLISECOND
+        events.append(StartEvent(time_ns=arrival, als=app.als, library=app.library))
+        if not resident:
+            events.append(
+                StopEvent(time_ns=arrival + 0.5 * MILLISECOND, application=app.als.name)
+            )
+    return Scenario("packing", duration_ns=(probes + 5) * MILLISECOND).extend(events)
 
 
 # --------------------------------------------------------------------------- #

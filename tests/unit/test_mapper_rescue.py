@@ -46,24 +46,10 @@ from repro.workloads.synthetic import (
     generate_application,
     generate_region_mesh,
 )
-from tests.harness import make_app
+from tests.harness import make_app, packing_app
 
 BASE = MapperConfig(analysis_iterations=3)
 RESCUE = replace(BASE, rescue_searchers=6, rescue_attempts=4)
-
-
-def packing_app(seed, name="app", io_tile="io_r0_0", stages=4):
-    """A memory-heavy application for the packing regime (see fixture)."""
-    config = SyntheticConfig(
-        stages=stages,
-        period_ns=60_000.0,
-        tokens_range=(16, 64),
-        tile_types=("GPP", "DSP"),
-        memory_choices=(2048, 4096, 8192, 12288),
-    )
-    return generate_application(
-        seed, config, name=name, source_tile=io_tile, sink_tile=io_tile
-    )
 
 
 def assignments_of(result):
@@ -160,6 +146,28 @@ class TestRescueSeed:
             assert rescue_seed(
                 alpha.als, alpha.library, fingerprint, searcher
             ) == rescue_seed(beta.als, beta.library, fingerprint, searcher)
+
+    def test_every_searcher_draws_from_its_rescue_seed(self, rescue_case, monkeypatch):
+        """The lane derives the per-request digest once per call; each
+        searcher's generator is still seeded with exactly ``rescue_seed``."""
+        platform, state, region, app = rescue_case
+        seeds = []
+
+        class RecordingRandom(random.Random):
+            def __init__(self, seed):
+                seeds.append(seed)
+                super().__init__(seed)
+
+        monkeypatch.setattr(rescue_module, "Random", RecordingRandom)
+        result = SpatialMapper(platform, app.library, RESCUE).map(
+            app.als, state, region=region
+        )
+        assert result.status is MappingStatus.FEASIBLE
+        fingerprint = region.fingerprint(state)
+        assert seeds == [
+            rescue_seed(app.als, app.library, fingerprint, searcher)
+            for searcher in range(RESCUE.rescue_searchers)
+        ]
 
     def test_state_fingerprint_enters_the_seed(self):
         app = packing_app(5)

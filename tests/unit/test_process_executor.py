@@ -111,7 +111,6 @@ class TestFoldDiscipline:
         )
         admitted = procdrain.dump_frame(
             pipeline.decide(job.request.als, job.request.library, candidates=(job.region,))
-            .as_transport()
         )
         # Undo that probe decision's commit so the engine state is clean.
         pipeline.release("squeezed")

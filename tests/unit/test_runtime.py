@@ -2,12 +2,14 @@
 
 import pytest
 
+from repro.appmodel.library import ImplementationLibrary
 from repro.exceptions import AdmissionError
 from repro.runtime.accounting import EnergyAccount
 from repro.runtime.events import StartEvent, StopEvent
 from repro.runtime.manager import RuntimeResourceManager
 from repro.runtime.scenario import Scenario, run_scenario
 from repro.spatialmapper.config import MapperConfig
+from repro.spatialmapper.mapper import SpatialMapper
 from repro.workloads import hiperlan2
 from repro.workloads.receivers import build_drm_library, build_drm_receiver_als
 from tests.harness import make_app, make_manager
@@ -74,6 +76,34 @@ class TestManager:
         assert manager.total_power_mw() == 0.0
         manager.start(hiperlan_als)
         assert manager.total_power_mw() > 0.0
+
+    def test_an_empty_library_passed_in_is_kept(self, case_study):
+        """An empty library has length 0 and is falsy; the manager and its
+        pipeline must still keep the caller's object, so implementations
+        added after construction are seen."""
+        als, platform, full = case_study
+        library = ImplementationLibrary()
+        manager = RuntimeResourceManager(
+            platform, library=library, config=MapperConfig(analysis_iterations=3)
+        )
+        assert manager.library is library
+        assert manager.pipeline.library is library
+        for implementation in full.implementations():
+            library.add(implementation)
+        assert manager.start(als).is_feasible
+
+    def test_pipeline_mappers_record_no_step2_rows(self, manager, hiperlan_als):
+        """No runtime stage reads a step-2 trace, so the pipeline's mappers
+        record none; the caller's config and a direct mapper keep the rows."""
+        manager.start(hiperlan_als)
+        mapper = manager._mapper_for(None)
+        assert mapper.config.keep_step2_trace is False
+        assert manager.config.keep_step2_trace is True
+        step2 = mapper.last_trace.step2_traces
+        assert step2 and all(trace.iterations == [] for trace in step2)
+        direct = SpatialMapper(manager.platform, manager.library, manager.config)
+        direct.map(hiperlan_als)
+        assert direct.last_trace.last_step2_trace.iterations
 
     def test_mapper_reused_across_starts(self, manager, hiperlan_als):
         first = manager._mapper_for(None)
