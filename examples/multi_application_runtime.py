@@ -10,9 +10,9 @@ through the discrete-event workload engine with the serial region
 executor, the inter-region corridor planner and cache-aware rejection
 parking.  The engine's per-lane telemetry shows where requests settle
 (region lanes, the multi-region lane, the residual global lane); the same
-workload is then replayed on the process-parallel snapshot-out /
-delta-in executor (decision-identical, with per-worker traffic
-telemetry) and the offered load is swept to trace the
+workload is then replayed on the process-parallel executor, which ships
+each lane's region snapshot to a drain worker (decision-identical, with
+per-worker traffic telemetry) and the offered load is swept to trace the
 admission-rate-versus-load curve the run-time mapper exists to bend.
 
 Run with:  python examples/multi_application_runtime.py
@@ -131,8 +131,8 @@ def print_telemetry(outcome):
     """Render every telemetry table from the run's metrics registry snapshot.
 
     One source: the engine's folded :class:`~repro.obs.MetricsRegistry`
-    (``outcome.metrics``) — lane settlements, per-worker executor traffic and step-4 analysis work all arrive through the same
-    fold, so the tables below are pivots of one flat counter namespace.
+    (``outcome.metrics``) — lane settlements, per-worker executor
+    traffic and step-4 analysis work all arrive through the same fold, so the tables below are pivots of one flat counter namespace.
     """
     counters = outcome.metrics["counters"]
     lanes = {}
@@ -158,11 +158,9 @@ def print_telemetry(outcome):
     worker_rows = [
         (
             worker,
-            f"{int(stats.get('full_dispatches', 0))}",
-            f"{int(stats.get('delta_dispatches', 0))}",
+            f"{int(stats.get('dispatches', 0))}",
             f"{int(stats.get('requests', 0))}",
             f"{stats.get('snapshot_bytes', 0) / 1024:.1f} KiB",
-            f"{stats.get('delta_dispatch_bytes', 0) / 1024:.1f} KiB",
             f"{stats.get('delta_bytes', 0) / 1024:.1f} KiB",
             f"{int(stats.get('stale_redecides', 0))}",
             f"{stats.get('worker_wall_s', 0.0) * 1e3:.2f} ms",
@@ -171,8 +169,8 @@ def print_telemetry(outcome):
     ]
     if worker_rows:
         print(format_table(
-            ["Drain worker", "Fulls", "Deltas", "Requests", "Snapshots out",
-             "Delta frames out", "Deltas in", "Stale", "Wall"],
+            ["Drain worker", "Dispatches", "Requests", "Snapshots out",
+             "Deltas in", "Stale", "Wall"],
             worker_rows,
             title="Process-executor telemetry (per worker)",
         ))
@@ -291,7 +289,7 @@ def main():
     print_telemetry(outcome)
     print()
 
-    print("Same workload, process-parallel drain (snapshot-out / delta-in):")
+    print("Same workload, process-parallel drain (one region snapshot per lane):")
     process_outcome = run_workload(1.0, executor="process")
     identical = (
         process_outcome.decision_log() == outcome.decision_log()

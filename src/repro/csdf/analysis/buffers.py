@@ -53,7 +53,9 @@ def sufficient_buffer_capacities(
     With ``early_exit`` the simulation stops once its state repeats at an
     iteration boundary: from there the execution replays the observed cycle,
     so the occupancy maxima have stabilised and further iterations cannot
-    raise them.  The returned capacities are identical to the full run's.
+    raise them (the event loop stops early only where every time of the
+    run is an exact float).  The returned capacities are identical to the
+    full run's.
     ``budget`` is an optional
     :class:`~repro.csdf.analysis.budget.AnalysisBudget` charged with the
     run's simulated events.

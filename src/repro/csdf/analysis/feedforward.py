@@ -52,9 +52,10 @@ See ARCHITECTURE.md, "Self-timed simulator".
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from fractions import Fraction
 from functools import cmp_to_key
 from itertools import accumulate, chain, compress, cycle, islice, repeat
-from math import inf
+from math import inf, isfinite
 from operator import floordiv, mul
 
 from repro.csdf.analysis.simulation import SimulationResult, iteration_finish_times, simulate
@@ -572,7 +573,38 @@ def _self_timed_run(
     :func:`feed_forward_run`, every other graph on the event loop
     (:func:`~repro.csdf.analysis.simulation.simulate`).  Both give the same
     result, so the choice moves no figure and no charged firing count.
+    The event loop takes the cycle exit only when :func:`_exact_times`
+    holds: with rounded times a repeated state need not repeat again.
     """
     if _unbounded_feed_forward(graph):
         return feed_forward_run(graph, iterations, source_period_ns, cycle_exit=cycle_exit)
+    cycle_exit = cycle_exit and _exact_times(graph, iterations, source_period_ns)
     return simulate(graph, iterations, source_period_ns=source_period_ns, cycle_exit=cycle_exit)
+
+
+def _exact_times(graph: CSDFGraph, iterations: int, source_period_ns: float | None) -> bool:
+    """Whether every time of the event loop's run is an exact float.
+
+    Each time is a release ``k * period`` or a start plus a phase duration,
+    so each is a multiple of the grain, the largest power of two dividing
+    every duration and the period, and none exceeds ``iterations * period``
+    plus the durations of all firings.  Below ``2**53`` grains such a
+    multiple is a float, so no addition rounds and the run is
+    shift-invariant.
+    """
+    values = [source_period_ns or 0.0]
+    values += [d for actor in graph.actors for d in actor.execution_times_ns.values]
+    if not all(map(isfinite, values)):
+        return False
+    exact = [Fraction(value) for value in values]
+    repetitions = repetition_vector(graph)
+    horizon = iterations * exact[0] + iterations * sum(
+        repetitions[actor.name] * Fraction(max(actor.execution_times_ns.values))
+        for actor in graph.actors
+    )
+    exponents = [
+        (f.numerator & -f.numerator).bit_length() - f.denominator.bit_length()
+        for f in exact
+        if f
+    ]
+    return not exponents or horizon < Fraction(2) ** (53 + min(exponents))

@@ -89,9 +89,9 @@ class Region:
         return state.fingerprint(self.tile_names, self.link_names)
 
     def snapshot(self, state: PlatformState) -> RegionSnapshot:
-        """Picklable extract of this region's allocations (and fingerprint).
+        """Picklable extract of this region's allocations.
 
-        The snapshot-out half of the process drain protocol; see
+        What every lane dispatch of the process drain carries; see
         :meth:`PlatformState.snapshot_scope`.
         """
         return state.snapshot_scope(self)

@@ -47,7 +47,6 @@ cannot leak into a sibling region.
 from __future__ import annotations
 
 import hashlib
-from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -83,21 +82,16 @@ class LinkAllocation:
 class RegionSnapshot:
     """Picklable region-local extract of a :class:`PlatformState`.
 
-    This is what crosses the process boundary in the engine's
-    snapshot-out / delta-in drain protocol: the scope's allocation lists
-    (in their exact engine-side order) plus the scope fingerprint they were
-    taken under.  Preserving list order matters — the cached aggregates are
-    float sums over those lists, so a reordered snapshot could rebuild to a
-    state whose fingerprint differs in the last bit.  A snapshot taken from
-    a state and rebuilt with :meth:`build_state` therefore reproduces the
-    scope's :meth:`PlatformState.fingerprint` bit-identically (the property
-    tests pin exactly this).
+    This is what every lane dispatch of the process drain carries across
+    the process boundary: the scope's allocation lists, in their exact
+    engine-side order.  Preserving list order matters — the cached
+    aggregates are float sums over those lists, so a reordered snapshot
+    could rebuild to a state whose fingerprint differs in the last bit.  A
+    snapshot taken from a state and rebuilt with :meth:`build_state`
+    therefore reproduces the scope's :meth:`PlatformState.fingerprint`
+    bit-identically (the property tests pin exactly this).
     """
 
-    scope_name: str
-    tile_names: tuple[str, ...]
-    link_names: tuple[str, ...]
-    fingerprint: tuple
     tile_occupants: tuple[tuple[str, tuple[ProcessAllocation, ...]], ...]
     link_allocations: tuple[tuple[str, tuple[LinkAllocation, ...]], ...]
 
@@ -105,8 +99,8 @@ class RegionSnapshot:
         """A fresh state holding exactly this snapshot's allocations.
 
         Aggregates are recomputed from the (order-preserved) allocation
-        lists, so the rebuilt state's scope fingerprint equals
-        :attr:`fingerprint` exactly.  Tiles and links outside the scope are
+        lists, so the rebuilt state's scope fingerprint equals the source
+        state's exactly.  Tiles and links outside the scope are
         empty — a worker deciding strictly inside the scope never reads
         them.
         """
@@ -140,158 +134,12 @@ def fingerprint_digest(fingerprint: tuple) -> bytes:
     Fingerprint tuples contain only primitives (names, counts, exact float
     aggregates), so their ``repr`` is a canonical serialisation — equal
     tuples digest equally in any process, regardless of object identity.
-    The delta-dispatch wire protocol chains these digests instead of the
-    raw tuples: a fingerprint grows with region occupancy, while its
-    digest keeps every journaled op O(its own change).
+    A drain worker tags each decision with the digest of the region
+    fingerprint it decided against, and the engine folds the decision only
+    while its own region fingerprint digests equally: a fingerprint grows
+    with region occupancy, its digest stays 20 bytes.
     """
     return hashlib.sha1(repr(fingerprint).encode("utf-8")).digest()
-
-
-@dataclass(frozen=True)
-class RegionDeltaOp:
-    """One journaled mutation of a region, as replayable transport data.
-
-    Ops form a chain: op ``seq`` transforms the region state whose
-    fingerprint digests to the previous op's :attr:`target_fingerprint`
-    (or the journal base) into the state digesting to this op's
-    ``target_fingerprint`` (both via :func:`fingerprint_digest`).  A
-    ``commit`` op carries the :class:`AllocationDelta` to fold; a
-    ``release`` op carries only the application name — release re-sums
-    aggregates from the survivors, so replaying the *logical* operation (and
-    not a net diff) is what keeps the float fingerprints bit-identical
-    between engine and worker.
-    """
-
-    seq: int
-    kind: str  # "commit" | "release"
-    application: str
-    delta: AllocationDelta | None
-    target_fingerprint: bytes
-
-
-#: Ops each region journal keeps; a drain worker idle for longer than this
-#: window is re-sent one counted full snapshot.
-JOURNAL_CAPACITY = 512
-
-
-class RegionJournal:
-    """Bounded, ordered log of the delta ops committed on one region.
-
-    The engine's stateful drain protocol keys delta dispatches off this:
-    a worker acknowledges (seq, fingerprint-digest) watermarks, and
-    :meth:`ops_since` returns the chain of ops that carries the worker from
-    its watermark to the journal tip — or ``None`` when the watermark fell
-    off the bounded window (evicted) or its digest no longer matches
-    the chain, in which case the engine must fall back to a full snapshot.
-    All fingerprints handled here are :func:`fingerprint_digest` bytes.
-    """
-
-    __slots__ = (
-        "scope_name",
-        "tile_names",
-        "link_names",
-        "_tile_set",
-        "_link_set",
-        "capacity",
-        "_ops",
-        "base_seq",
-        "base_fingerprint",
-        "evictions",
-        "resets",
-    )
-
-    def __init__(self, scope, base_fingerprint: bytes, capacity: int = JOURNAL_CAPACITY) -> None:
-        if capacity < 1:
-            raise PlatformError("region journal capacity must be >= 1")
-        self.scope_name: str = scope.name
-        self.tile_names: tuple[str, ...] = tuple(scope.tile_names)
-        self.link_names: tuple[str, ...] = tuple(scope.link_names)
-        self._tile_set = frozenset(self.tile_names)
-        self._link_set = frozenset(self.link_names)
-        self.capacity = capacity
-        self._ops: deque[RegionDeltaOp] = deque()
-        self.base_seq = 0
-        self.base_fingerprint = base_fingerprint
-        self.evictions = 0
-        self.resets = 0
-
-    def __len__(self) -> int:
-        return len(self._ops)
-
-    @property
-    def tip_seq(self) -> int:
-        """Sequence number of the newest journaled op (= base when empty)."""
-        return self.base_seq + len(self._ops)
-
-    @property
-    def tip_fingerprint(self) -> bytes:
-        """Digest of the region fingerprint after the newest journaled op."""
-        return self._ops[-1].target_fingerprint if self._ops else self.base_fingerprint
-
-    def covers_delta(self, processes, links) -> bool:
-        """Whether any of the given records touch this journal's region."""
-        return any(p.tile in self._tile_set for p in processes) or any(
-            link.link in self._link_set for link in links
-        )
-
-    def filter_delta(self, application: str, processes, links) -> AllocationDelta:
-        """The region-local part of a commit, record order preserved."""
-        return AllocationDelta(
-            application=application,
-            processes=tuple(p for p in processes if p.tile in self._tile_set),
-            links=tuple(link for link in links if link.link in self._link_set),
-        )
-
-    def append(self, kind: str, application: str, delta: AllocationDelta | None,
-               target_fingerprint: bytes) -> RegionDeltaOp:
-        """Journal one op at the tip; evicts the oldest op past capacity."""
-        op = RegionDeltaOp(
-            seq=self.tip_seq + 1,
-            kind=kind,
-            application=application,
-            delta=delta,
-            target_fingerprint=target_fingerprint,
-        )
-        self._ops.append(op)
-        if len(self._ops) > self.capacity:
-            evicted = self._ops.popleft()
-            self.base_seq = evicted.seq
-            self.base_fingerprint = evicted.target_fingerprint
-            self.evictions += 1
-        return op
-
-    def ops_since(self, seq: int, fingerprint: bytes) -> tuple[RegionDeltaOp, ...] | None:
-        """The op chain from watermark (seq, fingerprint) to the tip.
-
-        ``None`` means the watermark cannot be bridged: the seq fell off the
-        bounded window, runs ahead of the tip, or the fingerprint recorded
-        at that seq does not match — all three force a snapshot fallback.
-        """
-        if seq < self.base_seq or seq > self.tip_seq:
-            return None
-        if seq == self.base_seq:
-            expected = self.base_fingerprint
-        else:
-            expected = self._ops[seq - self.base_seq - 1].target_fingerprint
-        if fingerprint != expected:
-            return None
-        if seq == self.tip_seq:
-            return ()
-        start = seq - self.base_seq
-        return tuple(self._ops[i] for i in range(start, len(self._ops)))
-
-    def reset(self, fingerprint: bytes) -> None:
-        """Drop the op window, rebasing at the given fingerprint.
-
-        Called when the engine detects an un-journaled mutation (journal tip
-        no longer matches the live region fingerprint).  Sequence numbers
-        stay monotonic across resets so stale worker watermarks can never
-        alias a rebased chain.
-        """
-        self.base_seq = self.tip_seq
-        self._ops.clear()
-        self.base_fingerprint = fingerprint
-        self.resets += 1
 
 
 class StateTransaction:
@@ -437,12 +285,6 @@ class PlatformState:
     # Open transaction scopes, outermost first.
     _transactions: list[StateTransaction] = field(
         default_factory=list, init=False, repr=False
-    )
-    #: Per-region delta journals (:class:`RegionJournal`), keyed by region
-    #: name.  Empty until a stateful process executor registers regions via
-    #: :meth:`region_journal`, so serial runs pay nothing.
-    region_journals: dict[str, RegionJournal] = field(
-        default_factory=dict, init=False, repr=False
     )
 
     def __post_init__(self) -> None:
@@ -725,146 +567,24 @@ class PlatformState:
     def snapshot_scope(self, scope) -> RegionSnapshot:
         """Extract a picklable :class:`RegionSnapshot` of one scope.
 
-        ``scope`` is anything with ``name``, ``tile_names`` and
-        ``link_names`` (in practice a
-        :class:`~repro.platform.regions.Region`).  Allocation lists are
+        ``scope`` is anything with ``tile_names`` and ``link_names`` (in
+        practice a :class:`~repro.platform.regions.Region`).  Allocation lists are
         copied in their live order, so rebuilding the snapshot reproduces
         the scope fingerprint bit-identically (float aggregate sums depend
         on summation order).
         """
-        tile_names = tuple(scope.tile_names)
-        link_names = tuple(scope.link_names)
         return RegionSnapshot(
-            scope_name=scope.name,
-            tile_names=tile_names,
-            link_names=link_names,
-            fingerprint=self.fingerprint(tile_names, link_names),
             tile_occupants=tuple(
                 (name, tuple(self._tile_occupants[name]))
-                for name in tile_names
+                for name in scope.tile_names
                 if self._tile_occupants.get(name)
             ),
             link_allocations=tuple(
                 (name, tuple(self._link_allocations[name]))
-                for name in link_names
+                for name in scope.link_names
                 if self._link_allocations.get(name)
             ),
         )
-
-    # ------------------------------------------------------------------ #
-    # Region delta journals (stateful drain protocol)
-    # ------------------------------------------------------------------ #
-    def region_journal(self, scope, capacity: int = JOURNAL_CAPACITY) -> RegionJournal:
-        """Get or create the delta journal of one region scope.
-
-        Created lazily by the stateful process executor; the journal bases
-        itself on the region's *current* fingerprint, so ops appended from
-        here on form an unbroken chain from that base.
-        """
-        journal = self.region_journals.get(scope.name)
-        if journal is None:
-            tile_names = tuple(scope.tile_names)
-            link_names = tuple(scope.link_names)
-            journal = RegionJournal(
-                scope,
-                base_fingerprint=fingerprint_digest(
-                    self.fingerprint(tile_names, link_names)
-                ),
-                capacity=capacity,
-            )
-            self.region_journals[scope.name] = journal
-        return journal
-
-    def journal_mapping_commit(self, application: str, processes, links) -> None:
-        """Journal one committed mapping into every journal it touches.
-
-        Called *after* the records were applied to this state; the target
-        fingerprint is read from the live aggregates, so it is exactly what
-        a worker replaying the op must arrive at.  Regions the mapping does
-        not touch get no op (their chains stay short).
-        """
-        if not self.region_journals:
-            return
-        for journal in self.region_journals.values():
-            if not journal.covers_delta(processes, links):
-                continue
-            journal.append(
-                "commit",
-                application,
-                journal.filter_delta(application, processes, links),
-                fingerprint_digest(
-                    self.fingerprint(journal.tile_names, journal.link_names)
-                ),
-            )
-
-    def journal_release(self, application: str, region_names=None) -> None:
-        """Journal an application release into the named regions' journals.
-
-        ``None`` broadcasts to every journal — the safe default when the
-        caller does not know which regions hold the application's records
-        (replaying a release of an absent application is a no-op that keeps
-        the fingerprint chain valid).  Called *after* the release mutated
-        this state.
-        """
-        if not self.region_journals:
-            return
-        if region_names is None:
-            journals = self.region_journals.values()
-        else:
-            journals = [
-                journal
-                for name in region_names
-                if (journal := self.region_journals.get(name)) is not None
-            ]
-        for journal in journals:
-            journal.append(
-                "release",
-                application,
-                None,
-                fingerprint_digest(
-                    self.fingerprint(journal.tile_names, journal.link_names)
-                ),
-            )
-
-    def replay_region_ops(
-        self,
-        ops,
-        tile_names: tuple[str, ...],
-        link_names: tuple[str, ...],
-        expected_seq: int | None = None,
-    ) -> int:
-        """Replay a chain of :class:`RegionDeltaOp` onto this (worker-side) state.
-
-        Validates the chain as it goes: sequence numbers must be strictly
-        consecutive (a gap or reordering raises before anything is half
-        applied *at that op*), and after every op the region fingerprint's
-        digest must equal the op's recorded target — any divergence raises
-        :class:`~repro.exceptions.PlatformError` so the worker can demand a
-        snapshot resync instead of deciding on silently wrong state.
-        Returns the seq of the last applied op (``expected_seq - 1``
-        when the chain is empty).
-        """
-        last_seq = (expected_seq - 1) if expected_seq is not None else None
-        for op in ops:
-            if last_seq is not None and op.seq != last_seq + 1:
-                raise PlatformError(
-                    f"delta chain broken: expected seq {last_seq + 1}, got "
-                    f"{op.seq} (gap or out-of-order op)"
-                )
-            if op.kind == "commit":
-                self.apply_delta(op.delta)
-            elif op.kind == "release":
-                self.release_application(op.application)
-            else:
-                raise PlatformError(f"unknown region delta op kind {op.kind!r}")
-            achieved = fingerprint_digest(self.fingerprint(tile_names, link_names))
-            if achieved != op.target_fingerprint:
-                raise PlatformError(
-                    f"delta replay diverged at seq {op.seq}: fingerprint mismatch "
-                    f"after {op.kind} of {op.application!r}"
-                )
-            last_seq = op.seq
-        return last_seq if last_seq is not None else -1
 
     def apply_delta(self, delta: AllocationDelta) -> None:
         """Fold one allocation delta into the state, allocation by allocation.

@@ -15,9 +15,9 @@ is that driver:
 * :class:`SerialRegionExecutor` / :class:`ProcessRegionExecutor` — the two
   drain back-ends.  The serial one decides every region lane on the
   engine's thread and is the decision reference; the process one ships
-  each lane's region to a worker *process* (snapshot once, digest-chained
-  deltas after) and folds the returned allocation deltas back on commit
-  (see :mod:`repro.runtime.procdrain`).
+  each lane's region snapshot to a stateless worker *process* on every
+  drain and folds the returned allocation deltas back on commit (see
+  :mod:`repro.runtime.procdrain`).
 
 Threading contract
 ------------------
@@ -220,59 +220,44 @@ def _stop_workers(pool: list) -> None:
 
 
 class ProcessRegionExecutor:
-    """Drain region lanes across *stateful* worker processes: snapshot once,
-    deltas forever.
+    """Drain region lanes across stateless worker processes.
 
-    Workers (:mod:`repro.runtime.procdrain`) keep the region-local state they last
-    rebuilt **resident between drains**, so each drain the engine ships one
-    of two per-lane frames:
-
-    * a full :class:`~repro.platform.state.RegionSnapshot`
-      (``SnapshotDispatch``) — the bootstrap and the explicit fallback;
-    * a :class:`~repro.runtime.procdrain.DeltaDispatch` — the ordered
-      :class:`~repro.platform.state.RegionDeltaOp` chain committed on the
-      region since the worker's last acknowledged (seq, fingerprint-digest)
-      watermark, read from the engine state's per-region
-      :class:`~repro.platform.state.RegionJournal`.
-
-    The delta path is taken exactly when the watermark bridges to the
-    journal tip *and* the journal tip still matches the live region
-    fingerprint; every full dispatch is **counted under its reason**
-    (``full_bootstrap``, ``full_watermark_gap``, ``full_journal_stale``,
-    ``full_resync``) — there is no silent fallback.  A
-    worker that cannot honour a delta (lost resident, base mismatch,
-    broken chain) answers *resync* and is re-sent a counted full snapshot
-    in a second pass before anything is folded.  All lanes routed to one
-    worker travel batched in a single ``send_bytes`` round-trip
+    Every lane dispatch is one
+    :class:`~repro.runtime.procdrain.SnapshotDispatch`: the lane's jobs
+    plus a :class:`~repro.platform.state.RegionSnapshot` of its region,
+    taken from the engine state at dispatch time.  Workers
+    (:mod:`repro.runtime.procdrain`) rebuild the region from it and keep
+    no region state between drains, so whatever changed the engine state
+    in between — releases, out-of-band allocations, rollbacks — reaches
+    the worker with the next snapshot.  All lanes routed to one worker
+    travel batched in a single ``send_bytes`` round-trip
     (:class:`~repro.runtime.procdrain.WorkerDispatch`), with per-lane
     frames nested as their own pickle blobs for exact byte metering.
 
     The worker runs the ordinary ``decide(candidates=(region,))`` pipeline
-    against its resident state and ships back, per admitted job, a
+    against the rebuilt region and ships back, per admitted job, a
     serialized :class:`~repro.platform.state.AllocationDelta` (exactly the
-    commit's journal records).  The engine process then *folds* each delta
-    inside a region-scoped transaction, which raises on any write outside
-    the lane's region.
+    commit's allocation records).  The engine process then *folds* each
+    delta inside a region-scoped transaction, which raises on any write
+    outside the lane's region.
 
     Stale decisions are handled explicitly, never silently committed:
-    every worker response carries the digest of the region fingerprint its decision was
-    based on, and the fold applies a delta only while the engine-side
-    fingerprint still matches (within a lane the fingerprints chain across
+    every worker response carries the digest of the region fingerprint
+    its decision was based on, and the fold applies a delta only while the
+    engine-side fingerprint still matches (within a lane the fingerprints chain across
     the lane's local commits, so a matching base proves the worker saw
     exactly the state the fold is about to mutate).  On a mismatch — or a
     delta the current state rejects — the job is re-decided on the engine
-    process through the same region-restricted pipeline, and the worker's
-    watermark is dropped (its resident diverged).  Finalisation stays on
-    the engine thread in arrival order, so sheds and cancels settle
-    exactly once, and decisions are identical to the serial executor's
-    (the differential suites pin this).
+    process through the same region-restricted pipeline.  Finalisation
+    stays on the engine thread in arrival order, so sheds and cancels
+    settle exactly once, and decisions are identical to the serial
+    executor's (the differential suites pin this).
 
     Lanes are assigned to workers by a stable hash of the lane name, so a
-    region's dispatches keep hitting the same worker and its resident
-    state and region-scoped mapper-cache warmth accumulate.  ALS/library
-    payloads are digested once on the engine side and shipped to each
-    worker at most once per intern window (steady-state job specs carry
-    digests only).  Workers are started lazily on the first drain (the
+    region's dispatches keep hitting the same worker and its region-scoped
+    mapper-cache warmth accumulates.  ALS/library payloads are digested
+    once on the engine side and shipped to each worker at most once per
+    intern window (steady-state job specs carry digests only).  Workers are started lazily on the first drain (the
     pipeline is only known then), reused across drains and runs, and torn
     down by :meth:`close` (or the garbage collector / daemon flag as
     backstops).  Requires the pipeline's default mapper factory — a custom
@@ -280,15 +265,10 @@ class ProcessRegionExecutor:
 
     Per-worker executor stats accumulate for the executor's lifetime; the
     engine reports per-run deltas in :attr:`EngineTelemetry.workers`:
-    ``dispatches``/``requests``, ``delta_dispatches`` vs
-    ``full_dispatches`` (with the per-reason fallback counters),
-    ``snapshot_bytes`` (full-dispatch frames out),
-    ``delta_dispatch_bytes`` (delta frames out), ``delta_bytes`` (worker
-    deltas in), plus ``stale_redecides`` and ``worker_wall_s``.
-
-    Each region's journal keeps
-    :data:`~repro.platform.state.JOURNAL_CAPACITY` ops; a worker idle
-    longer than that window falls back to one counted full snapshot.
+    ``dispatches``/``requests``, ``snapshot_bytes`` (dispatch frames out),
+    ``delta_bytes`` (worker deltas in), plus ``stale_redecides`` and
+    ``worker_wall_s``.  ``delta_dispatch_bytes`` stays 0: the benchmark
+    still sums it into its frame bytes.
     """
 
     def __init__(
@@ -319,10 +299,6 @@ class ProcessRegionExecutor:
         self._pool: list[_DrainWorker] | None = None
         self._finalizer: weakref.finalize | None = None
         self._stats: dict[str, dict[str, float]] = {}
-        #: (worker name, lane) -> (journal seq, fingerprint digest) the
-        #: resident state was last acknowledged at.  Dropped whenever a
-        #: lane's fold was not clean, and wholesale on pool teardown.
-        self._watermarks: dict[tuple[str, str], tuple[int, bytes]] = {}
         #: Per-worker digests already shipped (the engine-side half of the
         #: worker intern table; cleared in lockstep via ``clear_interned``).
         self._sent_digests: dict[str, set[bytes]] = {}
@@ -360,11 +336,10 @@ class ProcessRegionExecutor:
             obs=pipeline.tracer.config if pipeline.tracer.enabled else None,
         )
         settings_blob = procdrain.dump_frame(settings)
-        # A fresh pool has empty intern tables, and unlike stale watermarks
-        # (which the resync protocol detects and repairs), a stale shipped-
-        # digest window has no self-validating fallback — a blob withheld
-        # from a worker that never saw it is a protocol error.  Drop it here
-        # rather than only in close(), so any restart path is safe.
+        # A fresh pool has empty intern tables, and a stale shipped-digest
+        # window has no self-validating fallback — a blob withheld from a
+        # worker that never saw it is a protocol error.  Drop it here rather
+        # than only in close(), so any restart path is safe.
         self._sent_digests.clear()
         pool = [
             _DrainWorker(index, self._context, settings_blob)
@@ -377,13 +352,10 @@ class ProcessRegionExecutor:
     def close(self) -> None:
         """Shut the worker pool down (idempotent; a fresh pool starts on reuse).
 
-        Worker resident states and intern tables die with the processes, so
-        the engine-side watermarks and shipped-digest windows are dropped
-        with them — a fresh pool bootstraps every lane with a counted full
-        snapshot.
+        Worker intern tables die with the processes, so the engine-side
+        shipped-digest windows are dropped with them.
         """
         self._pool = None
-        self._watermarks.clear()
         self._sent_digests.clear()
         if self._finalizer is not None:
             self._finalizer()
@@ -420,12 +392,6 @@ class ProcessRegionExecutor:
                 "snapshot_bytes": 0,
                 "delta_dispatch_bytes": 0,
                 "delta_bytes": 0,
-                "delta_dispatches": 0,
-                "full_dispatches": 0,
-                "full_bootstrap": 0,
-                "full_journal_stale": 0,
-                "full_watermark_gap": 0,
-                "full_resync": 0,
                 "stale_redecides": 0,
                 "worker_wall_s": 0.0,
             },
@@ -503,67 +469,26 @@ class ProcessRegionExecutor:
         worker: _DrainWorker,
         pipeline: AdmissionPipeline,
         sent: set[bytes],
-        force_full: str | None = None,
     ) -> bytes:
-        """Build one lane's dispatch frame: delta when bridgeable, else a
-        full snapshot counted under its reason (never silent)."""
-        state = pipeline.state
-        region = jobs[0].region
-        journal = state.region_journal(region)
-        live = fingerprint_digest(region.fingerprint(state))
-        key = (worker.name, lane)
-        reason = force_full
-        mark = None
-        ops: tuple | None = None
-        if reason is None and journal.tip_fingerprint != live:
-            # An un-journaled mutation bypassed the commit/release hooks
-            # (e.g. a batch rollback): rebase the chain and resync the
-            # worker from a snapshot.
-            journal.reset(live)
-            reason = "journal_stale"
-        if reason is None:
-            mark = self._watermarks.get(key)
-            if mark is None:
-                reason = "bootstrap"
-            else:
-                ops = journal.ops_since(*mark)
-                if ops is None:
-                    reason = "watermark_gap"
-        specs = self._job_specs(jobs, sent)
+        """Build one lane's dispatch frame: its region's snapshot plus jobs."""
+        frame = procdrain.dump_frame(
+            procdrain.SnapshotDispatch(
+                lane=lane,
+                snapshot=pipeline.state.snapshot_scope(jobs[0].region),
+                jobs=self._job_specs(jobs, sent),
+            )
+        )
         stats = self._stats_for(worker.name)
         stats["dispatches"] += 1
         stats["requests"] += len(jobs)
-        if reason is None:
-            frame = procdrain.dump_frame(
-                procdrain.DeltaDispatch(
-                    lane=lane,
-                    base_seq=mark[0],
-                    base_fingerprint=mark[1],
-                    ops=ops,
-                    jobs=specs,
-                )
-            )
-            stats["delta_dispatches"] += 1
-            stats["delta_dispatch_bytes"] += len(frame)
-        else:
-            self._watermarks.pop(key, None)
-            frame = procdrain.dump_frame(
-                procdrain.SnapshotDispatch(
-                    lane=lane, snapshot=state.snapshot_scope(region), jobs=specs
-                )
-            )
-            stats["full_dispatches"] += 1
-            stats[f"full_{reason}"] += 1
-            stats["snapshot_bytes"] += len(frame)
+        stats["snapshot_bytes"] += len(frame)
         return frame
 
     def _dispatch_round(
         self,
-        lanes_by_worker: dict[str, list[str]],
-        workers_by_name: dict[str, _DrainWorker],
+        lanes_by_worker: dict[_DrainWorker, list[str]],
         lane_jobs: dict[str, list[_RegionJob]],
         pipeline: AdmissionPipeline,
-        force_full: str | None = None,
     ) -> dict[str, procdrain.LaneResult]:
         """One batched send/receive round: every worker gets at most one
         frame holding all its lanes; answers map back by lane name.
@@ -575,10 +500,9 @@ class ProcessRegionExecutor:
         same as every other delta.
         """
         tracer = self._tracer
-        send_ns: dict[str, int] = {}
-        for worker_name, lanes in lanes_by_worker.items():
-            worker = workers_by_name[worker_name]
-            sent = self._sent_digests.setdefault(worker_name, set())
+        send_ns: dict[_DrainWorker, int] = {}
+        for worker, lanes in lanes_by_worker.items():
+            sent = self._sent_digests.setdefault(worker.name, set())
             clear_interned = False
             if len(sent) >= procdrain.INTERN_LIMIT:
                 # Engine-driven eviction, at a frame boundary: wipe both
@@ -587,22 +511,18 @@ class ProcessRegionExecutor:
                 sent.clear()
                 clear_interned = True
             frames = tuple(
-                self._assemble_lane(
-                    lane, lane_jobs[lane], worker, pipeline, sent, force_full
-                )
+                self._assemble_lane(lane, lane_jobs[lane], worker, pipeline, sent)
                 for lane in lanes
             )
-            send_ns[worker_name] = time.perf_counter_ns()
+            send_ns[worker] = time.perf_counter_ns()
             worker.conn.send_bytes(
                 procdrain.dump_frame(
                     procdrain.WorkerDispatch(frames=frames, clear_interned=clear_interned)
                 )
             )
         results: dict[str, procdrain.LaneResult] = {}
-        for worker_name in lanes_by_worker:
-            worker_results = procdrain.load_frame(
-                workers_by_name[worker_name].conn.recv_bytes()
-            )
+        for worker in lanes_by_worker:
+            worker_results = procdrain.load_frame(worker.conn.recv_bytes())
             recv_ns = time.perf_counter_ns()
             for result in worker_results:
                 results[result.lane] = result
@@ -617,7 +537,7 @@ class ProcessRegionExecutor:
                     tracer.adopt(
                         reanchor_spans(
                             result.spans,
-                            window_start_ns=send_ns[worker_name],
+                            window_start_ns=send_ns[worker],
                             window_end_ns=recv_ns,
                         )
                     )
@@ -641,38 +561,11 @@ class ProcessRegionExecutor:
         self._dispatch_spans.clear()
         pool = self._ensure_pool(pipeline)
         lanes = sorted(lane_jobs)
-        dispatched: dict[str, _DrainWorker] = {}
-        lanes_by_worker: dict[str, list[str]] = {}
-        workers_by_name: dict[str, _DrainWorker] = {}
+        dispatched = {lane: self._worker_for(pool, lane) for lane in lanes}
+        lanes_by_worker: dict[_DrainWorker, list[str]] = {}
         for lane in lanes:
-            worker = self._worker_for(pool, lane)
-            dispatched[lane] = worker
-            lanes_by_worker.setdefault(worker.name, []).append(lane)
-            workers_by_name[worker.name] = worker
-        results = self._dispatch_round(
-            lanes_by_worker, workers_by_name, lane_jobs, pipeline
-        )
-        # A worker that could not honour a delta dispatch (lost resident,
-        # base mismatch, broken chain) decided nothing: re-dispatch those
-        # lanes as full snapshots — counted, and resolved before any fold.
-        resync = {
-            lane: result.resync
-            for lane, result in results.items()
-            if result.resync is not None
-        }
-        if resync:
-            retry_by_worker: dict[str, list[str]] = {}
-            for lane in sorted(resync):
-                retry_by_worker.setdefault(dispatched[lane].name, []).append(lane)
-            results.update(
-                self._dispatch_round(
-                    retry_by_worker,
-                    workers_by_name,
-                    lane_jobs,
-                    pipeline,
-                    force_full="resync",
-                )
-            )
+            lanes_by_worker.setdefault(dispatched[lane], []).append(lane)
+        results = self._dispatch_round(lanes_by_worker, lane_jobs, pipeline)
         # Fold on commit, lane by lane in the serial executor's order.
         for lane in lanes:
             self._fold_lane(
@@ -681,7 +574,6 @@ class ProcessRegionExecutor:
                 results[lane],
                 pipeline,
                 self._stats_for(dispatched[lane].name),
-                worker_name=dispatched[lane].name,
             )
 
     def _fold_lane(
@@ -691,7 +583,6 @@ class ProcessRegionExecutor:
         result: procdrain.LaneResult,
         pipeline: AdmissionPipeline,
         stats: dict[str, float],
-        worker_name: str | None = None,
     ) -> None:
         """Fold one lane's worker responses into the engine state.
 
@@ -701,18 +592,11 @@ class ProcessRegionExecutor:
         errors surface on the job (the engine unwinds and re-raises), and a
         lane a worker aborted early leaves its remaining jobs undecided —
         exactly the serial lane-abort discipline.
-
-        A lane folded *clean* — every job answered, no error, no engine-side
-        re-decide — advances the worker's delta watermark to the journal
-        tip (which then equals the worker's acknowledged final
-        fingerprint); anything else drops the watermark, forcing a counted
-        full snapshot next dispatch.
         """
         state = pipeline.state
         region = jobs[0].region
         tracer = self._tracer
         responses = {response.ticket: response for response in result.responses}
-        clean = result.resync is None
         for job in jobs:
             fold_start_ns = (
                 time.perf_counter_ns()
@@ -721,21 +605,18 @@ class ProcessRegionExecutor:
             )
             response = responses.get(job.request.ticket)
             if response is None:
-                clean = False
                 break  # worker aborted the lane on an earlier error
             stats["worker_wall_s"] += response.wall_s
             # The worker's mapper ran for real; keep the engine-wide
             # invocation accounting honest across executors.
             pipeline.mapper_invocations += response.mapper_invocations
             if response.error is not None:
-                clean = False
                 job.error = PlatformError(
                     f"region drain worker failed in lane {lane!r}:\n"
                     f"{response.error}"
                 )
                 break
             if fingerprint_digest(region.fingerprint(state)) != response.base_fingerprint:
-                clean = False
                 stats["stale_redecides"] += 1
                 job.run(pipeline)
                 if job.error is not None:
@@ -753,7 +634,6 @@ class ProcessRegionExecutor:
                     # fits (aggregates can collide across histories);
                     # the transaction rolled everything back — re-decide
                     # against the live state instead of committing.
-                    clean = False
                     stats["stale_redecides"] += 1
                     job.run(pipeline)
                     if job.error is not None:
@@ -771,39 +651,6 @@ class ProcessRegionExecutor:
                     attrs={"lane": lane, "folded": decision.admitted},
                 )
             job.decision = decision
-        if worker_name is not None:
-            self._advance_watermark(
-                worker_name, lane, region, result, clean, state
-            )
-
-    def _advance_watermark(
-        self,
-        worker_name: str,
-        lane: str,
-        region: Region,
-        result: procdrain.LaneResult,
-        clean: bool,
-        state,
-    ) -> None:
-        """Record (or drop) one worker's post-fold delta watermark.
-
-        After a clean fold the engine journal's tip covers exactly the
-        lane's folded commits, so it must fingerprint-match the worker's
-        acknowledged resident state; if it does not (defensive — an
-        invariant breach, not an expected path), the watermark is dropped
-        and the next dispatch bootstraps from a counted snapshot.
-        """
-        key = (worker_name, lane)
-        journal = state.region_journals.get(region.name)
-        if (
-            clean
-            and journal is not None
-            and result.final_fingerprint is not None
-            and journal.tip_fingerprint == result.final_fingerprint
-        ):
-            self._watermarks[key] = (journal.tip_seq, result.final_fingerprint)
-        else:
-            self._watermarks.pop(key, None)
 
 
 # --------------------------------------------------------------------------- #

@@ -327,10 +327,7 @@ class AdmissionPipeline:
         """
         mapping = result.mapping
         with self.state.transaction(region):
-            records = self.write_allocations(als.name, mapping)
-        # Journal only once the transaction committed: a rolled-back commit
-        # must leave the region delta chains untouched.
-        self.state.journal_mapping_commit(als.name, *records)
+            self.write_allocations(als.name, mapping)
         self._note_commit(als.name, mapping)
 
     def allocation_records(
@@ -368,9 +365,7 @@ class AdmissionPipeline:
         )
         return processes, links
 
-    def write_allocations(
-        self, application: str, mapping: Mapping
-    ) -> tuple[tuple[ProcessAllocation, ...], tuple[LinkAllocation, ...]]:
+    def write_allocations(self, application: str, mapping: Mapping) -> None:
         """Allocate a mapping's processes and routed links into the state.
 
         Writes into whatever transaction scope the caller holds open —
@@ -378,15 +373,12 @@ class AdmissionPipeline:
         planner under its corridor scope (and for tentative scratch work).
         Keeping this the single allocation writer means planner-committed
         and pipeline-committed state can never diverge in bookkeeping.
-        Returns the written records so callers that must journal them
-        (:meth:`commit`) do not translate the mapping twice.
         """
         processes, links = self.allocation_records(application, mapping)
         for allocation in processes:
             self.state.allocate_process(allocation)
         for allocation in links:
             self.state.allocate_link(allocation)
-        return processes, links
 
     # ------------------------------------------------------------------ #
     # The full pipeline
@@ -634,15 +626,8 @@ class AdmissionPipeline:
         occurrence of the post-release state become servable again, which is
         exactly the churn (start/stop/start) case the cache exists for.
         """
-        regions = self._regions_of_app.get(application)
         with self.state.transaction():
             removed = self.state.release_application(application)
-        if removed:
-            # Journal the *logical* release into the delta chains (a replay
-            # re-sums survivors exactly like the engine-side release did).
-            # Unknown placement broadcasts — replaying a release of an
-            # absent application is a fingerprint-preserving no-op.
-            self.state.journal_release(application, regions or None)
         if self.interregion is not None:
             self.interregion.budgets.release_application(application)
         self._regions_of_app.pop(application, None)
@@ -677,12 +662,8 @@ class AdmissionPipeline:
 
         Both out-of-band commit paths — the inter-region planner's corridor
         commit and the engine's fold of a worker delta — land here after
-        their transaction closed, so this is also where the committed
-        records enter the region delta journals.
+        their transaction closed.
         """
-        if self.state.region_journals:
-            processes, links = self.allocation_records(application, mapping)
-            self.state.journal_mapping_commit(application, processes, links)
         self._note_commit(application, mapping)
 
     # ------------------------------------------------------------------ #

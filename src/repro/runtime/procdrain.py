@@ -3,30 +3,14 @@
 The engine decides on one thread; the only parallelism is in drain worker
 processes.  This module is the other half of
 :class:`~repro.runtime.engine.ProcessRegionExecutor` — the part that runs
-*inside* a drain worker process and the framing both sides share.  Each
-worker is single-threaded too: it mutates only its own resident copies of
-region state, never the engine's.
+*inside* a drain worker process and the framing both sides share.
 
-Workers are **stateful**: each keeps the region-local
-:class:`~repro.platform.state.PlatformState` it last rebuilt resident
-between drains, keyed by lane.  The engine therefore has two per-lane
-dispatch frames:
-
-* :class:`SnapshotDispatch` — the bootstrap (and fallback) frame: a full
-  :class:`~repro.platform.state.RegionSnapshot` of the lane's region.  The
-  worker rebuilds the region state from it and replaces its resident.
-* :class:`DeltaDispatch` — the steady-state frame: the ordered chain of
-  :class:`~repro.platform.state.RegionDeltaOp` committed on the region
-  since the worker's last acknowledged (seq, fingerprint-digest)
-  watermark.  The worker verifies its resident fingerprint digest
-  (:func:`~repro.platform.state.fingerprint_digest` — fingerprints cross
-  the wire only as 20-byte digests; the raw tuples grow with region
-  occupancy) against the dispatch base,
-  replays the chain (each op re-validating seq continuity and its target
-  fingerprint), and decides against the updated resident.  Any mismatch —
-  missing resident, wrong base, broken chain — yields a *resync* answer
-  instead of decisions; the engine then re-dispatches a counted full
-  snapshot, never silently.
+Workers are **stateless** between drains: every lane dispatch is one
+:class:`SnapshotDispatch` — a :class:`~repro.platform.state.RegionSnapshot`
+of the lane's region plus the lane's jobs — and the worker rebuilds the
+region state from it, decides, and drops it.  Nothing the engine mutates
+between drains (releases, out-of-band allocations, rolled-back batches)
+has to be replayed to a worker: the next snapshot carries it.
 
 Per drain, every lane routed to one worker is batched into a single
 :class:`WorkerDispatch` frame (one ``send_bytes`` round-trip per worker);
@@ -35,16 +19,14 @@ the worker answers with one frame holding every lane's
 inside the batch, so both sides meter exact per-lane byte counts on real
 payloads, not estimates.
 
-Decisions work exactly as before: the worker runs the ordinary
-``pipeline.decide(candidates=(region,))`` against its resident state, job
-by job, committing locally so later jobs in the lane see earlier ones, and
-ships back per admitted job the commit's
-:class:`~repro.platform.state.AllocationDelta` tagged with the digest of
-the region fingerprint the decision was based on.  The engine folds each
-delta only if that base digest still matches; anything stale is re-decided on
-the engine process.  The lane result carries the digest of the
-resident's final fingerprint — the worker's acknowledgement the engine
-turns into the next watermark.
+The worker runs the ordinary ``pipeline.decide(candidates=(region,))``
+against the rebuilt state, job by job, committing locally so later jobs in
+the lane see earlier ones, and ships back per admitted job the commit's
+:class:`~repro.platform.state.AllocationDelta` tagged with the digest
+(:func:`~repro.platform.state.fingerprint_digest`) of the region
+fingerprint the decision was based on.  The engine folds each delta only
+if that base digest still matches; anything stale is re-decided on the
+engine process.
 
 Worker-side determinism notes:
 
@@ -77,7 +59,6 @@ from repro.platform.regions import RegionPartition
 from repro.platform.state import (
     AllocationDelta,
     PlatformState,
-    RegionDeltaOp,
     RegionSnapshot,
     fingerprint_digest,
 )
@@ -151,7 +132,7 @@ class JobSpec:
 
 @dataclass(frozen=True)
 class SnapshotDispatch:
-    """Bootstrap/fallback frame: one lane's full region snapshot plus jobs."""
+    """One lane's dispatch: its region's snapshot plus the lane's jobs."""
 
     lane: str
     snapshot: RegionSnapshot
@@ -159,33 +140,13 @@ class SnapshotDispatch:
 
 
 @dataclass(frozen=True)
-class DeltaDispatch:
-    """Steady-state frame: the delta-op chain since the worker's watermark.
-
-    ``base_seq`` / ``base_fingerprint`` name the watermark the chain
-    starts from: the worker's resident state's fingerprint must digest to
-    ``base_fingerprint``, and ``ops`` (possibly empty) are the journal ops
-    with consecutive seqs ``base_seq+1 ..``.  Replay validation is the
-    worker's job — a resident/base mismatch or a broken chain answers with
-    a resync instead of decisions.
-    """
-
-    lane: str
-    base_seq: int
-    base_fingerprint: bytes
-    ops: tuple[RegionDeltaOp, ...]
-    jobs: tuple[JobSpec, ...]
-
-
-@dataclass(frozen=True)
 class WorkerDispatch:
     """One drain's batch for one worker: every lane frame in one round-trip.
 
-    ``frames`` holds each lane's :class:`SnapshotDispatch` /
-    :class:`DeltaDispatch` as its own pickle blob so per-lane bytes are
-    metered exactly; ``clear_interned`` orders the worker to wipe its
-    intern table *before* processing the frames (engine-driven eviction —
-    see :data:`INTERN_LIMIT`).
+    ``frames`` holds each lane's :class:`SnapshotDispatch` as its own
+    pickle blob so per-lane bytes are metered exactly; ``clear_interned``
+    orders the worker to wipe its intern table *before* processing the
+    frames (engine-driven eviction — see :data:`INTERN_LIMIT`).
     """
 
     frames: tuple[bytes, ...]
@@ -219,24 +180,17 @@ class LaneResult:
 
     A lane aborts on its first error, mirroring the serial executor's
     discipline: jobs after the failed one get no response.
-    ``final_fingerprint`` is the digest of the resident state's region
-    fingerprint after the lane's local commits — the acknowledgement the engine records as
-    this worker's next delta watermark.  ``resync`` (a reason string)
-    means the worker could not honour a :class:`DeltaDispatch` and decided
-    nothing; the engine must re-dispatch a full snapshot.
     """
 
     lane: str
     responses: tuple[JobResponse, ...]
-    final_fingerprint: bytes | None = None
-    resync: str | None = None
     #: Worker-clock span records of this lane's decides (empty when obs is
     #: off or nothing was sampled).  The engine re-anchors them onto its own
     #: timeline before adopting them — see :func:`repro.obs.trace.reanchor_spans`.
     spans: tuple[SpanRecord, ...] = ()
     #: Delta of the worker pipeline's step-4 analysis counters over this
-    #: lane (``None`` only for resync answers, which decide nothing).
-    #: Shipped *unconditionally* — engine telemetry must account worker-side
+    #: lane (``None`` in results built outside a worker).  Shipped
+    #: *unconditionally* — engine telemetry must account worker-side
     #: analysis work with observability off too.
     analysis: dict[str, int] | None = None
     #: Snapshot of the worker's per-lane metrics registry (obs on) — folded
@@ -298,9 +252,9 @@ def decide_jobs(
     jobs: tuple[JobSpec, ...],
     interned: dict[bytes, object],
 ) -> tuple[JobResponse, ...]:
-    """Decide a lane's jobs in order against ``pipeline.state`` (the resident).
+    """Decide a lane's jobs in order against ``pipeline.state`` (the rebuilt region).
 
-    Commits land in the resident state, so later jobs see earlier ones —
+    Commits land in the rebuilt state, so later jobs see earlier ones —
     the same left-fold the engine performs when it folds the deltas back.
     """
     state = pipeline.state
@@ -356,67 +310,34 @@ def decide_jobs(
 
 def handle_lane(
     pipeline: AdmissionPipeline,
-    dispatch: SnapshotDispatch | DeltaDispatch,
+    dispatch: SnapshotDispatch,
     interned: dict[bytes, object],
-    residents: dict[str, PlatformState],
 ) -> LaneResult:
-    """Serve one lane dispatch against (or rebuilding) the resident state.
-
-    A :class:`SnapshotDispatch` replaces the lane's resident outright; a
-    :class:`DeltaDispatch` is honoured only when the resident exists, its
-    fingerprint equals the dispatch base, and the op chain replays without
-    a gap or fingerprint divergence — otherwise the resident is dropped
-    and a resync result (no decisions) is returned.
-    """
-    # Intern every blob that reached this worker *before* deciding the
-    # lane's fate: the engine marks a digest as shipped the moment it
-    # assembles the frame, so even a resync answer must retain the payloads
-    # — the follow-up snapshot dispatch will reference them by digest only.
+    """Serve one lane dispatch against the state rebuilt from its snapshot."""
+    # Intern every blob that reached this worker before deciding: the
+    # engine marks a digest as shipped the moment it assembles the frame,
+    # so the payloads of jobs a lane abort skips must be kept too — their
+    # re-dispatch references them by digest only.
     for job in dispatch.jobs:
         if job.als_blob is not None:
             _intern(interned, job.als_digest, job.als_blob)
         if job.library_blob is not None and job.library_digest is not None:
             _intern(interned, job.library_digest, job.library_blob)
-    region = pipeline.partition.region(dispatch.lane)
-    if isinstance(dispatch, SnapshotDispatch):
-        state = dispatch.snapshot.build_state(pipeline.platform)
-        residents[dispatch.lane] = state
-    else:
-        state = residents.get(dispatch.lane)
-        if state is None:
-            return LaneResult(dispatch.lane, (), resync="no resident state")
-        if fingerprint_digest(region.fingerprint(state)) != dispatch.base_fingerprint:
-            residents.pop(dispatch.lane, None)
-            return LaneResult(
-                dispatch.lane, (), resync="resident fingerprint != dispatch base"
-            )
-        if dispatch.ops:
-            try:
-                state.replay_region_ops(
-                    dispatch.ops,
-                    tuple(region.tile_names),
-                    tuple(region.link_names),
-                    expected_seq=dispatch.base_seq + 1,
-                )
-            except PlatformError as error:
-                residents.pop(dispatch.lane, None)
-                return LaneResult(
-                    dispatch.lane, (), resync=f"delta replay failed: {error}"
-                )
-    pipeline.state = state
+    pipeline.state = dispatch.snapshot.build_state(pipeline.platform)
     if pipeline.metrics is not None:
         # Fresh registry per lane: the snapshot shipped back is exactly this
         # lane's delta, so the engine folds it without double counting.
         pipeline.metrics = MetricsRegistry()
     analysis_before = pipeline.analysis.snapshot()
-    responses = decide_jobs(pipeline, region, dispatch.jobs, interned)
+    responses = decide_jobs(
+        pipeline, pipeline.partition.region(dispatch.lane), dispatch.jobs, interned
+    )
     analysis_after = pipeline.analysis.snapshot()
     if pipeline.metrics is not None:
         pipeline.metrics.count("worker.jobs", float(len(responses)))
     return LaneResult(
         lane=dispatch.lane,
         responses=responses,
-        final_fingerprint=fingerprint_digest(region.fingerprint(state)),
         spans=tuple(pipeline.tracer.drain()) if pipeline.tracer.enabled else (),
         analysis={
             key: analysis_after[key] - analysis_before[key] for key in analysis_after
@@ -432,8 +353,8 @@ def drain_worker(conn, settings_blob: bytes) -> None:
     (or EOF, should the engine die first) and answers each with one frame
     holding a :class:`LaneResult` per nested lane dispatch, in dispatch
     order.  The pipeline — and with it the mapper cache's region-scoped
-    warm state, the interning table and the resident region states —
-    persists across dispatches for the worker's lifetime.
+    warm state — and the interning table persist across dispatches for the
+    worker's lifetime; region state does not.
     """
     settings: WorkerSettings = load_frame(settings_blob)
     pipeline = build_worker_pipeline(settings)
@@ -446,7 +367,6 @@ def drain_worker(conn, settings_blob: bytes) -> None:
             # non-None is the switch.
             pipeline.metrics = MetricsRegistry()
     interned: dict[bytes, object] = {}
-    residents: dict[str, PlatformState] = {}
     try:
         while True:
             try:
@@ -459,7 +379,7 @@ def drain_worker(conn, settings_blob: bytes) -> None:
             if dispatch.clear_interned:
                 interned.clear()
             results = tuple(
-                handle_lane(pipeline, load_frame(blob), interned, residents)
+                handle_lane(pipeline, load_frame(blob), interned)
                 for blob in dispatch.frames
             )
             conn.send_bytes(dump_frame(results))

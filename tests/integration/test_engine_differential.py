@@ -7,7 +7,7 @@ Two equivalences anchor the engine refactor:
   identical to the legacy player that called the manager directly; the
   reference implementation is inlined here, frozen at its PR 2 behaviour.
 * Draining the region lanes in reverse order — and with the
-  process-parallel snapshot-out / delta-in executor — must be
+  process-parallel executor, which ships a region snapshot per lane — must be
   decision-identical to the serial executor on the same event stream,
   across generated workloads, with and without rejection parking.
 """
@@ -146,7 +146,7 @@ class TestParallelDrainDifferential:
         )
         assert serial.departures == parallel.departures
         if kind == "process":
-            # The snapshot-out / delta-in protocol must report its traffic.
+            # The snapshot dispatch must report its traffic.
             workers = parallel.telemetry.workers
             assert workers and sum(w["requests"] for w in workers.values()) > 0
 

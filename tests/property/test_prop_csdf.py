@@ -29,8 +29,9 @@ producers are all drawn.
 
 Finally, on graphs the feed-forward evaluator does not take (an initial
 token or a feedback edge), the engine's buffer sizing runs the event loop
-with the cycle exit and must return the full run's capacities, or raise
-the same deadlock, while charging no more than the full run.
+with the cycle exit wherever every time of the run is an exact float, and
+must return the full run's capacities, or raise the same deadlock, while
+charging no more than the full run; a chain whose times round is pinned.
 """
 
 from dataclasses import replace
@@ -38,7 +39,7 @@ from fractions import Fraction
 from math import gcd, isclose, lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.csdf.actor import CSDFActor
@@ -559,10 +560,45 @@ def capacities_or_deadlock(size):
         return DeadlockError
 
 
+def _rounding_chain():
+    """A chain whose times round past 1024 ns (``a2``'s first phase takes
+    2.33e-13 ns), so its state repeats at an iteration boundary without
+    the rest of the run repeating it: the cycle exit would size
+    ``e3_a2_a3`` at 2 where the full run needs 3."""
+    graph = CSDFGraph("event_loop_sizing_case")
+    for name, times in (
+        ("a0", [34.0, 50.0]),
+        ("a1", [0.0, 0.0]),
+        ("a2", [2.333725883316607e-13, 0.0]),
+        ("a3", [0.0]),
+    ):
+        graph.add_actor(CSDFActor(name, PhaseVector(times)))
+    for name, rates, tokens, capacity in (
+        ("e1_a0_a1", ([0, 2], [2, 1]), 1, 1),
+        ("e2_a1_a2", ([1, 3], [0, 3]), 0, 1),
+        ("e3_a2_a3", ([0, 2], [1]), 0, None),
+    ):
+        _, source, target = name.split("_")
+        graph.add_edge(
+            CSDFEdge(
+                name,
+                source,
+                target,
+                PhaseVector(rates[0]),
+                PhaseVector(rates[1]),
+                initial_tokens=tokens,
+                capacity=capacity,
+            )
+        )
+    return graph, 6, None
+
+
 class TestCycleExitSizing:
-    """The engine's sizing takes the cycle exit; the full run is the reference."""
+    """The engine's sizing takes the cycle exit where every time is exact;
+    the full run is the reference."""
 
     @given(random_event_loop_sizing_case())
+    @example(_rounding_chain())
     @settings(max_examples=150, deadline=None)
     def test_engine_sizing_matches_the_full_run(self, case):
         graph, iterations, period = case

@@ -1,24 +1,19 @@
-"""Property tests of the snapshot-out / delta-in drain protocol.
+"""Property tests of the process drain's snapshot dispatch and delta fold.
 
-The :class:`ProcessRegionExecutor` only stays decision-identical to the
-serial executor if two serialization invariants hold *bit-exactly*:
+Every lane dispatch of :class:`ProcessRegionExecutor` carries a
+:class:`RegionSnapshot` out, and every admission comes back as an
+:class:`AllocationDelta`.  The executor only stays decision-identical to
+the serial executor if two serialization invariants hold *bit-exactly*:
 
 * a :class:`RegionSnapshot` survives a pickle round-trip and rebuilds to a
-  state whose region fingerprint equals both the fingerprint embedded in
-  the snapshot and the live state's — across arbitrary allocate / release
-  histories (releases re-sum aggregates, allocations extend them
-  incrementally, and the fingerprint is a float-sum digest, so list order
-  and summation order both matter);
+  state whose region fingerprint equals the live state's — across
+  arbitrary allocate / release histories (releases re-sum aggregates,
+  allocations extend them incrementally, and the fingerprint is a
+  float-sum digest, so list order and summation order both matter);
 * committing allocations on the worker's rebuilt state and folding the
   same records as an :class:`AllocationDelta` into the engine's state
   produce bit-identical region fingerprints — the fold is exactly as good
-  as having decided in-process;
-* the *stateful* drain protocol's chain invariant: a worker state rebuilt
-  from a snapshot and carried forward by replaying the region's journaled
-  :class:`RegionDeltaOp` chain (commits *and* releases, in commit order)
-  stays fingerprint-bit-identical to the engine state at every watermark —
-  and a chain with a gap, a reordering, or a wrong base is rejected before
-  it can silently diverge.
+  as having decided in-process.
 """
 
 import pickle
@@ -33,7 +28,6 @@ from repro.platform.state import (
     LinkAllocation,
     PlatformState,
     ProcessAllocation,
-    fingerprint_digest,
 )
 from tests.harness import build_two_region_platform, two_region_partition
 
@@ -99,10 +93,8 @@ class TestSnapshotRoundTrip:
         state = PlatformState(platform)
         _apply_history(state, partition, ops)
         for region in partition:
-            snapshot = region.snapshot(state)
             live = region.fingerprint(state)
-            assert snapshot.fingerprint == live
-            rebuilt = pickle.loads(pickle.dumps(snapshot)).build_state(platform)
+            rebuilt = pickle.loads(pickle.dumps(region.snapshot(state))).build_state(platform)
             assert region.fingerprint(rebuilt) == live
             # The rebuilt state is observationally identical over the scope,
             # not just fingerprint-equal.
@@ -192,164 +184,3 @@ class TestSnapshotRoundTrip:
         else:  # pragma: no cover - the overflow record must always raise
             raise AssertionError("overflowing delta unexpectedly applied")
         assert region.fingerprint(state) == before
-
-
-def _journal_tail(state: PlatformState, partition: RegionPartition, ops) -> None:
-    """Drive the state through a history, journaling every effective op.
-
-    The journal-aware twin of :func:`_apply_history`: each successful
-    allocation is journaled as a single-record commit op and each
-    effective release as a release op, exactly the hook discipline of
-    ``AdmissionPipeline.commit`` / ``release``.
-    """
-    tiles = [
-        name for region in partition for name in region.processing_tile_names()
-    ]
-    links = [name for region in partition for name in region.link_names]
-    for index, (kind, a, b) in enumerate(ops):
-        application = f"app{b}"
-        try:
-            if kind == "process":
-                record = ProcessAllocation(
-                    application,
-                    f"t{index}",
-                    tiles[a % len(tiles)],
-                    memory_bytes=(a + 1) * 512,
-                    compute_cycles_per_iteration=float(a) * 7.25,
-                )
-                state.allocate_process(record)
-                state.journal_mapping_commit(application, (record,), ())
-            elif kind == "link":
-                record = LinkAllocation(
-                    application, f"tc{index}", links[a % len(links)], (a + 1) * 1e6
-                )
-                state.allocate_link(record)
-                state.journal_mapping_commit(application, (), (record,))
-            else:
-                if state.release_application(application):
-                    state.journal_release(application, None)
-        except PlatformError:
-            pass  # full tiles/links are part of the history space
-
-
-class TestDeltaChainReplay:
-    @given(operations, operations)
-    @settings(max_examples=60, deadline=None)
-    def test_snapshot_then_delta_chain_is_fingerprint_bit_identical(
-        self, history, tail
-    ):
-        """snapshot -> journaled op chain -> replay == live state, bit-exact.
-
-        The stateful worker's steady state: bootstrap from a snapshot at
-        some watermark, then carry the resident forward by replaying the
-        journal ops (interleaved commits and releases) the engine
-        committed since.  Fingerprints must match the engine's at the tip
-        — releases re-sum aggregates, so replaying the logical op (not a
-        net diff) is load-bearing here.
-        """
-        platform, partition = _platform_and_partition()
-        engine_state = PlatformState(platform)
-        _apply_history(engine_state, partition, history)
-        regions = list(partition)
-        journals = [engine_state.region_journal(region) for region in regions]
-        workers = [
-            pickle.loads(pickle.dumps(region.snapshot(engine_state))).build_state(
-                platform
-            )
-            for region in regions
-        ]
-        watermarks = [
-            (journal.tip_seq, journal.tip_fingerprint) for journal in journals
-        ]
-        _journal_tail(engine_state, partition, tail)
-        for region, journal, worker_state, mark in zip(
-            regions, journals, workers, watermarks
-        ):
-            ops = journal.ops_since(*mark)
-            assert ops is not None, "un-evicted watermark must bridge to the tip"
-            ops = pickle.loads(pickle.dumps(ops))  # ops cross the pipe
-            worker_state.replay_region_ops(
-                ops,
-                tuple(region.tile_names),
-                tuple(region.link_names),
-                expected_seq=mark[0] + 1,
-            )
-            live = region.fingerprint(engine_state)
-            assert region.fingerprint(worker_state) == live
-            assert journal.tip_fingerprint == fingerprint_digest(live)
-
-    @given(
-        operations,
-        st.integers(min_value=0, max_value=10_000),
-        st.sampled_from(["drop_middle", "swap_adjacent", "drop_first"]),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_broken_chain_is_rejected_not_half_applied(self, tail, pick, corruption):
-        """A gap, reordering, or missing head makes replay raise, and the
-        divergence check stops a corrupted replay at the eviscerated op —
-        the worker then demands a snapshot resync instead of deciding on
-        silently wrong state."""
-        platform, partition = _platform_and_partition()
-        engine_state = PlatformState(platform)
-        region = next(iter(partition))
-        journal = engine_state.region_journal(region)
-        worker_state = pickle.loads(
-            pickle.dumps(region.snapshot(engine_state))
-        ).build_state(platform)
-        mark = (journal.tip_seq, journal.tip_fingerprint)
-        _journal_tail(engine_state, partition, tail)
-        ops = journal.ops_since(*mark)
-        assert ops is not None
-        if len(ops) < 3:
-            return  # not enough chain to corrupt
-        index = 1 + pick % (len(ops) - 2)
-        if corruption == "drop_middle":
-            corrupted = ops[:index] + ops[index + 1 :]
-        elif corruption == "swap_adjacent":
-            corrupted = (
-                ops[:index] + (ops[index + 1], ops[index]) + ops[index + 2 :]
-            )
-        else:  # drop_first
-            corrupted = ops[1:]
-        try:
-            worker_state.replay_region_ops(
-                corrupted,
-                tuple(region.tile_names),
-                tuple(region.link_names),
-                expected_seq=mark[0] + 1,
-            )
-        except PlatformError:
-            pass
-        else:  # pragma: no cover - a broken chain must always raise
-            raise AssertionError(f"{corruption} chain unexpectedly replayed")
-
-    @given(operations, st.integers(min_value=1, max_value=6))
-    @settings(max_examples=40, deadline=None)
-    def test_evicted_watermark_is_unbridgeable_never_wrong(self, tail, capacity):
-        """A watermark that fell off the bounded journal window yields
-        ``ops_since == None`` (snapshot fallback), never a wrong chain."""
-        platform, partition = _platform_and_partition()
-        engine_state = PlatformState(platform)
-        region = next(iter(partition))
-        journal = engine_state.region_journal(region, capacity=capacity)
-        mark = (journal.tip_seq, journal.tip_fingerprint)
-        _journal_tail(engine_state, partition, tail)
-        appended = journal.tip_seq - mark[0]
-        ops = journal.ops_since(*mark)
-        if appended > capacity:
-            assert ops is None
-            assert journal.evictions == appended - capacity
-        elif ops is not None:
-            # Bridgeable watermark: the chain must replay to the live tip.
-            worker_state = PlatformState(platform)
-            # Rebuild the watermark-era state: empty history means the
-            # watermark state was the empty platform.
-            worker_state.replay_region_ops(
-                ops,
-                tuple(region.tile_names),
-                tuple(region.link_names),
-                expected_seq=mark[0] + 1,
-            )
-            assert region.fingerprint(worker_state) == region.fingerprint(
-                engine_state
-            )

@@ -4,9 +4,10 @@ from dataclasses import replace
 
 import pytest
 
+from repro.csdf.analysis import feedforward
 from repro.csdf.analysis.budget import AnalysisBudget, AnalysisEngine
 from repro.csdf.analysis.buffers import _lower_bound_capacity, sufficient_buffer_capacities
-from repro.csdf.analysis.feedforward import feed_forward_run, is_feed_forward
+from repro.csdf.analysis.feedforward import _exact_times, feed_forward_run, is_feed_forward
 from repro.csdf.analysis.latency import end_to_end_latency_ns
 from repro.csdf.analysis.simulation import SelfTimedSimulator, simulate
 from repro.csdf.analysis.throughput import is_period_sustainable, minimal_period_ns
@@ -296,3 +297,82 @@ class TestRouting:
         calls = self.count_event_loop(monkeypatch)
         assert is_period_sustainable(bounded, 30.0, iterations=4)
         assert len(calls) == 1
+
+
+def rounding_pair(phase_ns):
+    """A bounded two-actor chain whose consumer's first phase lasts ``phase_ns``."""
+    return (
+        CSDFBuilder("rounding")
+        .actor("a", [34.0, 50.0])
+        .actor("b", [phase_ns, 0.0])
+        .edge("a", "b", production=[1, 1], consumption=[1, 1], capacity=2)
+        .build()
+    )
+
+
+class TestExactTimes:
+    """The event loop may take the cycle exit only where every time of the
+    run is an exact float: a multiple of one power-of-two grain below
+    ``2**53`` grains."""
+
+    def test_integer_times_are_exact(self):
+        assert _exact_times(feedback_pair(), 4, None)
+        assert _exact_times(feedback_pair(), 4, 10.0)
+
+    def test_dyadic_fractions_are_exact(self):
+        graph = (
+            CSDFBuilder("dyadic")
+            .actor("a", [0.5, 0.25])
+            .actor("b", [0.125])
+            .edge("a", "b", production=[1, 1], consumption=[2], capacity=2)
+            .build()
+        )
+        assert _exact_times(graph, 8, 0.75)
+
+    def test_zero_times_are_exact(self):
+        graph = (
+            CSDFBuilder("instant")
+            .actor("a", [0.0])
+            .actor("b", [0.0, 0.0])
+            .edge("a", "b", production=[2], consumption=[1, 1], capacity=2)
+            .build()
+        )
+        assert _exact_times(graph, 6, None)
+
+    def test_a_fine_grain_under_a_long_horizon_rounds(self):
+        # 2.33e-13 ns puts the grain near 2**-94 ns; the run lasts hundreds
+        # of ns, far past 2**53 grains.  A 2**-40 ns phase keeps it exact.
+        assert not _exact_times(rounding_pair(2.333725883316607e-13), 6, None)
+        assert _exact_times(rounding_pair(2.0**-40), 6, None)
+
+    def test_the_period_counts_towards_grain_and_horizon(self):
+        # 0.1 is a multiple of 2**-55 only, so its run must stay below 0.25 ns.
+        assert not _exact_times(feedback_pair(), 6, 0.1)
+        assert _exact_times(feedback_pair(), 6, 0.125)
+
+    def test_the_horizon_stops_short_of_2_to_the_53_grains(self):
+        graph = (
+            CSDFBuilder("long")
+            .actor("a", [2.0**52])
+            .actor("b", [1.0])
+            .edge("a", "b", production=[1], consumption=[1], capacity=1)
+            .build()
+        )
+        assert _exact_times(graph, 1, None)  # 2**52 + 1 grains
+        assert not _exact_times(graph, 2, None)  # 2**53 + 2 grains
+
+    def test_an_infinite_duration_is_not_exact(self):
+        assert not _exact_times(rounding_pair(float("inf")), 2, None)
+
+    def test_the_event_loop_drops_the_cycle_exit_only_when_times_round(self, monkeypatch):
+        seen = []
+
+        def recording(graph, iterations, *, source_period_ns=None, cycle_exit=False):
+            seen.append(cycle_exit)
+            return simulate(graph, iterations, source_period_ns=source_period_ns)
+
+        monkeypatch.setattr(feedforward, "simulate", recording)
+        feedforward._self_timed_run(rounding_pair(2.0**-40), 6, cycle_exit=True)
+        feedforward._self_timed_run(rounding_pair(2.333725883316607e-13), 6, cycle_exit=True)
+        feedforward._self_timed_run(rounding_pair(2.0**-40), 6, cycle_exit=False)
+        assert seen == [True, False, False]

@@ -1,15 +1,18 @@
-"""The process-parallel region drain: executor lifecycle and fold discipline.
+"""The process-parallel region drain: executor lifecycle, fold discipline
+and the snapshot dispatch.
 
 The differential suites pin that :class:`ProcessRegionExecutor` is
 decision-identical to the serial reference; these tests pin the edges the
 differentials cannot reach — the stale-snapshot re-decide path, worker
-error surfacing, the custom-factory refusal and pool lifecycle.
+error surfacing, the custom-factory refusal, pool lifecycle, and that
+every lane dispatch carries a region snapshot holding whatever changed the
+engine state since the last drain.
 """
 
 import pytest
 
 from repro.exceptions import PlatformError
-from repro.platform.state import fingerprint_digest
+from repro.platform.state import ProcessAllocation, fingerprint_digest
 from repro.runtime import procdrain
 from repro.runtime.engine import (
     ProcessRegionExecutor,
@@ -51,6 +54,16 @@ def _scenario(apps) -> Scenario:
             StartEvent(time_ns=float(index) * 1_000.0, als=app.als, library=app.library)
         )
     return scenario
+
+
+def _worker_totals(outcome) -> dict[str, float]:
+    """Sum the per-run worker telemetry deltas across all workers."""
+    workers = outcome.telemetry.workers
+    assert workers, "process executor runs must report per-worker stats"
+    return {
+        key: sum(values[key] for values in workers.values())
+        for key in next(iter(workers.values()))
+    }
 
 
 class TestFoldDiscipline:
@@ -238,13 +251,20 @@ class TestExecutorLifecycle:
         assert outcome.admitted == ["tele0", "tele1"]
         workers = outcome.telemetry.workers
         assert workers, "process executor runs must report per-worker stats"
-        total = {
-            key: sum(values[key] for values in workers.values())
-            for key in next(iter(workers.values()))
+        total = _worker_totals(outcome)
+        assert set(total) == {
+            "dispatches",
+            "requests",
+            "snapshot_bytes",
+            "delta_dispatch_bytes",
+            "delta_bytes",
+            "stale_redecides",
+            "worker_wall_s",
         }
         assert total["requests"] == 2
         assert total["dispatches"] >= 2
         assert total["snapshot_bytes"] > 0
+        assert total["delta_dispatch_bytes"] == 0
         assert total["delta_bytes"] > 0
         assert total["stale_redecides"] == 0
         assert total["worker_wall_s"] > 0
@@ -256,129 +276,121 @@ class TestExecutorLifecycle:
         executor.close()
 
 
-def _worker_totals(outcome) -> dict[str, float]:
-    """Sum the per-run worker telemetry deltas across all workers."""
-    workers = outcome.telemetry.workers
-    assert workers, "process executor runs must report per-worker stats"
-    return {
-        key: sum(values[key] for values in workers.values())
-        for key in next(iter(workers.values()))
-    }
+def _record_frames(executor) -> list[tuple[object, int]]:
+    """Record every lane frame the executor assembles, decoded, with its size."""
+    frames = []
+    assemble = executor._assemble_lane
+
+    def recording(*args, **kwargs):
+        frame = assemble(*args, **kwargs)
+        frames.append((procdrain.load_frame(frame), len(frame)))
+        return frame
+
+    executor._assemble_lane = recording
+    return frames
 
 
-def _fallback_reasons(totals: dict[str, float]) -> float:
-    return (
-        totals["full_bootstrap"]
-        + totals["full_journal_stale"]
-        + totals["full_watermark_gap"]
-        + totals["full_resync"]
-    )
+def _release_then_fill(manager, run) -> str:
+    """Two drains with an engine-side release and an out-of-band
+    allocation between them: ``before`` is admitted, stopped, then every
+    slot of one left-region tile is taken behind the pipeline's back, and
+    ``after`` is admitted.  Returns the filled tile."""
+    assert run([make_app(260, "before", "io_l")]).admitted == ["before"]
+    manager.stop("before")
+    region = next(r for r in manager.partition if "io_l" in r.tile_names)
+    tile = region.processing_tile_names()[0]
+    for slot in range(manager.platform.tile(tile).resources.max_processes):
+        manager.state.allocate_process(ProcessAllocation("ghost", f"ghost{slot}", tile))
+    assert run([make_app(261, "after", "io_l")]).admitted == ["after"]
+    return tile
 
 
-class TestStatefulDispatch:
-    """The snapshot-once / delta-forever protocol, per fallback reason.
+class TestSnapshotDispatch:
+    """Every lane dispatch carries its region's snapshot; workers keep no
+    region state between drains."""
 
-    Every test also asserts the zero-silent-fallback invariant: each full
-    dispatch is attributed to exactly one counted reason.
-    """
-
-    def test_steady_state_ships_deltas_after_the_bootstrap_snapshot(self, manager):
+    def test_every_dispatch_is_one_snapshot(self, manager):
         executor = ProcessRegionExecutor(manager.partition, workers=1)
+        frames = _record_frames(executor)
         engine = WorkloadEngine(manager, executor=executor)
         apps = [
             make_app(250 + i, f"warm{i}", tile)
             for i, tile in enumerate(["io_l", "io_r"])
         ]
-        first = engine.run(_scenario(apps))
-        assert first.admitted == ["warm0", "warm1"]
-        t1 = _worker_totals(first)
-        assert t1["full_bootstrap"] >= 1
-        assert t1["full_dispatches"] == _fallback_reasons(t1)
-        for app in apps:
-            manager.stop(app.als.name)
-        # Warm pool, journaled releases: the next drain bridges via deltas.
-        second = engine.run(_scenario(apps))
-        assert second.admitted == ["warm0", "warm1"]
-        t2 = _worker_totals(second)
-        assert t2["delta_dispatches"] >= 1
-        assert t2["full_dispatches"] == 0
-        assert t2["full_dispatches"] == _fallback_reasons(t2)
-        assert t2["delta_dispatch_bytes"] > 0
+        totals = []
+        for _ in range(2):
+            outcome = engine.run(_scenario(apps))
+            assert outcome.admitted == ["warm0", "warm1"]
+            totals.append(_worker_totals(outcome))
+            for app in apps:
+                manager.stop(app.als.name)
         executor.close()
-
-    def test_evicted_watermark_falls_back_to_a_counted_full(self, manager):
-        """A worker whose watermark fell off the journal window is re-sent a
-        snapshot, counted watermark_gap; the next drain bridges by delta."""
-        region = next(r for r in manager.partition if "io_l" in r.tile_names)
-        # A two-op window instead of JOURNAL_CAPACITY, so a few commits and
-        # releases on the region evict the worker's watermark.
-        journal = manager.state.region_journal(region, capacity=2)
-        executor = ProcessRegionExecutor(manager.partition, workers=1)
-        engine = WorkloadEngine(manager, executor=executor)
-        first = engine.run(_scenario([make_app(290, "gap0", "io_l")]))
-        assert first.admitted == ["gap0"]
-        manager.stop("gap0")
-        bystander = make_app(291, "gap1", "io_l")
-        manager.start(bystander.als, library=bystander.library)
-        manager.stop("gap1")
-        assert journal.evictions >= 1
-        second = engine.run(_scenario([make_app(292, "gap2", "io_l")]))
-        assert second.admitted == ["gap2"]
-        t2 = _worker_totals(second)
-        assert t2["full_watermark_gap"] == t2["full_dispatches"] == 1
-        assert t2["full_dispatches"] == _fallback_reasons(t2)
-        manager.stop("gap2")
-        third = engine.run(_scenario([make_app(293, "gap3", "io_l")]))
-        assert third.admitted == ["gap3"]
-        t3 = _worker_totals(third)
-        assert t3["delta_dispatches"] >= 1
-        assert t3["full_dispatches"] == 0
-        executor.close()
-
-    def test_unjournaled_mutation_falls_back_to_a_counted_full(self, manager):
-        """State mutated behind the journal's back (tip fingerprint no longer
-        the live region fingerprint) must resnapshot, counted journal_stale."""
-        from repro.platform.state import ProcessAllocation
-
-        executor = ProcessRegionExecutor(manager.partition, workers=1)
-        engine = WorkloadEngine(manager, executor=executor)
-        first = engine.run(_scenario([make_app(260, "stale0", "io_l")]))
-        assert first.admitted == ["stale0"]
-        manager.stop("stale0")
-        region = next(r for r in manager.partition if "io_l" in r.tile_names)
-        ghost_tile = region.processing_tile_names()[0]
-        manager.state.allocate_process(
-            ProcessAllocation("ghost", "ghost0", ghost_tile)
+        assert all(isinstance(frame, procdrain.SnapshotDispatch) for frame, _ in frames)
+        assert len(frames) == sum(total["dispatches"] for total in totals) == 4
+        assert sum(size for _, size in frames) == sum(
+            total["snapshot_bytes"] for total in totals
         )
-        second = engine.run(_scenario([make_app(261, "stale1", "io_l")]))
-        assert second.admitted == ["stale1"]
-        t2 = _worker_totals(second)
-        assert t2["full_journal_stale"] >= 1
-        assert t2["full_dispatches"] == _fallback_reasons(t2)
-        executor.close()
+        assert all(total["delta_dispatch_bytes"] == 0 for total in totals)
 
-    def test_worker_restart_resyncs_with_a_counted_full(self, manager):
-        """Watermarks that outlive the worker's resident state (manual pool
-        teardown here; a crashed lane in production) are detected by the
-        worker's resync answer and repaired with a counted full dispatch."""
+    def test_release_and_out_of_band_allocation_reach_the_worker(self, platform):
+        """What changed the engine state between drains arrives with the
+        next snapshot: the worker decides on it, so no response is stale,
+        and the decisions equal the serial executor's."""
+        serial_manager = make_manager(platform)
+        serial_engine = WorkloadEngine(serial_manager, executor=SerialRegionExecutor())
+        _release_then_fill(serial_manager, lambda apps: serial_engine.run(_scenario(apps)))
+
+        manager = make_manager(build_two_region_platform())
         executor = ProcessRegionExecutor(manager.partition, workers=1)
+        frames = _record_frames(executor)
         engine = WorkloadEngine(manager, executor=executor)
-        first = engine.run(_scenario([make_app(270, "sync0", "io_l")]))
-        assert first.admitted == ["sync0"]
-        assert executor._watermarks
-        # Kill the pool but keep the watermarks: the next drain attempts a
-        # delta against workers whose resident state died with them.
-        for worker in executor._pool:
-            worker.stop()
-        executor._pool = None
-        manager.stop("sync0")
-        second = engine.run(_scenario([make_app(271, "sync1", "io_l")]))
-        assert second.admitted == ["sync1"]
-        t2 = _worker_totals(second)
-        assert t2["delta_dispatches"] >= 1  # the refused attempt is visible
-        assert t2["full_resync"] >= 1
-        assert t2["full_dispatches"] == _fallback_reasons(t2)
-        executor.close()
+        outcomes = []
+
+        def run(apps):
+            outcomes.append(engine.run(_scenario(apps)))
+            return outcomes[-1]
+
+        try:
+            tile = _release_then_fill(manager, run)
+        finally:
+            executor.close()
+        last, _ = frames[-1]
+        occupants = dict(last.snapshot.tile_occupants)
+        assert {a.application for a in occupants[tile]} == {"ghost"}
+        assert "before" not in {a.application for held in occupants.values() for a in held}
+        assert _worker_totals(outcomes[-1])["stale_redecides"] == 0
+        assert serial_manager.decisions == manager.decisions
+        assert sorted(serial_manager.state.occupied_tiles()) == sorted(
+            manager.state.occupied_tiles()
+        )
+
+    def test_restarted_pool_decides_like_serial(self, platform):
+        """A pool torn down between drains restarts with fresh workers, and
+        the decisions after the restart equal the serial executor's."""
+        apps = [make_app(270 + i, f"sync{i}", tile) for i, tile in enumerate(["io_l", "io_r"])]
+        later = [make_app(272, "sync2", "io_l"), apps[1]]
+
+        def replay(manager, executor, between):
+            engine = WorkloadEngine(manager, executor=executor)
+            first = engine.run(_scenario(apps))
+            between()
+            manager.stop("sync1")
+            return first, engine.run(_scenario(later))
+
+        serial_manager = make_manager(platform)
+        serial = replay(serial_manager, SerialRegionExecutor(), lambda: None)
+        manager = make_manager(build_two_region_platform())
+        executor = ProcessRegionExecutor(manager.partition, workers=2)
+        try:
+            process = replay(manager, executor, executor.close)
+        finally:
+            executor.close()
+        for expected, got in zip(serial, process):
+            assert expected.decision_log() == got.decision_log()
+        assert serial_manager.decisions == manager.decisions
+        assert sorted(serial_manager.state.occupied_tiles()) == sorted(
+            manager.state.occupied_tiles()
+        )
 
     def test_spawn_start_method_is_decision_identical_to_serial(self, platform):
         """The worker protocol must not lean on fork-inherited state: a
