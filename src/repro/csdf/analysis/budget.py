@@ -244,28 +244,35 @@ class AnalysisEngine:
         *,
         budget: AnalysisBudget | None = None,
     ) -> dict[str, int]:
-        """Cached sufficient capacities (values keyed back to edge names).
+        """Cached sufficient capacities of the sized edges (keyed back to
+        edge names; see
+        :func:`~repro.csdf.analysis.buffers.sufficient_buffer_capacities`
+        for which edges are sized).
 
         The run takes the cycle exit, so it charges at most the full run's
         firings and returns the full run's capacities.  A feed-forward graph
-        is answered without the event loop (see
-        :func:`~repro.csdf.analysis.buffers.sufficient_buffer_capacities`);
-        it still counts as one simulation and charges the loop's firing
-        count, so budgets and cache entries do not depend on the evaluator.
+        is answered without the event loop; it still counts as one
+        simulation and charges the loop's firing count, so budgets and cache
+        entries do not depend on the evaluator.
         """
         # No capacity vector in the key: the sizing strips every capacity
         # before it runs and its lower bounds read only rates and initial
         # tokens, so a bounded graph shares the entry of its unbounded twin.
+        # Actor roles, which decide the sized edges, are in the fingerprint.
         key = ("sufficient", graph.structural_fingerprint(), period_ns, iterations)
+        edges = graph.edges
 
-        def compute(tally: AnalysisBudget) -> tuple[int, ...]:
+        def compute(tally: AnalysisBudget) -> tuple[tuple[int, int], ...]:
             capacities = sufficient_buffer_capacities(
                 graph, period_ns, iterations=iterations, early_exit=True, budget=tally
             )
-            return tuple(capacities[edge.name] for edge in graph.edges)
+            return tuple(
+                (i, capacities[edge.name])
+                for i, edge in enumerate(edges)
+                if edge.name in capacities
+            )
 
-        values = self._cached(key, budget, compute)
-        return {edge.name: values[i] for i, edge in enumerate(graph.edges)}
+        return {edges[i].name: capacity for i, capacity in self._cached(key, budget, compute)}
 
     def end_to_end_latency_ns(
         self,

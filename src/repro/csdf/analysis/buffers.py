@@ -9,12 +9,17 @@ module provides a functional substitute built on the self-timed run:
   while the graph executes with its sources released at the required period
   and unbounded buffers.  Granting each channel its observed maximum is
   sufficient to sustain the period (the bounded execution can then follow the
-  same schedule as the unbounded one).  With its capacities removed, a
-  feed-forward graph (acyclic, token-free, whole-token rates: every mapped
-  graph step 4 builds) runs on
-  :func:`~repro.csdf.analysis.feedforward.feed_forward_run`, with no event
-  loop; any other graph runs on the event loop.  Both give the same
-  capacities and charge the same firing count.
+  same schedule as the unbounded one).  It sizes only the buffers a tile
+  reserves, the edges :func:`buffer_edge_indices` names: every edge except
+  those entering a router-hop actor (``role == "router"``), whose tokens
+  sit in the NoC, not in a memory.  On a mapped graph these are exactly the
+  ``B_i`` edges, one per channel, into the consuming actor.  With its capacities removed, a feed-forward graph
+  (acyclic, token-free, whole-token rates: every mapped graph step 4
+  builds) runs on the feed-forward evaluator
+  (:mod:`~repro.csdf.analysis.feedforward`), which takes the maxima of the
+  sized edges only and builds no simulation result; any other graph runs
+  on the event loop.  Both give the same capacities and charge the same
+  firing count.
 * :func:`apply_buffer_capacities` turns the result into a bounded graph.
 
 Like the paper, which needs capacities that *sustain* the required period
@@ -24,7 +29,7 @@ capacities.
 
 from __future__ import annotations
 
-from repro.csdf.analysis.feedforward import _self_timed_run
+from repro.csdf.analysis.feedforward import _self_timed_occupancy
 from repro.csdf.graph import CSDFGraph
 from repro.exceptions import DeadlockError
 
@@ -36,6 +41,19 @@ def _lower_bound_capacity(graph: CSDFGraph, edge_name: str) -> int:
     return int(max(bound, edge.initial_tokens))
 
 
+def buffer_edge_indices(graph: CSDFGraph) -> list[int]:
+    """Indices of the edges buffer sizing sizes: every edge whose consumer
+    is not a router-hop actor (``role == "router"``).
+
+    This is the one rule for which edges hold a tile buffer.  On a mapped
+    graph they are the buffers ``B_i`` of Figure 3, one per channel, into
+    the consuming actor; step 4 reads its channel-to-buffer map from them
+    (:func:`~repro.spatialmapper.csdf_construction.consumer_buffer_edges`).
+    """
+    routers = {actor.name for actor in graph.actors_with_role("router")}
+    return [e for e, edge in enumerate(graph.edges) if edge.target not in routers]
+
+
 def sufficient_buffer_capacities(
     graph: CSDFGraph,
     period_ns: float | None = None,
@@ -44,7 +62,12 @@ def sufficient_buffer_capacities(
     early_exit: bool = False,
     budget=None,
 ) -> dict[str, int]:
-    """Per-edge buffer capacities sufficient to sustain ``period_ns``.
+    """Buffer capacities sufficient to sustain ``period_ns``, per sized edge.
+
+    The sized edges are those :func:`buffer_edge_indices` names, whose
+    consumer is not a router-hop actor: the buffers ``B_i`` of Figure 3
+    that a tile reserves.  A graph without router actors has every edge
+    sized.
 
     When ``period_ns`` is ``None`` the graph runs fully self-timed (maximum
     throughput); otherwise the sources are released once per period, which is
@@ -69,18 +92,19 @@ def sufficient_buffer_capacities(
         for edge in graph.edges:
             if edge.capacity is not None:
                 unbounded.replace_edge(edge.with_capacity(None))
-    result = _self_timed_run(unbounded, iterations, period_ns, cycle_exit=early_exit)
+    occupancy, events = _self_timed_occupancy(
+        unbounded, iterations, period_ns, buffer_edge_indices(graph), cycle_exit=early_exit
+    )
     if budget is not None:
-        budget.charge_events(result.simulated_events)
-    if result.deadlocked and result.completed_iterations == 0:
+        budget.charge_events(events)
+    if occupancy is None:
         raise DeadlockError(
             f"graph {graph.name!r} cannot complete an iteration even with unbounded buffers"
         )
-    capacities: dict[str, int] = {}
-    for edge in graph.edges:
-        observed = result.max_occupancy.get(edge.name, 0)
-        capacities[edge.name] = max(observed, _lower_bound_capacity(graph, edge.name))
-    return capacities
+    return {
+        name: max(observed, _lower_bound_capacity(graph, name))
+        for name, observed in occupancy.items()
+    }
 
 
 def apply_buffer_capacities(graph: CSDFGraph, capacities: dict[str, int]) -> CSDFGraph:

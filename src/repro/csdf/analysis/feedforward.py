@@ -9,7 +9,10 @@ with its capacities removed and, optionally, its sources released once
 per period, in every field but the graph name, occupancy maxima and cycle
 exit included.  :func:`_self_timed_run` is the analyses' one dispatch
 rule: a feed-forward graph with no capacity set runs here, every other
-graph on the event loop.
+graph on the event loop.  Buffer sizing takes the same rule through
+:func:`_self_timed_occupancy`, which reduces the run to what sizing
+reads: the occupancy maxima of the edges it asks for and the firing
+count, with no result object.
 
 *Firing times.*  On such a graph an actor's enabling conditions, once true,
 stay true, so firing ``k`` of actor ``a`` starts at the maximum of
@@ -52,6 +55,7 @@ See ARCHITECTURE.md, "Self-timed simulator".
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections.abc import Iterable
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import accumulate, chain, compress, cycle, islice, repeat
@@ -121,6 +125,43 @@ def feed_forward_run(
     where ``unbounded`` is ``graph`` with every capacity removed.  Raises
     :class:`ValueError` when ``graph`` is not feed-forward.
     """
+    starts, finishes, fired, end, aborted, max_occupancy = _evaluate(
+        graph, iterations, source_period_ns, cycle_exit, range(len(graph.edges))
+    )
+    for a, count in enumerate(fired):
+        del starts[a][count:]
+        del finishes[a][count:]
+    names = graph.actor_names
+    repetitions = repetition_vector(graph)
+    return SimulationResult(
+        graph_name=graph.name,
+        iterations_requested=iterations,
+        repetitions=repetitions,
+        phase_counts={actor.name: len(actor.execution_times_ns.values) for actor in graph.actors},
+        start_times_ns=dict(zip(names, starts)),
+        finish_times_ns=dict(zip(names, finishes)),
+        max_occupancy=max_occupancy,
+        iteration_finish_times_ns=iteration_finish_times(
+            finishes, [repetitions[name] for name in names], iterations
+        ),
+        end_time_ns=end,
+        simulated_events=sum(fired),
+        aborted=aborted,
+    )
+
+
+def _evaluate(
+    graph: CSDFGraph,
+    iterations: int,
+    source_period_ns: float | None,
+    cycle_exit: bool,
+    measured: Iterable[int],
+) -> tuple[list[list[float]], list[list[float]], list[int], float, bool, dict[str, int]]:
+    """Evaluate the run's firings and the occupancy maxima of the edges at
+    the indices ``measured``.  Returns the start and finish logs per actor
+    (they may hold firings past the run's end), the firings per actor the
+    run completed, its end instant, whether the cycle exit fired, and the
+    maxima keyed by edge name."""
     if iterations < 1:
         raise ValueError("iterations must be at least 1")
     if source_period_ns is not None and source_period_ns <= 0:
@@ -479,7 +520,8 @@ def feed_forward_run(
     # ties counted) and ``most`` (none counted), and a tie is settled only
     # while its ``most`` tops the maximum known so far.
     max_occupancy = {}
-    for e, (producer, consumer) in enumerate(ends):
+    for e in measured:
+        producer, consumer = ends[e]
         produced_rates, consumed_rates = supply[e], drain[e]
         firings, limit = started[producer], started[consumer]
         # Tokens produced through each producer firing and consumed before
@@ -536,23 +578,7 @@ def feed_forward_run(
                 first += 1
             highest = max(highest, total - taken[first])
         max_occupancy[edges[e].name] = highest
-
-    for a in actor_range:
-        del starts[a][fired[a]:]
-        del finishes[a][fired[a]:]
-    return SimulationResult(
-        graph_name=graph.name,
-        iterations_requested=iterations,
-        repetitions=repetitions,
-        phase_counts=dict(zip(names, phase_counts)),
-        start_times_ns=dict(zip(names, starts)),
-        finish_times_ns=dict(zip(names, finishes)),
-        max_occupancy=max_occupancy,
-        iteration_finish_times_ns=iteration_finish_times(finishes, reps, iterations),
-        end_time_ns=end,
-        simulated_events=sum(fired),
-        aborted=aborted,
-    )
+    return starts, finishes, fired, end, aborted, max_occupancy
 
 
 def _unbounded_feed_forward(graph: CSDFGraph) -> bool:
@@ -578,6 +604,40 @@ def _self_timed_run(
     """
     if _unbounded_feed_forward(graph):
         return feed_forward_run(graph, iterations, source_period_ns, cycle_exit=cycle_exit)
+    return _event_loop_run(graph, iterations, source_period_ns, cycle_exit)
+
+
+def _self_timed_occupancy(
+    graph: CSDFGraph,
+    iterations: int,
+    source_period_ns: float | None,
+    edges: Iterable[int],
+    *,
+    cycle_exit: bool = False,
+) -> tuple[dict[str, int] | None, int]:
+    """The occupancy maxima of ``edges`` (edge indices) in
+    :func:`_self_timed_run`'s run, keyed by edge name, and its firing
+    count; the maxima are ``None`` when the run deadlocks before it
+    completes an iteration.  A feed-forward graph with no capacity set
+    builds no :class:`~repro.csdf.analysis.simulation.SimulationResult`."""
+    if _unbounded_feed_forward(graph):
+        _, _, fired, _, _, occupancy = _evaluate(
+            graph, iterations, source_period_ns, cycle_exit, edges
+        )
+        return occupancy, sum(fired)
+    result = _event_loop_run(graph, iterations, source_period_ns, cycle_exit)
+    if result.deadlocked and result.completed_iterations == 0:
+        return None, result.simulated_events
+    names = [edge.name for edge in graph.edges]
+    occupancy = {names[e]: result.max_occupancy[names[e]] for e in edges}
+    return occupancy, result.simulated_events
+
+
+def _event_loop_run(
+    graph: CSDFGraph, iterations: int, source_period_ns: float | None, cycle_exit: bool
+) -> SimulationResult:
+    """The event loop's run, with the cycle exit only where
+    :func:`_exact_times` holds."""
     cycle_exit = cycle_exit and _exact_times(graph, iterations, source_period_ns)
     return simulate(graph, iterations, source_period_ns=source_period_ns, cycle_exit=cycle_exit)
 

@@ -713,7 +713,6 @@ class InterRegionPlanner:
                         self.budgets.reserve(als.name, pair[0], pair[1], bits_per_s)
         except PlatformError as error:
             raise PlanRejected(f"commit failed: {error}") from None
-        self.pipeline.record_commit(als.name, result.mapping)
 
     def _touched_regions(self, mapping: Mapping) -> tuple[str, ...]:
         """Sorted names of every region the mapping's allocations fall into."""

@@ -46,6 +46,10 @@ class FeasibilityReport:
     required_period_ns: float
     achieved_period_ns: float | None = None
     latency_ns: float | None = None
+    #: Sized capacity, in tokens, of each buffer ``B_i`` of Figure 3: per
+    #: mapped-graph edge into a consuming actor (one per channel), keyed by
+    #: edge name.  Edges into router-hop actors hold no tile buffer and are
+    #: not sized.
     buffer_capacities: dict[str, int] = field(default_factory=dict)
     satisfied: bool = False
     reason: str = ""

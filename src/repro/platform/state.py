@@ -536,6 +536,24 @@ class PlatformState:
                 names.setdefault(allocation.application)
         return tuple(names.keys())
 
+    def allocations_of(
+        self, application: str
+    ) -> tuple[tuple[ProcessAllocation, ...], tuple[LinkAllocation, ...]]:
+        """The application's live process and link allocations."""
+        processes = tuple(
+            allocation
+            for allocations in self._tile_occupants.values()
+            for allocation in allocations
+            if allocation.application == application
+        )
+        links = tuple(
+            allocation
+            for allocations in self._link_allocations.values()
+            for allocation in allocations
+            if allocation.application == application
+        )
+        return processes, links
+
     def release_application(self, application: str) -> int:
         """Release every allocation of the application; returns how many were removed.
 

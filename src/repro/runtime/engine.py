@@ -639,9 +639,6 @@ class ProcessRegionExecutor:
                     if job.error is not None:
                         break
                     continue
-                pipeline.record_commit(
-                    decision.application, decision.result.mapping
-                )
             if fold_start_ns:
                 tracer.record(
                     "engine_fold",

@@ -166,9 +166,6 @@ class AdmissionPipeline:
         # is what makes the identity comparison in `mapper_for` safe).
         self._default_mapper = None
         self._custom_mapper: tuple[ImplementationLibrary, object] | None = None
-        #: Regions each running application's allocations landed in
-        #: (observability: which shard an admission was served from).
-        self._regions_of_app: dict[str, tuple[str, ...]] = {}
         #: Optional inter-region planner (duck-typed:
         #: :class:`repro.interregion.planner.InterRegionPlanner`).  When set,
         #: a request no single region can host is planned over budgeted
@@ -328,7 +325,6 @@ class AdmissionPipeline:
         mapping = result.mapping
         with self.state.transaction(region):
             self.write_allocations(als.name, mapping)
-        self._note_commit(als.name, mapping)
 
     def allocation_records(
         self, application: str, mapping: Mapping
@@ -630,7 +626,6 @@ class AdmissionPipeline:
             removed = self.state.release_application(application)
         if self.interregion is not None:
             self.interregion.budgets.release_application(application)
-        self._regions_of_app.pop(application, None)
         return removed
 
     def decide_interregion(
@@ -654,40 +649,18 @@ class AdmissionPipeline:
         return self.interregion.decide(als, library, scope=scope).settled()
 
     def regions_of(self, application: str) -> tuple[str, ...]:
-        """Names of the regions a running application's allocations landed in."""
-        return self._regions_of_app.get(application, ())
-
-    def record_commit(self, application: str, mapping: Mapping) -> None:
-        """Record a commit performed outside :meth:`commit`.
-
-        Both out-of-band commit paths — the inter-region planner's corridor
-        commit and the engine's fold of a worker delta — land here after
-        their transaction closed.
-        """
-        self._note_commit(application, mapping)
-
-    # ------------------------------------------------------------------ #
-    def _note_commit(self, application: str, mapping: Mapping) -> None:
-        """Record which regions the committed allocations fall into.
-
-        The commit itself invalidates affected cache entries by changing the
-        touched regions' fingerprints (entries are keyed by fingerprint, so
-        a stale entry simply never matches again); entries of untouched
-        regions deliberately stay live — that is what makes region sharding
-        and caching compose.
-        """
-        self._regions_of_app[application] = self._touched_regions(mapping)
-
-    def _touched_regions(self, mapping: Mapping) -> tuple[str, ...]:
-        """Names of the regions a mapping's allocations fall into."""
+        """Names of the regions a running application's live allocations
+        fall into (observability: which shard an admission was served
+        from), in partition order: the regions of its tiles and of the
+        endpoints of its reserved links."""
         if self.partition is None:
             return ()
-        names: dict[str, None] = {}
-        for assignment in mapping.assignments:
-            names.setdefault(self.partition.region_of_tile(assignment.tile).name)
-        for route in mapping.routes:
-            for position in route.path:
+        processes, links = self.state.allocations_of(application)
+        names = {self.partition.region_of_tile(allocation.tile).name for allocation in processes}
+        for allocation in links:
+            link = self.platform.noc.link_by_name(allocation.link)
+            for position in (link.source, link.target):
                 region = self.partition.region_of_position(position)
                 if region is not None:
-                    names.setdefault(region.name)
-        return tuple(names.keys())
+                    names.add(region.name)
+        return tuple(region.name for region in self.partition if region.name in names)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from repro.appmodel.library import ImplementationLibrary
 from repro.csdf.actor import CSDFActor
+from repro.csdf.analysis.buffers import buffer_edge_indices
 from repro.csdf.edge import CSDFEdge
 from repro.csdf.graph import CSDFGraph
 from repro.csdf.phase import PhaseVector
@@ -187,10 +188,10 @@ def consumer_buffer_edges(graph: CSDFGraph) -> dict[str, str]:
     """Map each KPN channel to the edge entering its consuming actor.
 
     These are the edges whose buffer capacities correspond to the B_i
-    annotations of Figure 3 (the buffers the consuming tile must reserve).
+    annotations of Figure 3 (the buffers the consuming tile must reserve):
+    the edges buffer sizing sizes
+    (:func:`~repro.csdf.analysis.buffers.buffer_edge_indices`), so every
+    one of them has a sized capacity.
     """
-    result: dict[str, str] = {}
-    for edge in graph.edges:
-        if edge.metadata.get("last"):
-            result[edge.metadata["channel"]] = edge.name
-    return result
+    edges = graph.edges
+    return {edges[e].metadata["channel"]: edges[e].name for e in buffer_edge_indices(graph)}

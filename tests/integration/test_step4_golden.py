@@ -10,6 +10,12 @@ step 4 runs its latency analysis too.  Any change to the simulator or the
 analyses that moves one of these numbers by one bit fails here.  The mapped
 graphs are feed-forward and unbounded, so step 4 never runs the event loop:
 buffer sizing and latency both come from the feed-forward evaluator.
+
+Step 4 sizes only the buffers a tile reserves, the edges into consuming
+actors, so the report is held to the golden entries of those edges.  Every
+edge of the golden ``"buffers"`` block, router-hop inputs included, is held
+to the occupancy maxima of :func:`feed_forward_run` on the mapped graph
+(which takes every edge's maximum), clamped to ``_lower_bound_capacity``.
 """
 
 import dataclasses
@@ -19,7 +25,10 @@ from pathlib import Path
 import pytest
 
 from repro import MapperConfig
+from repro.csdf.analysis.buffers import _lower_bound_capacity
+from repro.csdf.analysis.feedforward import feed_forward_run
 from repro.csdf.analysis.simulation import SelfTimedSimulator
+from repro.spatialmapper.csdf_construction import consumer_buffer_edges
 from repro.spatialmapper.mapper import SpatialMapper
 from repro.workloads import hiperlan2, receivers
 
@@ -56,16 +65,27 @@ def test_step4_reports_match_golden(block, monkeypatch):
     apps = _receivers()
     golden = GOLDEN[block]
     assert sorted(apps) == sorted(golden)
+    config = MapperConfig()
     for label, (als, library) in apps.items():
         als.qos = dataclasses.replace(als.qos, max_latency_ns=1e9)
-        mapper = SpatialMapper(hiperlan2.build_mpsoc(), library, MapperConfig())
+        mapper = SpatialMapper(hiperlan2.build_mpsoc(), library, config)
         result = mapper.map(als)
         report = result.feasibility
+        expected = golden[label]
         got = {
             "status": result.status.value,
             "period": _hex(report.achieved_period_ns),
             "latency": _hex(report.latency_ns),
-            "buffers": dict(sorted(report.buffer_capacities.items())),
         }
-        assert got == golden[label], label
+        assert got == {key: expected[key] for key in got}, label
+        graph = result.mapped_csdf
+        assert report.buffer_capacities == {
+            name: expected["buffers"][name] for name in consumer_buffer_edges(graph).values()
+        }, label
+        run = feed_forward_run(graph, config.analysis_iterations, als.period_ns, cycle_exit=True)
+        every_edge = {
+            name: max(observed, _lower_bound_capacity(graph, name))
+            for name, observed in run.max_occupancy.items()
+        }
+        assert dict(sorted(every_edge.items())) == expected["buffers"], label
     assert event_loop_runs == []

@@ -13,7 +13,11 @@ such a placement before routing it; both are exact only if
 
 Random multi-phase chains on random mesh and torus platforms, with two tiles
 on some router positions (one of them next to the I/O tile, so pinned
-producers share a position with a kernel), check both.
+producers share a position with a kernel), check both.  On the same graphs
+the sizing covers exactly the edges into each channel's consumer (the
+buffers ``B_i``), each at the capacity a sizing of every edge grants it,
+and charges the firings of the feed-forward run that takes every edge's
+maximum.
 """
 
 from random import Random
@@ -23,8 +27,9 @@ from hypothesis import strategies as st
 
 from repro.appmodel.implementation import Implementation
 from repro.appmodel.library import ImplementationLibrary
-from repro.csdf.analysis.budget import AnalysisEngine
+from repro.csdf.analysis.budget import AnalysisBudget, AnalysisEngine
 from repro.csdf.analysis.buffers import _lower_bound_capacity, sufficient_buffer_capacities
+from repro.csdf.analysis.feedforward import feed_forward_run
 from repro.csdf.analysis.throughput import minimal_period_ns
 from repro.csdf.phase import PhaseVector
 from repro.kpn.als import ApplicationLevelSpec
@@ -189,8 +194,8 @@ def test_every_sizing_returns_at_least_the_floor(topology, width, height, seed, 
         AnalysisEngine().sufficient_buffer_capacities(graph, period, iterations=ITERATIONS),
     ]
     for capacities in sizings:
-        for edge in graph.edges:
-            assert capacities[edge.name] >= _lower_bound_capacity(graph, edge.name)
+        for name, capacity in capacities.items():
+            assert capacity >= _lower_bound_capacity(graph, name)
         for channel_name, floor in floors.items():
             assert capacities[edges[channel_name]] >= floor
 
@@ -202,6 +207,40 @@ def test_every_sizing_returns_at_least_the_floor(topology, width, height, seed, 
         for capacities in sizings:
             sized = {name: capacities[edges[name]] for name in floors}
             assert _first_overflow(als, mapping, sized, free) is not None
+
+
+@given(**CASES)
+@settings(max_examples=60, deadline=None)
+def test_sizing_covers_the_consumer_edges_at_their_all_edge_capacities(
+    topology, width, height, seed, stages
+):
+    _, als, _, graph = routed_case(topology, width, height, seed, stages)
+    period = minimal_period_ns(graph, iterations=ITERATIONS) * 1.25
+    buffers = consumer_buffer_edges(graph)
+    assert {
+        channel: graph.edge(name).target for channel, name in buffers.items()
+    } == {channel.name: channel.target for channel in als.kpn.data_channels()}
+    run = feed_forward_run(graph, ITERATIONS, period, cycle_exit=True)
+    every_edge = {
+        name: max(observed, _lower_bound_capacity(graph, name))
+        for name, observed in run.max_occupancy.items()
+    }
+    assert len(every_edge) == len(graph.edges)
+    consumer_edges = set(buffers.values())
+    functional, engine = AnalysisBudget(), AnalysisBudget()
+    sizings = [
+        sufficient_buffer_capacities(
+            graph, period, iterations=ITERATIONS, early_exit=True, budget=functional
+        ),
+        AnalysisEngine().sufficient_buffer_capacities(
+            graph, period, iterations=ITERATIONS, budget=engine
+        ),
+    ]
+    for capacities in sizings:
+        assert set(capacities) == consumer_edges
+        for name, capacity in capacities.items():
+            assert capacity == every_edge[name]
+    assert functional.events_used == engine.events_used == run.simulated_events
 
 
 def _bytes_per_tile(als, mapping, tokens):

@@ -323,3 +323,22 @@ class TestStatelessWorker:
         assert {
             key: results[0].analysis[key] + results[1].analysis[key] for key in total
         } == total
+
+    def test_admission_records_do_not_outlive_their_dispatch(self, worker):
+        """Releases happen on the engine only, so a worker that kept which
+        regions its admissions landed in would grow one entry per admission
+        for its whole lifetime.  The record is read from the state each
+        dispatch rebuilds: after 30 single-job dispatches of the empty
+        region only the last admission is recorded."""
+        manager, pipeline = worker
+        names = [f"leak{i}" for i in range(30)]
+        for i, name in enumerate(names):
+            result = procdrain.handle_lane(
+                pipeline,
+                _lane(manager, manager.state, [_job(i, make_app(350 + i, name, "io_l"))]),
+                {},
+            )
+            assert result.responses[0].delta_blob is not None
+        assert manager.state.applications() == ()
+        assert pipeline.state.applications() == (names[-1],)
+        assert [name for name in names if pipeline.regions_of(name)] == [names[-1]]
