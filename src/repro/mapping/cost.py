@@ -75,78 +75,6 @@ def _endpoint_tiles(
     return tiles[0], tiles[1]
 
 
-def _endpoint_tiles_with_moves(
-    mapping: Mapping,
-    als: ApplicationLevelSpec,
-    channel: Channel,
-    moves: dict[str, str],
-) -> tuple[str, str] | None:
-    """Endpoint tiles as :func:`_endpoint_tiles`, with ``moves`` overriding tiles."""
-    tiles: list[str] = []
-    for process_name in channel.endpoints():
-        override = moves.get(process_name)
-        if override is not None:
-            tiles.append(override)
-            continue
-        process = als.kpn.process(process_name)
-        if process.is_pinned and process.pinned_tile is not None:
-            tiles.append(process.pinned_tile)
-        elif mapping.is_assigned(process_name):
-            tiles.append(mapping.tile_of(process_name))
-        else:
-            return None
-    return tiles[0], tiles[1]
-
-
-def incident_channels(als: ApplicationLevelSpec) -> dict[str, tuple[Channel, ...]]:
-    """Data channels touching each process, for delta-cost evaluation."""
-    incident: dict[str, list[Channel]] = {}
-    for channel in als.kpn.data_channels():
-        for process_name in set(channel.endpoints()):
-            incident.setdefault(process_name, []).append(channel)
-    return {name: tuple(channels) for name, channels in incident.items()}
-
-
-def manhattan_cost_delta(
-    mapping: Mapping,
-    als: ApplicationLevelSpec,
-    platform: Platform,
-    moves: dict[str, str],
-    incident: dict[str, tuple[Channel, ...]],
-    *,
-    weighted_by_tokens: bool = False,
-) -> float:
-    """Change in :func:`manhattan_cost` if ``moves`` (process -> new tile) were applied.
-
-    Only the channels incident to a moved process are re-evaluated, so a
-    move/swap is scored in O(degree) instead of O(channels).  With integral
-    distances and token weights (the common case) the delta arithmetic is
-    exact — ``manhattan_cost(mapping) + delta == manhattan_cost(moved
-    mapping)``, pinned by the property-test suite; fractional token weights
-    can round in the last ulp, which is why the step-2 search resyncs its
-    running cost from a full recompute after every accepted move.
-    """
-    seen: set[str] = set()
-    delta = 0.0
-    for process_name in moves:
-        for channel in incident.get(process_name, ()):
-            if channel.name in seen:
-                continue
-            seen.add(channel.name)
-            before = _endpoint_tiles(mapping, als, channel)
-            after = _endpoint_tiles_with_moves(mapping, als, channel, moves)
-            weight = channel.tokens_per_iteration if weighted_by_tokens else 1.0
-            if before is not None:
-                delta -= weight * manhattan_distance(
-                    platform.tile(before[0]).position, platform.tile(before[1]).position
-                )
-            if after is not None:
-                delta += weight * manhattan_distance(
-                    platform.tile(after[0]).position, platform.tile(after[1]).position
-                )
-    return delta
-
-
 def manhattan_cost(
     mapping: Mapping,
     als: ApplicationLevelSpec,
@@ -176,7 +104,7 @@ def manhattan_cost(
     return total
 
 
-def _channel_energy_nj(bits: float, hops: float, model: CostModel) -> float:
+def channel_energy_nj(bits: float, hops: float, model: CostModel) -> float:
     """Energy of one channel's bits per iteration over ``hops`` router hops."""
     if hops == 0:
         return bits * model.local_channel_energy_per_bit_nj
@@ -208,7 +136,7 @@ def communication_energy_nj(
             hops = manhattan_distance(
                 platform.tile(source_tile).position, platform.tile(target_tile).position
             )
-        total += _channel_energy_nj(channel.bits_per_iteration, hops, model)
+        total += channel_energy_nj(channel.bits_per_iteration, hops, model)
     return total
 
 
@@ -258,7 +186,7 @@ def mapping_energy_lower_bound_nj(
         hops = noc.hop_distance(
             platform.tile(endpoints[0]).position, platform.tile(endpoints[1]).position
         )
-        communication += _channel_energy_nj(channel.bits_per_iteration, hops, model)
+        communication += channel_energy_nj(channel.bits_per_iteration, hops, model)
     computation = mapping.computation_energy_nj()
     activation = model.tile_activation_energy_nj * len(mapping.used_tiles())
     return computation + communication + activation

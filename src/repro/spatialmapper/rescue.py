@@ -12,14 +12,20 @@ equal energies.
 
 A call runs in three phases:
 
-* **draw all** — every searcher draws its placements (full random
-  placements from the platform's per-scope tile tables, each against a copy
-  of one residual tracker seeded per call), and each placement gets a lower
-  bound on its energy
-  (:func:`~repro.mapping.cost.mapping_energy_lower_bound_nj`: every channel
-  at the fewest NoC hops between its endpoint routers);
+* **draw all** — every searcher draws its placements from one per-call
+  option table: per mappable process, every ``(implementation, tile,
+  memory)`` that fits the state and the pinned processes.  A draw filters
+  each process's options by a per-draw delta of the slots and memory it
+  has used, which gives the list a fresh eligibility scan would, in the
+  same order, and keeps the placement as tile names.  Each placement gets
+  a lower bound on its energy computed from those names, bit-identical to
+  :func:`~repro.mapping.cost.mapping_energy_lower_bound_nj` of its
+  mapping (every channel at the fewest NoC hops between its endpoint
+  routers);
 * **bound order** — the placements are evaluated in ``(bound, draw index)``
-  order.  A reached placement first meets the stream-buffer **floor**
+  order, and only a reached placement is built into a
+  :class:`~repro.mapping.mapping.Mapping`.  It first meets the
+  stream-buffer **floor**
   (:func:`~repro.spatialmapper.step4_feasibility.stream_buffer_floor_overflow`:
   the stream buffers at their smallest possible capacities must fit the
   consuming tiles' memory; a placement it cuts would have ended in a step-4
@@ -36,8 +42,8 @@ A call runs in three phases:
 
 Drawing first is sound because no placement depends on how an earlier
 candidate fared: the seeds are fixed per (request, searcher), every draw
-starts from the same residual tracker, and each evaluated candidate is
-rolled back.  With an unlimited ledger the lane therefore adopts exactly
+starts from the same option table, and each evaluated candidate is rolled
+back.  With an unlimited ledger the lane therefore adopts exactly
 what an exhaustive evaluation in draw order adopts.  On the packing
 benchmark each call routes and analyses a single placement: the first one
 past the floor is feasible and wins.
@@ -73,13 +79,15 @@ import zlib
 from dataclasses import dataclass
 from random import Random
 
+from repro.appmodel.implementation import Implementation
 from repro.appmodel.library import ImplementationLibrary
 from repro.csdf.analysis.budget import AnalysisBudget, AnalysisEngine
 from repro.kpn.als import ApplicationLevelSpec
 from repro.mapping.assignment import ProcessAssignment
 from repro.mapping.cost import (
+    CostModel,
+    channel_energy_nj,
     manhattan_cost,
-    mapping_energy_lower_bound_nj,
     mapping_energy_nj,
 )
 from repro.mapping.mapping import Mapping
@@ -89,7 +97,6 @@ from repro.platform.platform import Platform
 from repro.platform.state import PlatformState
 from repro.spatialmapper.config import MapperConfig
 from repro.spatialmapper.residuals import ResidualTracker
-from repro.spatialmapper.step1_implementation import eligible_tiles
 from repro.spatialmapper.step3_routing import route_channels
 from repro.spatialmapper.step4_feasibility import (
     check_feasibility,
@@ -190,44 +197,138 @@ class RescueOutcome:
     floor_cut: int = 0
 
 
-def _random_placement(
-    rng: Random,
-    als: ApplicationLevelSpec,
-    platform: Platform,
-    library: ImplementationLibrary,
-    state: PlatformState,
-    pinned: Mapping,
-    pinned_residuals: ResidualTracker,
-    allowed_tiles: frozenset[str] | None,
-) -> Mapping | None:
+#: One drawn placement: ``(process, implementation, tile)`` per mappable
+#: process, in the order the draw placed them.
+Placement = tuple[tuple[str, Implementation, str], ...]
+
+
+class _DrawTable:
+    """What every draw and bound of one rescue call reads, built once per call.
+
+    ``options`` holds, per mappable process, every ``(implementation, tile,
+    memory)`` that fits the call's base residuals (the state plus the
+    pinned processes), in the order an eligibility scan lists them:
+    implementations in library order, tiles in the scope's table order.  A
+    draw only lowers residuals, so keeping the options that still fit the
+    draw's own placements gives exactly the list a fresh scan would, in the
+    same order and of the same length.  The refinement loop's exclusions
+    are deliberately *not* applied: they encode why the greedy search
+    failed, and the rescue lane's whole point is to search outside that
+    corridor.
+    """
+
+    __slots__ = (
+        "order", "options", "free_slots", "free_memory", "pinned", "pinned_tiles",
+        "channels", "positions", "noc", "cost_model",
+    )
+
+    def __init__(
+        self,
+        als: ApplicationLevelSpec,
+        platform: Platform,
+        library: ImplementationLibrary,
+        state: PlatformState,
+        allowed_tiles: frozenset[str] | None,
+        cost_model: CostModel,
+    ) -> None:
+        self.pinned = Mapping(als.name)
+        for process in als.kpn.pinned_processes():
+            self.pinned.assign(ProcessAssignment(process.name, process.pinned_tile))
+        self.pinned_tiles = {a.process: a.tile for a in self.pinned.assignments}
+        residuals = ResidualTracker.for_mapping(platform, state, self.pinned)
+        self.order = [process.name for process in als.kpn.mappable_processes()]
+        self.options: dict[str, tuple[tuple[Implementation, str, int], ...]] = {}
+        self.free_slots: dict[str, int] = {}
+        self.free_memory: dict[str, int] = {}
+        for process_name in self.order:
+            options = []
+            for implementation in library.implementations_for(process_name):
+                memory = implementation.memory_bytes
+                for tile_name in platform.processing_tile_names(
+                    implementation.tile_type, allowed_tiles
+                ):
+                    slots = residuals.free_slots(tile_name)
+                    free_memory = residuals.free_memory(tile_name)
+                    if slots < 1 or memory > free_memory:
+                        continue
+                    options.append((implementation, tile_name, memory))
+                    self.free_slots[tile_name] = slots
+                    self.free_memory[tile_name] = free_memory
+            self.options[process_name] = tuple(options)
+        # Every data channel between processes a full placement places, in
+        # KPN order, as (bits per iteration, source, target).
+        placed = set(self.order) | set(self.pinned_tiles)
+        self.channels = tuple(
+            (channel.bits_per_iteration, channel.source, channel.target)
+            for channel in als.kpn.data_channels()
+            if channel.source in placed and channel.target in placed
+        )
+        self.positions = {tile.name: tile.position for tile in platform.tiles}
+        self.noc = platform.noc
+        self.cost_model = cost_model
+
+
+def _draw_placement(rng: Random, table: _DrawTable) -> Placement | None:
     """One full random placement, or ``None`` when some process cannot fit.
 
-    Pinned processes keep their pinned tile (``pinned`` holds them, and
-    ``pinned_residuals`` accounts for them; both are copied, not changed);
-    mappable processes are placed in a shuffled order, each drawing
-    uniformly from its currently-eligible (implementation, tile) options.
-    The refinement loop's exclusions are deliberately *not* applied: they
-    encode why the greedy search failed, and the rescue lane's whole point
-    is to search outside that corridor.
+    The mappable processes are placed in a shuffled order, each drawing
+    uniformly from its options that still fit after the draw's earlier
+    placements (tracked as a per-draw delta over the table's residuals).
     """
-    mapping = pinned.copy()
-    residuals = pinned_residuals.copy()
-
-    order = [process.name for process in als.kpn.mappable_processes()]
+    order = list(table.order)
     rng.shuffle(order)
+    free_slots = table.free_slots
+    free_memory = table.free_memory
+    used_slots: dict[str, int] = {}
+    used_memory: dict[str, int] = {}
+    placement = []
     for process_name in order:
-        options: list[tuple] = []
-        for implementation in library.implementations_for(process_name):
-            for tile_name in eligible_tiles(
-                implementation, platform, state, mapping,
-                residuals=residuals, allowed_tiles=allowed_tiles,
-            ):
-                options.append((implementation, tile_name))
+        options = [
+            option
+            for option in table.options[process_name]
+            if used_slots.get(option[1], 0) < free_slots[option[1]]
+            and option[2] <= free_memory[option[1]] - used_memory.get(option[1], 0)
+        ]
         if not options:
             return None
-        implementation, tile_name = options[rng.randrange(len(options))]
+        implementation, tile_name, memory = options[rng.randrange(len(options))]
+        used_slots[tile_name] = used_slots.get(tile_name, 0) + 1
+        used_memory[tile_name] = used_memory.get(tile_name, 0) + memory
+        placement.append((process_name, implementation, tile_name))
+    return tuple(placement)
+
+
+def _placement_bound(placement: Placement, table: _DrawTable) -> float:
+    """:func:`~repro.mapping.cost.mapping_energy_lower_bound_nj` of the
+    placement's mapping, computed from tile names alone.
+
+    Adds the same terms in the same order: every data channel at the
+    fewest hops between its endpoint routers in KPN order, then the
+    computation energy in assignment order (the pinned processes carry
+    none), then the activation of every distinct tile.
+    """
+    tile_of = dict(table.pinned_tiles)
+    for process_name, _, tile_name in placement:
+        tile_of[process_name] = tile_name
+    model = table.cost_model
+    positions = table.positions
+    hop_distance = table.noc.hop_distance
+    communication = 0.0
+    for bits, source, target in table.channels:
+        hops = hop_distance(positions[tile_of[source]], positions[tile_of[target]])
+        communication += channel_energy_nj(bits, hops, model)
+    computation = sum(
+        implementation.energy_nj_per_iteration for _, implementation, _ in placement
+    )
+    activation = model.tile_activation_energy_nj * len(set(tile_of.values()))
+    return computation + communication + activation
+
+
+def _placement_mapping(placement: Placement, table: _DrawTable) -> Mapping:
+    """The mapping of a placement: the pinned processes, then the draw."""
+    mapping = table.pinned.copy()
+    for process_name, implementation, tile_name in placement:
         mapping.assign(ProcessAssignment(process_name, tile_name, implementation))
-        residuals.place(tile_name, implementation.memory_bytes)
     return mapping
 
 
@@ -255,34 +356,26 @@ def rescue_search(
     outcome = RescueOutcome(searchers_run=config.rescue_searchers)
     best: MappingResult | None = None
     # The scratch transactions roll every candidate back, so the state and
-    # with it the residuals left by the pinned processes are the same for
+    # with it the options and residuals the table holds are the same for
     # every placement of this call.
-    pinned = Mapping(als.name)
-    for process in als.kpn.pinned_processes():
-        pinned.assign(ProcessAssignment(process.name, process.pinned_tile))
-    pinned_residuals = ResidualTracker.for_mapping(platform, state, pinned)
+    table = _DrawTable(als, platform, library, state, allowed_tiles, config.cost_model)
 
     # Draw the whole portfolio first: the seeds are fixed per (request,
-    # searcher) and every placement draws against a copy of the same
-    # residuals, so no placement depends on how an earlier one fared.
-    drawn: list[tuple[float, int, Mapping]] = []
+    # searcher) and every placement draws against the same table, so no
+    # placement depends on how an earlier one fared.  A placement stays
+    # tile names until the best-first loop reaches it.
+    drawn: list[tuple[float, int, Placement]] = []
     request_digest = _request_digest(als, library, fingerprint)
     for searcher in range(config.rescue_searchers):
         rng = Random(_searcher_seed(request_digest, searcher))
         for _ in range(config.rescue_attempts):
-            mapping = _random_placement(
-                rng, als, platform, library, state, pinned, pinned_residuals,
-                allowed_tiles,
-            )
-            if mapping is not None:
+            placement = _draw_placement(rng, table)
+            if placement is not None:
                 # The bound costs each channel at the NoC's BFS hop
                 # distance, which no route undercuts on any topology; a
                 # Manhattan bound would be valid on a mesh only, as a
                 # torus's wrap-around links route shorter than Manhattan.
-                bound = mapping_energy_lower_bound_nj(
-                    mapping, als, platform, config.cost_model
-                )
-                drawn.append((bound, len(drawn), mapping))
+                drawn.append((_placement_bound(placement, table), len(drawn), placement))
     outcome.candidates = len(drawn)
     drawn.sort(key=lambda candidate: candidate[:2])
 
@@ -292,9 +385,10 @@ def rescue_search(
     # the call: every later candidate's key is larger still.
     best_key: tuple[float, int] | None = None
     routed = 0
-    for bound, index, mapping in drawn:
+    for bound, index, placement in drawn:
         if ledger.exhausted or (best_key is not None and (bound, index) > best_key):
             break
+        mapping = _placement_mapping(placement, table)
         if stream_buffer_floor_overflow(mapping, als, platform, state):
             outcome.floor_cut += 1
             continue

@@ -54,13 +54,6 @@ class ResidualTracker:
             tracker.place(assignment.tile, memory)
         return tracker
 
-    def copy(self) -> "ResidualTracker":
-        """An independent tracker with the same residuals."""
-        clone = ResidualTracker.__new__(ResidualTracker)
-        clone._free_slots = dict(self._free_slots)
-        clone._free_memory = dict(self._free_memory)
-        return clone
-
     # ------------------------------------------------------------------ #
     def free_slots(self, tile_name: str) -> int:
         """Free process slots on the tile, counting in-progress placements."""

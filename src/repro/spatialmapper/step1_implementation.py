@@ -8,6 +8,13 @@ platform state and the choices already made).  Processes are picked in order
 of decreasing *desirability* (see :mod:`repro.spatialmapper.desirability`)
 and packed first-fit onto a concrete tile, which guarantees that at least one
 concrete tile assignment exists after this step.
+
+The search works from per-call tables.  Each (process, implementation)
+list of eligible tiles is derived once and loses a tile only when a
+placement fills it; each unassigned process's desirability and options
+are kept and re-scored only when a placement changed what they read: its
+eligible lists lost the placed tile or, under the communication-aware
+metric, a neighbour was just placed.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from repro.mapping.assignment import ProcessAssignment
 from repro.mapping.mapping import Mapping
 from repro.platform.platform import Platform
 from repro.platform.state import PlatformState
-from repro.spatialmapper.config import MapperConfig
+from repro.spatialmapper.config import DesirabilityMetric, MapperConfig
 from repro.spatialmapper.desirability import assignment_options, desirability
 from repro.spatialmapper.feedback import ExclusionSet, Feedback, FeedbackKind
 from repro.spatialmapper.residuals import ResidualTracker
@@ -128,12 +135,25 @@ def select_implementations(
         for process_name in unassigned
     }
 
-    while unassigned:
-        # Re-evaluate desirability every iteration: tile availability changes
-        # as processes are packed, which changes which implementations still
-        # admit an adherent mapping.
-        scored: list[tuple[float, int, str, list]] = []
+    # Each unassigned process's (desirability, options), re-scored only when
+    # a placement changes what it reads: a process whose eligible list lost
+    # the placed tile and, under the communication-aware metric, a neighbour
+    # of the placed process (its estimate reads the neighbour's tile).
+    scores: dict[str, tuple[float, list]] = {}
+    dirty = set(unassigned)
+    neighbours: dict[str, set[str]] = {}
+    if config.desirability_metric is DesirabilityMetric.ENERGY_AND_COMMUNICATION:
         for process_name in unassigned:
+            neighbours[process_name] = {
+                channel.target if channel.source == process_name else channel.source
+                for channel in als.kpn.channels_of(process_name)
+                if not channel.is_control
+            }
+
+    while unassigned:
+        for process_name in unassigned:
+            if process_name not in dirty:
+                continue
             candidates = [
                 (implementation, tiles)
                 for implementation, tiles in eligible[process_name]
@@ -147,13 +167,15 @@ def select_implementations(
                 partial_mapping=mapping,
                 config=config,
             )
-            score = desirability(options)
-            scored.append((score, declaration_rank[process_name], process_name, options))
+            scores[process_name] = (desirability(options), options)
+        dirty.clear()
 
         # Most desirable first; ties broken by declaration order (the KPN order),
         # which reproduces the worked example of the paper.
-        scored.sort(key=lambda item: (-item[0], item[1]))
-        score, _, process_name, options = scored[0]
+        process_name = min(
+            unassigned, key=lambda name: (-scores[name][0], declaration_rank[name])
+        )
+        options = scores.pop(process_name)[1]
         if not options:
             result.feedback.append(
                 Feedback(
@@ -182,11 +204,13 @@ def select_implementations(
         unassigned.remove(process_name)
         free_slots = residuals.free_slots(tile_name)
         free_memory = residuals.free_memory(tile_name)
-        for entries in eligible.values():
+        for other_name, entries in eligible.items():
             for implementation, tiles in entries:
                 if tile_name in tiles and (
                     free_slots < 1 or implementation.memory_bytes > free_memory
                 ):
                     tiles.remove(tile_name)
+                    dirty.add(other_name)
+        dirty.update(neighbours.get(process_name, ()))
 
     return result

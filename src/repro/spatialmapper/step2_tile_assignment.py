@@ -14,14 +14,17 @@ Because a process may only be reassigned to a tile of the same type as the
 one it already occupies, this step maintains adequacy by construction
 (paper, section 3).
 
-Candidates are scored *incrementally*: a move or swap only changes the
-distances of the channels incident to the touched processes, so the search
-evaluates a cost delta over those channels (exact — the distances are
-integral) instead of recomputing the full metric, and only applies a
-candidate to the mapping when it is accepted; the trace keeps just each
-evaluated candidate's moves.  Residual slot/memory checks
-likewise run against an O(1) :class:`~repro.spatialmapper.residuals.ResidualTracker`
-seeded from the platform state's cached aggregates.
+Candidates are scored *incrementally* from a per-call :class:`CostTable`:
+the position of every channel endpoint and, per process, its incident data
+channels as ``(name, source, target, weight)`` tuples.  A move or swap only
+changes the distances of the channels incident to the touched processes, so
+the search evaluates a cost delta over those channels (exact — the
+distances are integral) instead of recomputing the full metric, and only
+applies a candidate to the mapping, and its new positions to the table,
+when it is accepted; the trace keeps just each evaluated candidate's moves.
+Residual slot/memory checks likewise run against an O(1)
+:class:`~repro.spatialmapper.residuals.ResidualTracker` seeded from the
+platform state's cached aggregates.
 """
 
 from __future__ import annotations
@@ -29,9 +32,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.kpn.als import ApplicationLevelSpec
-from repro.mapping.cost import incident_channels, manhattan_cost, manhattan_cost_delta
 from repro.mapping.mapping import Mapping
+from repro.platform.noc import Position
 from repro.platform.platform import Platform
+from repro.platform.routing import manhattan_distance
 from repro.platform.state import PlatformState
 from repro.spatialmapper.config import MapperConfig, Step2Strategy
 from repro.spatialmapper.feedback import ExclusionSet
@@ -53,6 +57,104 @@ class _Swap:
 
     process_a: str
     process_b: str
+
+
+class CostTable:
+    """Positions of the channel endpoints and the data channels step 2 scores.
+
+    Built once per :func:`refine_tile_assignment` call; :meth:`place` moves
+    one process when a candidate is accepted.  ``channels`` holds one
+    ``(name, source, target, weight)`` tuple per data channel in KPN order
+    (the weight is the channel's tokens per iteration when weighted, else
+    ``1.0``) and ``incident`` the tuples touching each process, so
+    :meth:`cost` adds the same terms in the same order as
+    :func:`~repro.mapping.cost.manhattan_cost` and rounds exactly like it
+    with fractional weights.  A process still unplaced has position
+    ``None``, and its channels do not count.
+    """
+
+    __slots__ = ("positions", "channels", "incident", "_platform")
+
+    def __init__(
+        self,
+        mapping: Mapping,
+        als: ApplicationLevelSpec,
+        platform: Platform,
+        *,
+        weighted_by_tokens: bool = False,
+    ) -> None:
+        self._platform = platform
+        self.channels = tuple(
+            (
+                channel.name,
+                channel.source,
+                channel.target,
+                channel.tokens_per_iteration if weighted_by_tokens else 1.0,
+            )
+            for channel in als.kpn.data_channels()
+        )
+        incident: dict[str, list[tuple]] = {}
+        for entry in self.channels:
+            for process_name in {entry[1], entry[2]}:
+                incident.setdefault(process_name, []).append(entry)
+        self.incident = {name: tuple(entries) for name, entries in incident.items()}
+        self.positions: dict[str, Position | None] = {}
+        for process_name in incident:
+            process = als.kpn.process(process_name)
+            if process.is_pinned and process.pinned_tile is not None:
+                tile_name = process.pinned_tile
+            elif mapping.is_assigned(process_name):
+                tile_name = mapping.tile_of(process_name)
+            else:
+                self.positions[process_name] = None
+                continue
+            self.positions[process_name] = platform.tile(tile_name).position
+
+    def place(self, process: str, tile_name: str) -> None:
+        """Record that ``process`` now sits on ``tile_name``."""
+        if process in self.positions:
+            self.positions[process] = self._platform.tile(tile_name).position
+
+    def cost(self) -> float:
+        """The Manhattan cost of the current positions."""
+        positions = self.positions
+        total = 0.0
+        for _, source, target, weight in self.channels:
+            source_position = positions[source]
+            target_position = positions[target]
+            if source_position is None or target_position is None:
+                continue
+            total += manhattan_distance(source_position, target_position) * weight
+        return total
+
+    def delta(self, moves: dict[str, str]) -> float:
+        """Change in :meth:`cost` if ``moves`` (process -> new tile) were applied.
+
+        Only the channels incident to a moved process are re-evaluated, so
+        a move or swap is scored in O(degree); each channel subtracts its
+        weighted distance before the moves and adds the one after.
+        """
+        positions = self.positions
+        moved = {
+            process: self._platform.tile(tile_name).position
+            for process, tile_name in moves.items()
+        }
+        seen: set[str] = set()
+        delta = 0.0
+        for process_name in moves:
+            for name, source, target, weight in self.incident.get(process_name, ()):
+                if name in seen:
+                    continue
+                seen.add(name)
+                source_position = positions[source]
+                target_position = positions[target]
+                if source_position is not None and target_position is not None:
+                    delta -= weight * manhattan_distance(source_position, target_position)
+                source_position = moved.get(source, source_position)
+                target_position = moved.get(target, target_position)
+                if source_position is not None and target_position is not None:
+                    delta += weight * manhattan_distance(source_position, target_position)
+        return delta
 
 
 @dataclass
@@ -88,14 +190,19 @@ def _proposed_moves(mapping: Mapping, candidate: "_Move | _Swap") -> dict[str, s
 
 
 def _accept(
-    mapping: Mapping, candidate: "_Move | _Swap", residuals: ResidualTracker
+    mapping: Mapping,
+    candidate: "_Move | _Swap",
+    residuals: ResidualTracker,
+    table: CostTable,
 ) -> None:
-    """Apply an accepted candidate to the mapping and the residual tracker."""
+    """Apply an accepted candidate to the mapping, the residual tracker and
+    the cost table."""
     if isinstance(candidate, _Move):
         assignment = mapping.assignment(candidate.process)
         memory = assignment.implementation.memory_bytes if assignment.implementation else 0
         residuals.move(assignment.tile, candidate.target_tile, memory)
         mapping.assign(assignment.moved_to(candidate.target_tile))
+        table.place(candidate.process, candidate.target_tile)
         return
     assignment_a = mapping.assignment(candidate.process_a)
     assignment_b = mapping.assignment(candidate.process_b)
@@ -105,6 +212,8 @@ def _accept(
     residuals.move(assignment_b.tile, assignment_a.tile, memory_b)
     mapping.assign(assignment_a.moved_to(assignment_b.tile))
     mapping.assign(assignment_b.moved_to(assignment_a.tile))
+    table.place(candidate.process_a, assignment_b.tile)
+    table.place(candidate.process_b, assignment_a.tile)
 
 
 def _enumerate_candidates(
@@ -228,26 +337,13 @@ def refine_tile_assignment(
     exclusions = ExclusionSet() if exclusions is None else exclusions
     current = mapping.copy()
     residuals = ResidualTracker.for_mapping(platform, state, current)
-    incident = incident_channels(als)
-
-    def delta_of(candidate: "_Move | _Swap") -> float:
-        return manhattan_cost_delta(
-            current,
-            als,
-            platform,
-            _proposed_moves(current, candidate),
-            incident,
-            weighted_by_tokens=config.step2_weight_by_tokens,
-        )
-
-    def full_cost() -> float:
-        return manhattan_cost(
-            current, als, platform, weighted_by_tokens=config.step2_weight_by_tokens
-        )
+    table = CostTable(
+        current, als, platform, weighted_by_tokens=config.step2_weight_by_tokens
+    )
 
     trace = Step2Trace(
         initial_assignment=_assignment_snapshot(current, als),
-        initial_cost=full_cost(),
+        initial_cost=table.cost(),
     )
     search = (
         _first_improvement
@@ -255,8 +351,8 @@ def refine_tile_assignment(
         else _best_improvement
     )
     current = search(
-        current, als, platform, residuals, config, exclusions, trace, delta_of,
-        full_cost, allowed_tiles,
+        current, als, platform, residuals, table, config, exclusions, trace,
+        allowed_tiles,
     )
     return Step2Result(mapping=current, trace=trace)
 
@@ -300,11 +396,10 @@ def _first_improvement(
     als: ApplicationLevelSpec,
     platform: Platform,
     residuals: ResidualTracker,
+    table: CostTable,
     config: MapperConfig,
     exclusions: ExclusionSet,
     trace: Step2Trace,
-    delta_of,
-    full_cost,
     allowed_tiles: frozenset[str] | None = None,
 ) -> Mapping:
     """Evaluate one candidate per iteration; keep it only when it improves the cost."""
@@ -324,15 +419,15 @@ def _first_improvement(
             if not _candidate_applicable(candidate, current, platform, residuals, exclusions):
                 continue
             iteration += 1
-            candidate_cost = current_cost + delta_of(candidate)
+            candidate_cost = current_cost + table.delta(_proposed_moves(current, candidate))
             accepted = candidate_cost <= current_cost - min_gain
             _record(trace, config, iteration, candidate, current, candidate_cost, accepted)
             if accepted:
-                _accept(current, candidate, residuals)
-                # Resync from scratch so delta rounding (possible with
+                _accept(current, candidate, residuals, table)
+                # Resync from the table so delta rounding (possible with
                 # fractional token weights) never compounds across accepted
                 # moves; with integral weights this equals candidate_cost.
-                current_cost = full_cost()
+                current_cost = table.cost()
                 improved_in_pass = True
         if not improved_in_pass:
             break
@@ -344,11 +439,10 @@ def _best_improvement(
     als: ApplicationLevelSpec,
     platform: Platform,
     residuals: ResidualTracker,
+    table: CostTable,
     config: MapperConfig,
     exclusions: ExclusionSet,
     trace: Step2Trace,
-    delta_of,
-    full_cost,
     allowed_tiles: frozenset[str] | None = None,
 ) -> Mapping:
     """Evaluate all candidates each iteration and apply the best improving one."""
@@ -362,7 +456,7 @@ def _best_improvement(
         best_candidate: _Move | _Swap | None = None
         best_cost = current_cost
         for candidate in candidates:
-            candidate_cost = current_cost + delta_of(candidate)
+            candidate_cost = current_cost + table.delta(_proposed_moves(current, candidate))
             if candidate_cost < best_cost - min_gain:
                 best_candidate = candidate
                 best_cost = candidate_cost
@@ -370,9 +464,9 @@ def _best_improvement(
             break
         iteration += 1
         _record(trace, config, iteration, best_candidate, current, best_cost, True)
-        _accept(current, best_candidate, residuals)
-        # Resync from scratch so delta rounding (possible with fractional
+        _accept(current, best_candidate, residuals, table)
+        # Resync from the table so delta rounding (possible with fractional
         # token weights) never compounds; with integral weights this equals
         # best_cost.
-        current_cost = full_cost()
+        current_cost = table.cost()
     return current

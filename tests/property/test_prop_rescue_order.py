@@ -7,7 +7,8 @@ result: the adopted mapping, its routes and its energy equal those of a
 search that routes, costs and analyses *every* drawn placement in draw
 order and keeps the feasible one of least energy, the earliest draw among
 equal energies.  The reference search below lives here, not in the
-library; it shares only the seeded draws with the lane.
+library; it shares only the seeds with the lane and draws with the
+tests-only scanning oracle (``tests/rescue_oracle.py``).
 
 Platforms are random meshes and tori with random links loaded to capacity,
 so that routes detour and the bound is often loose; the tiles carry random
@@ -21,7 +22,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.csdf.analysis.budget import AnalysisEngine
-from repro.mapping.assignment import ProcessAssignment
 from repro.mapping.cost import mapping_energy_nj
 from repro.mapping.mapping import Mapping
 from repro.mapping.properties import adherence_violations
@@ -30,10 +30,10 @@ from repro.platform.state import LinkAllocation, PlatformState
 from repro.platform.topology import build_mesh_noc, build_torus_noc
 from repro.spatialmapper import rescue as rescue_module
 from repro.spatialmapper.config import MapperConfig
-from repro.spatialmapper.residuals import ResidualTracker
 from repro.spatialmapper.step3_routing import route_channels
 from repro.spatialmapper.step4_feasibility import check_feasibility
 from repro.workloads.synthetic import SyntheticConfig, generate_application
+from tests.rescue_oracle import pinned_mapping, scanning_random_placement
 
 CONFIG = replace(
     MapperConfig(analysis_iterations=3),
@@ -73,17 +73,14 @@ def draw_order_search(app, platform, state, config, fingerprint):
     """Route, cost and analyse every drawn placement in draw order; return
     the feasible result of least energy (earliest draw on ties) as
     ``(energy, assignments, routes)``, or ``None``."""
-    pinned = Mapping(app.als.name)
-    for process in app.als.kpn.pinned_processes():
-        pinned.assign(ProcessAssignment(process.name, process.pinned_tile))
-    residuals = ResidualTracker.for_mapping(platform, state, pinned)
+    pinned = pinned_mapping(app.als)
     analysis = AnalysisEngine.from_config(config)
     best = None
     for searcher in range(config.rescue_searchers):
         rng = Random(rescue_module.rescue_seed(app.als, app.library, fingerprint, searcher))
         for _ in range(config.rescue_attempts):
-            mapping = rescue_module._random_placement(
-                rng, app.als, platform, app.library, state, pinned, residuals, None
+            mapping = scanning_random_placement(
+                rng, app.als, platform, app.library, state, pinned, None
             )
             if mapping is None:
                 continue

@@ -9,22 +9,21 @@ Two invariants protect the O(1) fast paths introduced for run-time admission:
 * a rolled-back transaction must leave the state bit-identical to the
   snapshot taken before it opened;
 * the delta cost used by the step-2 local search must equal the full
-  Manhattan-cost recompute for random move/swap sequences.
+  Manhattan-cost recompute for random move/swap sequences, and the
+  search's running cost table must equal one rebuilt from its mapping.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import PlatformError
-from repro.mapping.assignment import ProcessAssignment
-from repro.mapping.cost import (
-    incident_channels,
-    manhattan_cost,
-    manhattan_cost_delta,
-)
+from repro.mapping.cost import manhattan_cost
 from repro.mapping.mapping import Mapping
 from repro.platform.state import LinkAllocation, PlatformState, ProcessAllocation
+from repro.spatialmapper import step2_tile_assignment as step2_module
+from repro.spatialmapper.config import MapperConfig, Step2Strategy
 from repro.spatialmapper.step1_implementation import select_implementations
+from repro.spatialmapper.step2_tile_assignment import CostTable
 from repro.workloads.synthetic import SyntheticConfig, generate_application, generate_platform
 
 
@@ -195,7 +194,20 @@ class TestStateAggregates:
         assert _snapshot(state) == before
 
 
+def _placed_processes(mapping, als):
+    return [
+        p.name
+        for p in als.kpn.mappable_processes()
+        if mapping.is_assigned(p.name) and mapping.assignment(p.name).implementation
+    ]
+
+
 class TestDeltaCost:
+    """Step 2's :class:`CostTable` scores a candidate as a delta over the
+    channels it touches; applied, the delta must land exactly on the full
+    :func:`manhattan_cost` recompute, and a table kept up to date through
+    accepted candidates must equal one rebuilt from the mapping."""
+
     @given(
         st.integers(min_value=0, max_value=30),
         st.lists(
@@ -204,21 +216,23 @@ class TestDeltaCost:
             max_size=12,
         ),
         st.booleans(),
+        st.integers(min_value=0, max_value=2),
     )
     @settings(max_examples=40, deadline=None)
-    def test_delta_equals_full_recompute_for_moves_and_swaps(self, seed, steps, weighted):
+    def test_delta_equals_full_recompute_for_moves_and_swaps(self, seed, steps, weighted, unplaced):
+        """Moves and swaps on a mapping with ``unplaced`` processes taken
+        out (their channels do not count); the token weights are integral,
+        so the sums are exact."""
         app = generate_application(seed, config=SyntheticConfig(stages=5, period_ns=50_000.0))
         platform = generate_platform(seed + 500, width=4, height=4)
         step1 = select_implementations(app.als, platform, app.library)
         mapping = step1.mapping
-        processes = [
-            p.name
-            for p in app.als.kpn.mappable_processes()
-            if mapping.is_assigned(p.name) and mapping.assignment(p.name).implementation
-        ]
+        for process_name in _placed_processes(mapping, app.als)[:unplaced]:
+            mapping.unassign(process_name)
+        processes = _placed_processes(mapping, app.als)
         if not processes:
             return
-        incident = incident_channels(app.als)
+        table = CostTable(mapping, app.als, platform, weighted_by_tokens=weighted)
         tiles_by_type = {
             type_.name: [t.name for t in platform.tiles_of_type(type_.name) if t.is_processing]
             for type_ in platform.tile_types()
@@ -244,31 +258,29 @@ class TestDeltaCost:
                 continue
 
             before = manhattan_cost(mapping, app.als, platform, weighted_by_tokens=weighted)
-            delta = manhattan_cost_delta(
-                mapping, app.als, platform, moves, incident, weighted_by_tokens=weighted
-            )
+            assert table.cost() == before
+            delta = table.delta(moves)
             for process_name, tile_name in moves.items():
                 mapping.assign(mapping.assignment(process_name).moved_to(tile_name))
+                table.place(process_name, tile_name)
             after = manhattan_cost(mapping, app.als, platform, weighted_by_tokens=weighted)
             assert before + delta == after
+            assert table.cost() == after
 
     def test_delta_on_partial_mapping_skips_unplaced_endpoints(self):
         app = generate_application(3, config=SyntheticConfig(stages=4, period_ns=50_000.0))
         platform = generate_platform(503, width=4, height=4)
         step1 = select_implementations(app.als, platform, app.library)
         mapping = step1.mapping
-        processes = [
-            p.name
-            for p in app.als.kpn.mappable_processes()
-            if mapping.is_assigned(p.name) and mapping.assignment(p.name).implementation
-        ]
+        processes = _placed_processes(mapping, app.als)
         victim = processes[-1]
         mover = processes[0]
         partial = Mapping(app.als.name)
         for assignment in mapping.assignments:
             if assignment.process != victim:
                 partial.assign(assignment)
-        incident = incident_channels(app.als)
+        table = CostTable(partial, app.als, platform)
+        assert table.positions[victim] is None
         tile_type = mapping.assignment(mover).implementation.tile_type
         target = [
             t.name
@@ -279,9 +291,47 @@ class TestDeltaCost:
             return
         moves = {mover: target[0]}
         before = manhattan_cost(partial, app.als, platform)
-        delta = manhattan_cost_delta(partial, app.als, platform, moves, incident)
+        delta = table.delta(moves)
         partial.assign(partial.assignment(mover).moved_to(target[0]))
         assert before + delta == manhattan_cost(partial, app.als, platform)
+
+    @given(
+        st.integers(min_value=0, max_value=200),
+        st.sampled_from(tuple(Step2Strategy)),
+        st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_running_table_equals_a_rebuilt_one(self, seed, strategy, weighted):
+        """After every candidate either search strategy accepts, the table
+        it keeps equals one rebuilt from the refined mapping, and its cost
+        equals the full recompute."""
+        app = generate_application(seed, config=SyntheticConfig(stages=5, period_ns=50_000.0))
+        platform = generate_platform(seed + 300, width=4, height=4)
+        config = MapperConfig(step2_strategy=strategy, step2_weight_by_tokens=weighted)
+        step1 = select_implementations(app.als, platform, app.library, config=config)
+        accepted = []
+        real_accept = step2_module._accept
+
+        def accept(mapping, candidate, residuals, table):
+            real_accept(mapping, candidate, residuals, table)
+            rebuilt = CostTable(mapping, app.als, platform, weighted_by_tokens=weighted)
+            assert table.positions == rebuilt.positions
+            assert table.cost() == manhattan_cost(
+                mapping, app.als, platform, weighted_by_tokens=weighted
+            )
+            accepted.append(candidate)
+
+        step2_module._accept = accept
+        try:
+            result = step2_module.refine_tile_assignment(
+                step1.mapping, app.als, platform, config=config
+            )
+        finally:
+            step2_module._accept = real_accept
+        assert len(accepted) == len(result.trace.accepted_iterations)
+        assert result.final_cost == manhattan_cost(
+            result.mapping, app.als, platform, weighted_by_tokens=weighted
+        )
 
 
 class TestStep2DeltaAgainstFullSearch:

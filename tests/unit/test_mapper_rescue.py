@@ -359,41 +359,44 @@ class TestBoundBeforeRouting:
         adopted energy, so 23 of the 24 candidates are cut (20 in draw
         order, which routed draws 0, 1, 8 and 19)."""
         platform, state, region, app = rescue_case
-        drawn: list[Mapping] = []
-        bounds: dict[int, float] = {}
-        routed: list[Mapping] = []
+        drawn: list[tuple] = []
+        bounds: list[float] = []
+        routed: list[tuple] = []
 
-        def placement(*args, **kwargs):
-            mapping = real_placement(*args, **kwargs)
-            if mapping is not None:
-                drawn.append(mapping)
-            return mapping
+        def draw(*args, **kwargs):
+            placement = real_draw(*args, **kwargs)
+            if placement is not None:
+                drawn.append(placement)
+            return placement
 
-        def bound(mapping, *args, **kwargs):
-            value = real_bound(mapping, *args, **kwargs)
-            bounds[id(mapping)] = value
+        def bound(*args, **kwargs):
+            value = real_bound(*args, **kwargs)
+            bounds.append(value)
             return value
 
         def route(mapping, *args, **kwargs):
-            routed.append(mapping)
+            routed.append(placement_of(mapping))
             return real_route(mapping, *args, **kwargs)
 
-        real_placement = rescue_module._random_placement
-        real_bound = rescue_module.mapping_energy_lower_bound_nj
+        real_draw = rescue_module._draw_placement
+        real_bound = rescue_module._placement_bound
         real_route = rescue_module.route_channels
-        monkeypatch.setattr(rescue_module, "_random_placement", placement)
-        monkeypatch.setattr(rescue_module, "mapping_energy_lower_bound_nj", bound)
+        monkeypatch.setattr(rescue_module, "_draw_placement", draw)
+        monkeypatch.setattr(rescue_module, "_placement_bound", bound)
         monkeypatch.setattr(rescue_module, "route_channels", route)
         outcome = run_rescue(platform, state, region, app)
 
         assert len(drawn) == len(bounds) == outcome.candidates == 24
+        # Each drawn placement is bounded as it is drawn; equal placements
+        # have equal bounds.
+        bound_of = {key_of(p): b for p, b in zip(drawn, bounds)}
         adopted = outcome.result.energy_nj_per_iteration
-        cut = [m for m in drawn if bounds[id(m)] > adopted]
+        cut = [p for p in drawn if bound_of[key_of(p)] > adopted]
         assert len(cut) == outcome.energy_cut == 23
-        assert not any(m in routed for m in cut)
-        assert all(m in routed for m in drawn if m not in cut)
+        assert not any(p in routed for p in cut)
+        assert all(p in routed for p in drawn if p not in cut)
         assert routed == [drawn[19]]
-        routed_bounds = [bounds[id(m)] for m in routed]
+        routed_bounds = [bound_of[key_of(p)] for p in routed]
         assert routed_bounds == sorted(routed_bounds)
 
     def test_a_wrapped_route_below_manhattan_is_not_cut(self, monkeypatch):
@@ -449,19 +452,51 @@ def placed_on(app, tile):
     return mapping
 
 
+def placement_of(mapping):
+    """The drawn placement a lane mapping is built from: its mappable
+    processes' ``(process, implementation, tile)`` in assignment order."""
+    return tuple(
+        (a.process, a.implementation, a.tile)
+        for a in mapping.assignments
+        if a.implementation is not None
+    )
+
+
+def key_of(placement):
+    """A hashable key of a drawn placement (implementations are not)."""
+    return tuple(
+        (process, implementation.qualified_name, tile)
+        for process, implementation, tile in placement
+    )
+
+
+def mapping_of(app, placement):
+    """The lane's mapping of a drawn placement: the pinned processes on
+    their pinned tiles, then the placement."""
+    mapping = Mapping(app.als.name)
+    for process in app.als.kpn.pinned_processes():
+        mapping.assign(ProcessAssignment(process.name, process.pinned_tile))
+    for process, implementation, tile in placement:
+        mapping.assign(ProcessAssignment(process, tile, implementation))
+    return mapping
+
+
 def propose_and_watch_routing(monkeypatch, proposals):
-    """Make the lane draw ``proposals`` in order and return the list that
-    collects every mapping it routes."""
-    proposals = iter(proposals)
+    """Make the lane draw the placements of the ``proposals`` mappings in
+    order and return the list that collects every proposal it routes."""
+    by_placement = {key_of(placement_of(mapping)): mapping for mapping in proposals}
+    placements = iter([placement_of(mapping) for mapping in proposals])
     monkeypatch.setattr(
-        rescue_module, "_random_placement", lambda *args: next(proposals, None)
+        rescue_module, "_draw_placement", lambda *args: next(placements, None)
     )
     routed = []
     real_route = rescue_module.route_channels
     monkeypatch.setattr(
         rescue_module,
         "route_channels",
-        lambda mapping, *args, **kwargs: routed.append(mapping)
+        lambda mapping, *args, **kwargs: routed.append(
+            by_placement[key_of(placement_of(mapping))]
+        )
         or real_route(mapping, *args, **kwargs),
     )
     return routed
@@ -659,46 +694,49 @@ class TestFloorBeforeRouting:
         placements ahead of draw 11 in bound order meet it and fail (draw
         order met 8 failures).  None of them is routed, and each that
         routes ends in step 4's floor overflow on the tile the cut named."""
-        drawn: list[Mapping] = []
-        floors: dict[int, object] = {}
-        routed: list[Mapping] = []
+        drawn: list[tuple] = []
+        floors: dict[tuple, object] = {}
+        routed: list[tuple] = []
 
-        def placement(*args, **kwargs):
-            mapping = real_placement(*args, **kwargs)
-            if mapping is not None:
-                drawn.append(mapping)
-            return mapping
+        def draw(*args, **kwargs):
+            placement = real_draw(*args, **kwargs)
+            if placement is not None:
+                drawn.append(placement)
+            return placement
 
         def floor(mapping, *args, **kwargs):
             overflow = real_floor(mapping, *args, **kwargs)
-            floors[id(mapping)] = overflow
+            floors[key_of(placement_of(mapping))] = overflow
             return overflow
 
         def route(mapping, *args, **kwargs):
-            routed.append(mapping)
+            routed.append(placement_of(mapping))
             return real_route(mapping, *args, **kwargs)
 
-        real_placement = rescue_module._random_placement
+        real_draw = rescue_module._draw_placement
         real_floor = rescue_module.stream_buffer_floor_overflow
         real_route = rescue_module.route_channels
-        monkeypatch.setattr(rescue_module, "_random_placement", placement)
+        monkeypatch.setattr(rescue_module, "_draw_placement", draw)
         monkeypatch.setattr(rescue_module, "stream_buffer_floor_overflow", floor)
         monkeypatch.setattr(rescue_module, "route_channels", route)
         outcome = run_rescue(*exhausting_case, config=LEDGER)
 
         assert len(drawn) == outcome.candidates
-        cut = [m for m in drawn if floors.get(id(m))]
+        cut = [p for p in drawn if floors.get(key_of(p))]
         assert cut == [drawn[i] for i in (1, 5, 6, 15, 21)]
         assert len(cut) == outcome.floor_cut == 5
-        assert not any(m in routed for m in cut)
-        assert routed == [m for m in drawn if id(m) in floors and not floors[id(m)]]
+        assert not any(p in routed for p in cut)
+        assert routed == [
+            p for p in drawn if key_of(p) in floors and not floors[key_of(p)]
+        ]
 
         # Every cut placement that routes ends in step 4's floor overflow,
         # on the tile the cut named.
         platform, state, region, app = exhausting_case
         monkeypatch.undo()
         checked = 0
-        for mapping in cut:
+        for placement in cut:
+            mapping = mapping_of(app, placement)
             step3 = real_route(
                 mapping, app.als, platform,
                 state=state, allowed_positions=region.positions,
@@ -711,7 +749,7 @@ class TestFloorBeforeRouting:
             if step4.report.achieved_period_ns > app.als.period_ns:
                 continue
             assert step4.floor_overflow
-            assert step4.feedback[0].culprit_tile == floors[id(mapping)][0]
+            assert step4.feedback[0].culprit_tile == floors[key_of(placement)][0]
             checked += 1
         assert checked
 
