@@ -24,7 +24,25 @@ stay true, so firing ``k`` of actor ``a`` starts at the maximum of
 
 and finishes at start + phase duration: a max-plus recurrence, evaluated
 actor by actor in topological order.  Each edge keeps the arrival time of
-every token, so a firing's input dependency is one lookup.
+every token, so a firing's input dependency is one lookup; an actor whose
+next firing still waits for a token is skipped.  Each firing costs only what
+its actor's class needs, and every class computes the same floats in the
+same order:
+
+* a *unit-rate* actor (one phase, one input drained one token per firing,
+  no period release: every router hop) reads its input's arrivals in one
+  loop;
+* a unit-rate actor *never queues* when its producer has one phase, sends
+  it one token per firing and takes at least as long, ``d_up >= d``.  Its
+  starts are then the arrivals themselves, its finishes one ``map(add,
+  ...)`` over them, and its horizon cut a bisect.  This is exact because
+  round-to-nearest is monotone: the producer's finishes satisfy
+  ``f(n) >= fl(f(n-1) + d_up) >= fl(f(n-1) + d)``, which is this actor's
+  previous finish, so ``max(arrival, previous finish)`` is the arrival, bit
+  for bit.  The argument never relies on shift invariance;
+* any other actor is evaluated firing by firing when a call has only a few
+  firings to evaluate, and through one iterator pipeline per input when it
+  has more (:data:`_SPARSE`).
 
 *Event order.*  The occupancy maximum of an edge is taken at its producer's
 starts, and a consumer start at the very same float instant counts only if
@@ -60,7 +78,7 @@ from fractions import Fraction
 from functools import cmp_to_key
 from itertools import accumulate, chain, compress, cycle, islice, repeat
 from math import inf, isfinite
-from operator import floordiv, mul
+from operator import add, floordiv, mul
 
 from repro.csdf.analysis.simulation import SimulationResult, iteration_finish_times, simulate
 from repro.csdf.graph import CSDFGraph
@@ -68,6 +86,13 @@ from repro.csdf.repetition import repetition_vector
 
 #: The cause of a source start decided by its period release, until settled.
 _RELEASE = object()
+
+#: Fewer firings than this of an actor that is not unit-rate are evaluated
+#: one at a time; more, through one iterator pipeline per input, whose
+#: set-up costs more than a few firings do.  On the mapped graphs of the
+#: benchmark's workloads such a call has 1-5 firings or 18 and more to
+#: evaluate.
+_SPARSE = 8
 
 
 def _feed_forward_order(graph: CSDFGraph) -> tuple[int, ...] | bool:
@@ -193,18 +218,29 @@ def _evaluate(
     periodic = [period is not None and not inputs[a] for a in actor_range]
     periodic_indices = [a for a in actor_range if periodic[a]]
 
-    durations = [graph.actor(name).execution_times_ns.values for name in names]
+    durations = [actor.execution_times_ns.values for actor in graph.actors]
     phase_counts = [len(values) for values in durations]
     outputs: list[list[int]] = [[] for _ in actor_range]
     for e, (producer, _) in enumerate(ends):
         outputs[producer].append(e)
+    # Per unit-rate actor (one phase, one input that it drains one token per
+    # firing, no period release: every router hop), that input.  A unit-rate
+    # actor never queues when its producer has one phase (its rates have
+    # one entry per phase), sends it one token per firing and takes at least
+    # as long (see the module docstring).
+    unit_input: list[int | None] = [None] * len(names)
+    no_queue = [False] * len(names)
+    for a in actor_range:
+        if phase_counts[a] == 1 and len(inputs[a]) == 1 and not periodic[a]:
+            e = inputs[a][0]
+            if drain[e] == (1,):
+                unit_input[a] = e
+                no_queue[a] = supply[e] == (1,) and durations[ends[e][0]][0] >= durations[a][0]
 
     # Per edge, the finish of the producer firing that delivers each token,
     # in token order, after a 0.0 for "no token": a consumer firing that
-    # brings the edge's consumption to n tokens waits for arrivals[e][n],
-    # and ``senders[e][n]`` is that producer firing.
+    # brings the edge's consumption to n tokens waits for arrivals[e][n].
     arrivals: list[list[float]] = [[0.0] for _ in edges]
-    senders: list[list[int]] = [[-1] for _ in edges]
 
     def extend(need: list[int], horizon: float) -> None:
         """Evaluate each actor's firings up to ``need`` of them and, for a
@@ -216,8 +252,13 @@ def _evaluate(
             count = len(started)
             if count == target[a] or (count >= need[a] and started[-1] > horizon):
                 continue
-            todo = need[a] - count if horizon == -inf else target[a] - count
-            advance(a, todo, need[a], horizon)
+            # An actor whose next firing still waits for a token is blocked.
+            for e in inputs[a]:
+                if consumed_by(e, count + 1) >= len(arrivals[e]):
+                    break
+            else:
+                todo = need[a] - count if horizon == -inf else target[a] - count
+                advance(a, todo, need[a], horizon)
 
     def advance(a: int, todo: int, floor: int, horizon: float) -> None:
         """Evaluate up to ``todo`` more firings of actor ``a``, as far as
@@ -225,66 +266,114 @@ def _evaluate(
         starts after ``horizon``."""
         started, finished = starts[a], finishes[a]
         first = len(started)
-        # Per firing, the arrival of the last token it needs on each input
-        # and the source's period release.
-        gates = []
-        for e in inputs[a]:
-            rates = drain[e]
-            # The firings whose tokens have all arrived.
-            tokens = len(arrivals[e]) - 1
-            cycles = tokens // drained[e][-1]
-            ready = cycles * len(rates) + bisect_right(
-                drained[e], tokens - cycles * drained[e][-1]
-            )
-            todo = min(todo, ready - 1 - first)
-            phase = first % len(rates)
-            needs = accumulate(
-                islice(cycle(rates), phase, phase + todo), initial=consumed_by(e, first)
-            )
-            next(needs)
-            gates.append(map(arrivals[e].__getitem__, needs))
-        if periodic[a]:
-            releases = map(floordiv, range(first, first + todo), repeat(reps[a]))
-            gates.append(map(mul, releases, repeat(period)))
-        if not gates:
-            gate = repeat(0.0)
-        elif len(gates) == 1:
-            gate = gates[0]
-        else:
-            gate = map(max, *gates)
-        phase = first % phase_counts[a]
         last = finished[-1] if first else 0.0
-        start, finish = started.append, finished.append
-        # ``zip`` pulls the durations first: past the last firing whose
-        # tokens have arrived, the gate would look up one that has not.
-        steps = zip(islice(cycle(durations[a]), phase, phase + todo), gate)
-        for duration, wait in islice(steps, max(floor - first, 0)):
-            begin = wait if wait > last else last
-            start(begin)
-            last = begin + duration
-            finish(last)
-        for duration, wait in steps:
-            begin = wait if wait > last else last
-            start(begin)
-            last = begin + duration
-            finish(last)
-            if begin > horizon:
-                break
+        e = unit_input[a]
+        if e is not None:
+            # Firing ``k`` waits for token ``k + 1`` of its one input.
+            arrived = arrivals[e]
+            todo = min(todo, len(arrived) - 1 - first)
+            duration = durations[a][0]
+            if no_queue[a]:
+                # Each start is its token's arrival, and the starts never
+                # decrease: the horizon cut is a bisect.
+                stop = first + todo
+                if floor < stop:
+                    cut = bisect_right(arrived, horizon, max(floor, first) + 1, stop + 1)
+                    stop = min(cut, stop)
+                waits = arrived[first + 1 : stop + 1]
+                started.extend(waits)
+                finished.extend(map(add, waits, repeat(duration)))
+            else:
+                start, finish = started.append, finished.append
+                waits = islice(arrived, first + 1, first + 1 + todo)
+                for wait in islice(waits, max(floor - first, 0)):
+                    begin = wait if wait > last else last
+                    start(begin)
+                    last = begin + duration
+                    finish(last)
+                for wait in waits:
+                    begin = wait if wait > last else last
+                    start(begin)
+                    last = begin + duration
+                    finish(last)
+                    if begin > horizon:
+                        break
+        else:
+            # The firings whose tokens have all arrived.
+            for e in inputs[a]:
+                tokens = len(arrivals[e]) - 1
+                cycles = tokens // drained[e][-1]
+                ready = cycles * len(drain[e]) + bisect_right(
+                    drained[e], tokens - cycles * drained[e][-1]
+                )
+                todo = min(todo, ready - 1 - first)
+            if todo < _SPARSE:
+                # Firing by firing: the wait is the latest of the source's
+                # period release and, per input, the arrival of the last
+                # token the firing needs.
+                times, phases = durations[a], phase_counts[a]
+                for k in range(first, first + todo):
+                    begin = last
+                    for e in inputs[a]:
+                        wait = arrivals[e][consumed_by(e, k + 1)]
+                        if wait > begin:
+                            begin = wait
+                    if periodic[a]:
+                        wait = (k // reps[a]) * period
+                        if wait > begin:
+                            begin = wait
+                    started.append(begin)
+                    last = begin + times[k % phases]
+                    finished.append(last)
+                    if k >= floor and begin > horizon:
+                        break
+            else:
+                # The same per firing, as one iterator per input.
+                gates = []
+                for e in inputs[a]:
+                    rates = drain[e]
+                    phase = first % len(rates)
+                    needs = accumulate(
+                        islice(cycle(rates), phase, phase + todo), initial=consumed_by(e, first)
+                    )
+                    next(needs)
+                    gates.append(map(arrivals[e].__getitem__, needs))
+                if periodic[a]:
+                    releases = map(floordiv, range(first, first + todo), repeat(reps[a]))
+                    gates.append(map(mul, releases, repeat(period)))
+                if not gates:
+                    gate = repeat(0.0)
+                elif len(gates) == 1:
+                    gate = gates[0]
+                else:
+                    gate = map(max, *gates)
+                phase = first % phase_counts[a]
+                start, finish = started.append, finished.append
+                steps = zip(islice(cycle(durations[a]), phase, phase + todo), gate)
+                for duration, wait in islice(steps, max(floor - first, 0)):
+                    begin = wait if wait > last else last
+                    start(begin)
+                    last = begin + duration
+                    finish(last)
+                for duration, wait in steps:
+                    begin = wait if wait > last else last
+                    start(begin)
+                    last = begin + duration
+                    finish(last)
+                    if begin > horizon:
+                        break
         count = len(started)
         for e in outputs[a]:
             rates = supply[e]
             if rates == (1,):
                 arrivals[e].extend(finished[first:])
-                senders[e].extend(range(first, count))
                 continue
             phase = first % len(rates)
-            delivered = list(islice(cycle(rates), phase, phase + count - first))
+            delivered = islice(cycle(rates), phase, phase + count - first)
             if max(rates) == 1:
                 arrivals[e].extend(compress(finished[first:], delivered))
-                senders[e].extend(compress(range(first, count), delivered))
             else:
                 arrivals[e].extend(chain.from_iterable(map(repeat, finished[first:], delivered)))
-                senders[e].extend(chain.from_iterable(map(repeat, range(first, count), delivered)))
 
     def produced_by(e: int, firings: int) -> int:
         cycles, rest = divmod(firings, len(supply[e]))
@@ -318,7 +407,9 @@ def _evaluate(
             cycles, rest = divmod(j + 1, len(rates))
             tokens = cycles * drained[e][-1] + drained[e][rest]
             if arrivals[e][tokens] == instant:
-                pop = (ends[e][0], senders[e][tokens])
+                # The producer firing that delivered that token.
+                cycles, rest = divmod(tokens - 1, supplied[e][-1])
+                pop = (ends[e][0], cycles * len(supply[e]) + bisect_right(supplied[e], rest) - 1)
                 if found is None:
                     found = pop
                 elif found.__class__ is tuple:
@@ -555,14 +646,15 @@ def _evaluate(
                     tied += 1
                 least = total - taken[tied]
                 if least < most:
-                    ties.append((most, k, j, tied, total))
+                    ties.append((-most, k, j, tied, total))
                 if least > highest:
                     highest = least
-        # Largest bound first; among equal bounds the earliest, whose order
-        # is settled by the shortest walk back through a busy period.
-        ties.sort(key=lambda tie: (-tie[0], tie[1]))
-        for most, k, first, tied, total in ties:
-            if most <= highest:
+        # Largest bound first (ties hold it negated); among equal bounds the
+        # earliest, whose order is settled by the shortest walk back through
+        # a busy period.
+        ties.sort()
+        for bound, k, first, tied, total in ties:
+            if -bound <= highest:
                 break
             instant = starts[producer][k]
             while first < tied:

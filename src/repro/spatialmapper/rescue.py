@@ -235,7 +235,7 @@ class _DrawTable:
         for process in als.kpn.pinned_processes():
             self.pinned.assign(ProcessAssignment(process.name, process.pinned_tile))
         self.pinned_tiles = {a.process: a.tile for a in self.pinned.assignments}
-        residuals = ResidualTracker.for_mapping(platform, state, self.pinned)
+        residuals = ResidualTracker.for_mapping(platform, state, self.pinned, allowed_tiles)
         self.order = [process.name for process in als.kpn.mappable_processes()]
         self.options: dict[str, tuple[tuple[Implementation, str, int], ...]] = {}
         self.free_slots: dict[str, int] = {}

@@ -6,10 +6,13 @@ slot / enough memory for this implementation, given the running applications
 from the mapping on every query makes the candidate loops quadratic; the
 tracker seeds each tile's residual from the platform state's cached
 aggregates (an O(1) query per tile) and then updates it incrementally as
-processes are placed, moved or swapped.
+processes are placed, moved or swapped.  A region-scoped call seeds only
+its scope's tiles, the only ones it ever asks about.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterable
 
 from repro.mapping.mapping import Mapping
 from repro.platform.platform import Platform
@@ -21,10 +24,18 @@ class ResidualTracker:
 
     __slots__ = ("_free_slots", "_free_memory")
 
-    def __init__(self, platform: Platform, state: PlatformState | None = None) -> None:
+    def __init__(
+        self,
+        platform: Platform,
+        state: PlatformState | None = None,
+        tiles: Iterable[str] | None = None,
+    ) -> None:
+        """Seed every tile of ``platform``, or only the tiles named in
+        ``tiles`` (a region's scope): a query for any other tile raises
+        :class:`KeyError`, and a placement on one is ignored."""
         self._free_slots: dict[str, int] = {}
         self._free_memory: dict[str, int] = {}
-        for tile in platform.tiles:
+        for tile in platform.tiles if tiles is None else map(platform.tile, tiles):
             if state is not None:
                 self._free_slots[tile.name] = state.free_process_slots(tile.name)
                 self._free_memory[tile.name] = state.free_memory_bytes(tile.name)
@@ -38,13 +49,15 @@ class ResidualTracker:
         platform: Platform,
         state: PlatformState | None,
         mapping: Mapping,
+        tiles: Iterable[str] | None = None,
     ) -> "ResidualTracker":
-        """A tracker that already accounts for every placement in ``mapping``.
+        """A tracker of ``tiles`` (``None`` = every tile) that already
+        accounts for every placement in ``mapping``.
 
         Pinned processes carry no implementation but still occupy a slot on
         their pinned tile, matching how the mapper has always counted them.
         """
-        tracker = cls(platform, state)
+        tracker = cls(platform, state, tiles)
         for assignment in mapping.assignments:
             memory = (
                 assignment.implementation.memory_bytes
@@ -66,9 +79,9 @@ class ResidualTracker:
     def place(self, tile_name: str, memory_bytes: int) -> None:
         """Account for a process placed on the tile.
 
-        Tiles unknown to the platform (e.g. a pinned tile of a foreign
-        specification) are ignored: they can never be queried, because
-        queries only ever name tiles of the platform.
+        Tiles the tracker does not hold (outside its scope, or a pinned tile
+        of a foreign specification) are ignored: they are never queried,
+        because queries only ever name tiles of the scope.
         """
         if tile_name in self._free_slots:
             self._free_slots[tile_name] -= 1

@@ -66,7 +66,7 @@ def eligible_tiles(
     platform's cached per-scope table of processing tiles of the type.
     """
     if residuals is None:
-        residuals = ResidualTracker.for_mapping(platform, state, mapping)
+        residuals = ResidualTracker.for_mapping(platform, state, mapping, allowed_tiles)
     process = implementation.process
     memory = implementation.memory_bytes
     tiles: list[str] = []
@@ -114,7 +114,7 @@ def select_implementations(
     unassigned = [p.name for p in als.kpn.mappable_processes()]
     declaration_rank = {name: index for index, name in enumerate(unassigned)}
     result = Step1Result(mapping=mapping)
-    residuals = ResidualTracker.for_mapping(platform, state, mapping)
+    residuals = ResidualTracker.for_mapping(platform, state, mapping, allowed_tiles)
 
     # Eligible tiles per (process, implementation), derived once.  The
     # exclusions are fixed during step 1 and a placement only lowers the

@@ -336,7 +336,7 @@ def refine_tile_assignment(
     config = config or MapperConfig()
     exclusions = ExclusionSet() if exclusions is None else exclusions
     current = mapping.copy()
-    residuals = ResidualTracker.for_mapping(platform, state, current)
+    residuals = ResidualTracker.for_mapping(platform, state, current, allowed_tiles)
     table = CostTable(
         current, als, platform, weighted_by_tokens=config.step2_weight_by_tokens
     )

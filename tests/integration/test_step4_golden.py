@@ -16,6 +16,10 @@ actors, so the report is held to the golden entries of those edges.  Every
 edge of the golden ``"buffers"`` block, router-hop inputs included, is held
 to the occupancy maxima of :func:`feed_forward_run` on the mapped graph
 (which takes every edge's maximum), clamped to ``_lower_bound_capacity``.
+
+On each of the nine mapped graphs, :func:`feed_forward_run` must equal the
+event loop's run of the unbounded graph in every field, with the cycle exit
+on and off.
 """
 
 import dataclasses
@@ -31,6 +35,7 @@ from repro.csdf.analysis.simulation import SelfTimedSimulator
 from repro.spatialmapper.csdf_construction import consumer_buffer_edges
 from repro.spatialmapper.mapper import SpatialMapper
 from repro.workloads import hiperlan2, receivers
+from tests.unit.test_csdf_feedforward import assert_matches_periodic_loop
 
 GOLDEN = json.loads((Path(__file__).parent.parent / "data" / "step4_golden.json").read_text())
 
@@ -89,3 +94,17 @@ def test_step4_reports_match_golden(block, monkeypatch):
         }
         assert dict(sorted(every_edge.items())) == expected["buffers"], label
     assert event_loop_runs == []
+
+
+@pytest.mark.parametrize("cycle_exit", [False, True])
+def test_mapped_graphs_run_as_on_the_event_loop(cycle_exit):
+    """On each receiver's mapped graph (router hops, multi-phase processes,
+    periodic source) the feed-forward run equals the event loop's run of the
+    unbounded graph in every field."""
+    config = MapperConfig()
+    for label, (als, library) in _receivers().items():
+        result = SpatialMapper(hiperlan2.build_mpsoc(), library, config).map(als)
+        assert result.mapped_csdf is not None, label
+        assert_matches_periodic_loop(
+            result.mapped_csdf, config.analysis_iterations, als.period_ns, cycle_exit
+        )

@@ -22,7 +22,7 @@ maximum.
 
 from random import Random
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.appmodel.implementation import Implementation
@@ -58,7 +58,17 @@ def split(rng: Random, total: int, phases: int) -> PhaseVector:
 
 def random_platform(topology: str, width: int, height: int, rng: Random):
     """A mesh or torus with an I/O tile at (0, 0), a GPP beside it on the
-    same router, and one or two GPP/DSP tiles on every other position."""
+    same router, and one or two GPP/DSP tiles on every other position, at
+    least one of them a DSP so every implementation has a tile to go on."""
+    tiles = []
+    for y in range(height):
+        for x in range(width):
+            if (x, y) == (0, 0):
+                continue
+            for slot in range(rng.choice((1, 2))):
+                tiles.append([f"t{x}_{y}_{slot}", rng.choice(("GPP", "DSP")), (x, y)])
+    if all(tile_type != "DSP" for _, tile_type, _ in tiles):
+        tiles[-1][1] = "DSP"
     build = build_torus_noc if topology == "torus" else build_mesh_noc
     builder = (
         PlatformBuilder(f"{topology}_{width}x{height}")
@@ -70,13 +80,8 @@ def random_platform(topology: str, width: int, height: int, rng: Random):
         .tile("io", "IO", (0, 0))
         .tile("gpp_io", "GPP", (0, 0), max_processes=8)
     )
-    for y in range(height):
-        for x in range(width):
-            if (x, y) == (0, 0):
-                continue
-            for slot in range(rng.choice((1, 2))):
-                tile_type = rng.choice(("GPP", "DSP"))
-                builder.tile(f"t{x}_{y}_{slot}", tile_type, (x, y), max_processes=8)
+    for name, tile_type, position in tiles:
+        builder.tile(name, tile_type, position, max_processes=8)
     return builder.build()
 
 
@@ -164,6 +169,7 @@ CASES = dict(
 
 
 @given(**CASES)
+@example(topology="mesh", width=3, height=3, seed=28587, stages=1)  # draws no DSP at first
 @settings(max_examples=300, deadline=None)
 def test_floor_is_the_consumer_edge_lower_bound(topology, width, height, seed, stages):
     platform, als, mapping, graph = routed_case(topology, width, height, seed, stages)

@@ -25,7 +25,10 @@ feed-forward graphs with periodic sources: every field of the run, and the
 capacities and charged firings of the buffer sizing, with the cycle exit on
 and off.  Integer durations make ties frequent; zero-duration actors, a
 period equal to the source's busy time and actors declared before their
-producers are all drawn.
+producers are all drawn.  A second strategy draws chains of one-phase,
+one-token hops after a multi-phase, multi-token producer, with fractional
+durations whose sums round, each hop as long as, shorter than or longer
+than its upstream: the evaluator's unit-rate and no-queue paths.
 
 Finally, on graphs the feed-forward evaluator does not take (an initial
 token or a feedback edge), the engine's buffer sizing runs the event loop
@@ -468,10 +471,118 @@ def random_feed_forward_case(draw):
     )
 
 
+def _tenths(draw, low=0, high=60):
+    """A duration of ``k / 10`` ns: sums of such durations round."""
+    return draw(st.integers(min_value=low, max_value=high)) / 10
+
+
+@st.composite
+def random_unit_rate_case(draw):
+    """Chains of one-phase, one-in/one-out actors (router hops) fed by a
+    multi-phase, multi-token producer, with fractional durations.
+
+    The producer sends the same number of tokens per cycle down one or two
+    chains of 0-4 hops, in its own per-phase pattern on each.  Each hop
+    lasts as long as, less than or more than its upstream's (first) phase,
+    so the evaluator's no-queue path is taken by some hops and not by the
+    others.  Two chains optionally meet in a join that takes one token, or
+    two, from each end: its inputs arrive out of step.  Plus an iteration
+    count, a period or none, and the cycle exit on or off.
+    """
+    phases = draw(st.integers(min_value=1, max_value=3))
+    producer = [_tenths(draw) for _ in range(phases)]
+    tokens = draw(st.integers(min_value=1, max_value=4))
+    lengths = draw(st.lists(st.integers(min_value=0, max_value=4), min_size=1, max_size=2))
+    join = len(lengths) == 2 and draw(st.booleans())
+    builder = CSDFBuilder("unit_rate_case")
+    builder.actor("src", producer)
+    ends = []
+    for c, length in enumerate(lengths):
+        rates = _spread(draw, tokens, phases)
+        upstream, previous = "src", producer[0]
+        for h in range(length):
+            relation = draw(st.sampled_from(["equal", "shorter", "longer"]))
+            if relation == "equal":
+                duration = previous
+            elif relation == "shorter":
+                duration = _tenths(draw, 0, max(round(previous * 10) - 1, 0))
+            else:
+                duration = _tenths(draw, round(previous * 10) + 1, round(previous * 10) + 30)
+            name = f"c{c}h{h}"
+            builder.actor(name, [duration])
+            builder.edge(upstream, name, production=rates if h == 0 else [1], consumption=[1])
+            upstream, previous, rates = name, duration, [1]
+        ends.append((upstream, rates))
+    if join:
+        builder.actor("join", [_tenths(draw)])
+        taken = draw(st.integers(min_value=1, max_value=2))
+        for upstream, rates in ends:
+            builder.edge(upstream, "join", production=rates, consumption=[taken])
+    graph = builder.build()
+    periods = [None, _tenths(draw, 1, 400)]
+    return (
+        graph,
+        draw(st.integers(min_value=1, max_value=8)),
+        draw(st.sampled_from(periods)),
+        draw(st.booleans()),
+    )
+
+
+def _unit_rate_chain(name, producer, hops):
+    """A one-phase, one-token producer of duration ``producer``, then a
+    chain of one-phase hops of the given durations."""
+    builder = CSDFBuilder(name).actor("src", [producer])
+    upstream = "src"
+    for h, duration in enumerate(hops):
+        builder.actor(f"h{h}", [duration])
+        builder.edge(upstream, f"h{h}", production=[1], consumption=[1])
+        upstream = f"h{h}"
+    return builder.build()
+
+
+def _equal_fractional_chain():
+    """Three hops as long as their producer, 0.3 ns each: no hop queues,
+    and the running sums of 0.3 round."""
+    return _unit_rate_chain("equal_chain", 0.3, [0.3, 0.3, 0.3]), 6, None, True
+
+
+def _slower_after_faster():
+    """A 0.3 ns hop after a 0.1 ns one: its tokens come faster than it
+    fires, so it queues (a no-queue start would be the arrival)."""
+    return _unit_rate_chain("slower_after_faster", 0.1, [0.1, 0.3]), 4, None, False
+
+
+def _out_of_step_join():
+    """A two-phase producer that sends [2, 0] tokens down one chain and
+    [1, 1] down the other, whose two hops last 0.1 and 0.3 ns; a join
+    takes one token from each end, so its inputs arrive out of step."""
+    graph = (
+        CSDFBuilder("out_of_step")
+        .actor("src", [0.2, 0.5])
+        .actor("a0", [0.2])
+        .actor("b0", [0.1])
+        .actor("b1", [0.3])
+        .actor("join", [0.4])
+        .edge("src", "a0", production=[2, 0], consumption=[1])
+        .edge("src", "b0", production=[1, 1], consumption=[1])
+        .edge("b0", "b1", production=[1], consumption=[1])
+        .edge("a0", "join", production=[1], consumption=[1])
+        .edge("b1", "join", production=[1], consumption=[1])
+        .build()
+    )
+    return graph, 5, 1.5, True
+
+
+feed_forward_cases = st.one_of(random_feed_forward_case(), random_unit_rate_case())
+
+
 class TestFeedForwardMatchesEventLoop:
     """The feed-forward evaluator equals the loop on the unbounded graph."""
 
-    @given(random_feed_forward_case())
+    @given(feed_forward_cases)
+    @example(_equal_fractional_chain())
+    @example(_slower_after_faster())
+    @example(_out_of_step_join())
     @settings(max_examples=300, deadline=None)
     def test_every_field_matches(self, case):
         graph, iterations, period, cycle_exit = case
@@ -497,7 +608,10 @@ class TestFeedForwardMatchesEventLoop:
         ):
             assert getattr(run, name) == getattr(expected, name), name
 
-    @given(random_feed_forward_case())
+    @given(feed_forward_cases)
+    @example(_equal_fractional_chain())
+    @example(_slower_after_faster())
+    @example(_out_of_step_join())
     @settings(max_examples=150, deadline=None)
     def test_capacities_and_charge_match(self, case):
         graph, iterations, period, early_exit = case
